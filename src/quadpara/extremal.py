@@ -29,11 +29,13 @@ import numpy as np
 
 from .geometry import (
     ConvexPolygon,
+    Degenerate,
     Direction,
     GeometryError,
     Line,
     ParallelLines,
     Point,
+    Segment,
     SweepOverrun,
     _vec,
     chord_through,
@@ -160,31 +162,42 @@ def _supports(P: ConvexPolygon, base, v, eps_dist: float) -> bool:
 
 
 def _locate_on_boundary(P: ConvexPolygon, pt, tol_dist: float):
-    """Classify a boundary point as ("vertex", i) or ("edge", k)."""
+    """Classify a boundary point as ("vertex", i) or ("edge", k).
+
+    The lowest-index vertex within tol_dist wins.  Otherwise the edge is the
+    one of least residual among those the point projects into (parameter in
+    [0, 1] up to 1e-9), the lowest index on ties.
+    """
     px, py = _vec(pt)
-    n = P.n
-    for i, q in enumerate(P.vertices):
-        if math.hypot(px - q.x, py - q.y) <= tol_dist:
+    xy = P.coords()
+    rx = px - xy[:, 0]
+    ry = py - xy[:, 1]
+    # hypot(rx, ry) >= max(|rx|, |ry|): the box keeps every vertex in range.
+    near = np.flatnonzero((np.abs(rx) <= tol_dist) & (np.abs(ry) <= tol_dist))
+    for i in near.tolist():
+        if math.hypot(rx[i], ry[i]) <= tol_dist:
             return ("vertex", i)
-    best = None
-    best_res = math.inf
-    for k in range(n):
-        q = P.vertices[k]
-        ex, ey = P.edge_vector(k)
-        res = abs(ex * (py - q.y) - ey * (px - q.x)) / math.hypot(ex, ey)
-        t = ((px - q.x) * ex + (py - q.y) * ey) / (ex * ex + ey * ey)
-        if -1e-9 <= t <= 1 + 1e-9 and res < best_res:
-            best_res = res
-            best = k
-    if best is None or best_res > max(tol_dist, 1e-6 * (P.scale + 1.0)):
-        raise GeometryError(f"point {(px, py)} does not lie on the polygon boundary")
-    return ("edge", best)
+    ex, ey = P.edges()
+    t = (rx * ex + ry * ey) / (ex * ex + ey * ey)
+    win = np.flatnonzero((t >= -1e-9) & (t <= 1 + 1e-9))
+    if win.size:
+        wx, wy = ex[win], ey[win]
+        res = np.abs(wx * ry[win] - wy * rx[win]) / np.array(
+            [math.hypot(a, b) for a, b in zip(wx.tolist(), wy.tolist())]
+        )
+        j = int(np.argmin(res))
+        if res[j] <= max(tol_dist, 1e-6 * (P.scale + 1.0)):
+            return ("edge", int(win[j]))
+    raise GeometryError(f"point {(px, py)} does not lie on the polygon boundary")
 
 
-def _side_direction(P: ConvexPolygon, a_pt, c_pt, loc_a, loc_c, eps_dist: float):
+def _side_direction(P: ConvexPolygon, a_pt, c_pt, loc_a, loc_c, u, eps_dist: float):
     """A direction v such that the lines through both chord endpoints
     parallel to v support P.  A mid-edge endpoint forces its edge direction;
-    otherwise the incident edges of the two vertices are tried in order."""
+    otherwise the incident edges of the two vertices are tried in order.
+    Edges parallel to the chord direction u are passed over: they support P
+    when the chord lies along an edge, but would give a flat parallelogram."""
+    ux, uy = _vec(u)
     candidates: list[tuple[float, float]] = []
     for loc in (loc_a, loc_c):
         kind, idx = loc
@@ -193,6 +206,7 @@ def _side_direction(P: ConvexPolygon, a_pt, c_pt, loc_a, loc_c, eps_dist: float)
         else:
             candidates.append(P.edge_vector((idx - 1) % P.n))
             candidates.append(P.edge_vector(idx))
+    candidates = [v for v in candidates if v[0] * uy - v[1] * ux != 0.0]
     for v in candidates:
         if _supports(P, a_pt, v, eps_dist) and _supports(P, c_pt, v, eps_dist):
             return v
@@ -216,6 +230,68 @@ def _para_from_lines(
     return ParaResult((g0, g1, g2, g3), b_line.dir, a_line.dir, area, touch)
 
 
+def _chord_bounds(P: ConvexPolygon, d: np.ndarray, s: np.ndarray, lower: bool) -> np.ndarray:
+    """For the chord along u through each vertex, the parameter bound set by
+    the edges with d > 0 (lower) or d < 0 (upper), evaluated only on the
+    edge the chord crosses and its two chain neighbours.
+
+    The edges of one sign form a cyclic chain along which the offset s falls
+    (d > 0) or rises (d < 0), so one binary search per vertex finds the
+    crossed edge.  Each t uses chord_through's expression; as the bound is
+    taken over a subset of the edges, it is never tighter than the true one.
+    """
+    chain = np.flatnonzero(d > 0.0 if lower else d < 0.0)
+    if chain.size == 0:
+        raise Degenerate("line does not leave the polygon; invalid polygon?")
+    gap = np.flatnonzero(np.diff(chain) != 1)
+    if gap.size:
+        chain = np.roll(chain, -int(gap[0]) - 1)  # start at the run's first edge
+    sign = -1.0 if lower else 1.0
+    hit = np.searchsorted(sign * s[chain], sign * s, side="right") - 1
+    xy = P.coords()
+    vx, vy = xy[:, 0], xy[:, 1]
+    ex, ey = P.edges()
+    tighter = np.maximum if lower else np.minimum
+    bound = None
+    for offset in (-1, 0, 1):
+        k = chain[np.clip(hit + offset, 0, chain.size - 1)]
+        t = -(ex[k] * (vy - vy[k]) - ey[k] * (vx - vx[k])) / d[k]
+        bound = t if bound is None else tighter(bound, t)
+    return bound
+
+
+def _longest_vertex_chord(P: ConvexPolygon, u: Direction) -> Segment:
+    """`chord_through(P, q, u)` for the first vertex q whose chord has the
+    greatest extent along u, without measuring every chord in full.
+
+    The windowed bounds of `_chord_bounds` can only overstate a chord's
+    extent.  The vertex they rank first is measured in full; when its extent
+    falls short, that value replaces the estimate and the ranking repeats.
+    A vertex that ranks first with its true extent beats the true extents
+    of all others, so the result is the one a loop over every vertex picks,
+    ties included.  When the offsets are exact (integer coordinates and
+    direction), the window holds the crossed edge, every estimate is exact
+    and one full measurement suffices.
+    """
+    ux, uy = u.dx, u.dy
+    xy = P.coords()
+    vx, vy = xy[:, 0], xy[:, 1]
+    ex, ey = P.edges()
+    d = ex * uy - ey * ux
+    s = ux * vy - uy * vx
+    t0 = _chord_bounds(P, d, s, lower=True)
+    t1 = _chord_bounds(P, d, s, lower=False)
+    ext = ((vx + t1 * ux) - (vx + t0 * ux)) * ux + ((vy + t1 * uy) - (vy + t0 * uy)) * uy
+    ext = np.maximum(ext, 0.0)  # chord_through shrinks a chord with t0 > t1 to a point
+    while True:
+        i = int(np.argmax(ext))
+        seg = chord_through(P, P.vertices[i], u)
+        full = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
+        if not full < ext[i]:
+            return seg
+        ext[i] = full
+
+
 def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult]:
     """The largest contained quadrilateral whose diagonal is parallel to u,
     with the smallest enclosing parallelogram whose sides are parallel to u.
@@ -223,24 +299,21 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     The pair is conjugate: the quadrilateral's diagonal is the longest chord
     parallel to u, the other two corners touch the supporting lines parallel
     to u, and the parallelogram has exactly twice the quadrilateral's area.
+
+    O(n log n) numpy work with no Python loop over the vertices whenever the
+    chord offsets are exact, as on integer input (see `_longest_vertex_chord`).
+    The result is bit-identical to measuring the chord through every vertex,
+    which `oracle.longest_chord` does in O(n^2).
     """
     uc = Direction(*_vec(u)).canonical()
     tol_dist = 1e-9 * (P.scale + 1.0)
 
-    best_seg = None
-    best_ext = -1.0
-    for q in P.vertices:
-        seg = chord_through(P, q, uc)
-        ext = (seg.b.x - seg.a.x) * uc.dx + (seg.b.y - seg.a.y) * uc.dy
-        if ext > best_ext:
-            best_ext = ext
-            best_seg = seg
-    assert best_seg is not None
+    best_seg = _longest_vertex_chord(P, uc)
     a_pt, c_pt = best_seg.a, best_seg.b
 
     loc_a = _locate_on_boundary(P, a_pt, tol_dist)
     loc_c = _locate_on_boundary(P, c_pt, tol_dist)
-    v = _side_direction(P, a_pt, c_pt, loc_a, loc_c, tol_dist)
+    v = _side_direction(P, a_pt, c_pt, loc_a, loc_c, uc, tol_dist)
 
     b_idx = extreme_vertex(P, (uc.dy, -uc.dx))
     d_idx = extreme_vertex(P, (-uc.dy, uc.dx))
@@ -524,7 +597,7 @@ def combined_extremes(P: ConvexPolygon, tol: float = 1e-9) -> ExtremesReport:
     qa, qb, qc, qd = pts[ma], pts[mb], pts[mc], pts[md]
     max_quad = QuadResult((qa, qb, qc, qd), (ma, mb, mc, md), maxarea)
     u_max = Direction(qc.x - qa.x, qc.y - qa.y)
-    v_max = Direction(*_side_direction(P, qa, qc, ("vertex", ma), ("vertex", mc), tol_dist))
+    v_max = Direction(*_side_direction(P, qa, qc, ("vertex", ma), ("vertex", mc), u_max, tol_dist))
     g_max = _para_from_lines(
         Line(qa, v_max),
         Line(qb, u_max),

@@ -55,12 +55,18 @@ class Point(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Direction:
-    """A nonzero vector modulo scaling: u and -u compare equal."""
+    """A nonzero vector modulo scaling: u and -u compare equal.
+
+    Unhashable: equality is parallelism, which no hash of the raw components
+    can respect, so Directions cannot be set members or dict keys.
+    """
 
     dx: float
     dy: float
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
@@ -144,7 +150,7 @@ class ConvexPolygon:
     and `edge_vector`.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("vertices", "n", "_xy", "_scale")
+    __slots__ = ("vertices", "n", "_xy", "_edges", "_scale")
 
     def __init__(self, points: Iterable[Sequence[float]]):
         pts = [Point(float(x), float(y)) for x, y in points]
@@ -176,6 +182,7 @@ class ConvexPolygon:
         self.vertices: tuple[Point, ...] = tuple(pts)
         self.n: int = len(pts)
         self._xy = xy
+        self._edges = None
         self._scale = float(np.abs(xy).max())
 
     def __len__(self) -> int:
@@ -198,6 +205,14 @@ class ConvexPolygon:
     def coords(self) -> np.ndarray:
         """The cached (n, 2) float64 vertex array.  Do not mutate."""
         return self._xy
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge vectors (ex, ey), edge i running from vertex i to vertex
+        i + 1; built on first use, then cached.  Do not mutate."""
+        if self._edges is None:
+            x, y = self._xy[:, 0], self._xy[:, 1]
+            self._edges = (np.roll(x, -1) - x, np.roll(y, -1) - y)
+        return self._edges
 
     @property
     def scale(self) -> float:
@@ -300,8 +315,7 @@ def chord_through(P: ConvexPolygon, q, u) -> Segment:
         raise Degenerate("zero vector is not a direction")
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
-    ex = np.roll(vx, -1) - vx
-    ey = np.roll(vy, -1) - vy
+    ex, ey = P.edges()
     c = ex * (qy - vy) - ey * (qx - vx)  # inside margin of q for each edge
     d = ex * uy - ey * ux
     t = -c / np.where(d == 0.0, 1.0, d)
@@ -339,8 +353,7 @@ def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:
     px, py = _vec(x)
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
-    ex = np.roll(vx, -1) - vx
-    ey = np.roll(vy, -1) - vy
+    ex, ey = P.edges()
     cross = ex * (py - vy) - ey * (px - vx)
     if tol == 0.0:
         return bool((cross >= 0.0).all())

@@ -42,7 +42,8 @@ def longest_chord(P: ConvexPolygon, u) -> Segment:
 
     Realized exhaustively: the maximum of chord length over the heights of P
     is attained at a vertex height, so the longest chord passes through some
-    vertex.  Ties keep the lowest vertex index.
+    vertex.  Ties keep the lowest vertex index.  One O(n) chord_through per
+    vertex makes this the O(n^2) reference for `anchored_conjugate_pair`.
     """
     ux, uy = _vec(u)
     if ux == 0.0 and uy == 0.0:

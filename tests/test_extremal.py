@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import pytest
 
 from quadpara import (
     Direction,
+    GeometryError,
     ParallelLines,
     ParaResult,
     Point,
@@ -16,6 +18,8 @@ from quadpara import (
     combined_extremes,
     contains_point,
     largest_quadrilateral,
+    lattice_ngon,
+    longest_chord,
     make_convex_polygon,
     parallel_edge_polygon,
     polygon_area,
@@ -26,6 +30,8 @@ from quadpara import (
     star_area,
     verify_conjugate_pair,
 )
+from quadpara.cli import main
+from quadpara.extremal import _locate_on_boundary
 
 REL = 1e-12
 
@@ -100,6 +106,16 @@ def test_anchored_pair_hexagon(hexagon):
     F, G = anchored_conjugate_pair(hexagon, (1, 0))
     assert F.area == pytest.approx(math.sqrt(3), rel=REL)
     assert G.area == pytest.approx(2 * math.sqrt(3), rel=REL)
+
+
+def test_anchored_pair_with_chord_along_an_edge(triangle):
+    # the longest chord parallel to an edge of a triangle is that edge, whose
+    # own direction must not be taken for the other side pair
+    for u in ((1, 0), (0, 1), (1, -1), (0, -3)):
+        F, G = anchored_conjugate_pair(triangle, u)
+        assert F.area == 0.5
+        assert G.area == 1.0
+        assert verify_conjugate_pair(F, G, Direction(*u), triangle).checks.all_ok
 
 
 def test_anchored_pairs_verify_on_corpus(corpus):
@@ -295,3 +311,109 @@ def test_anchored_opposite_directions_match(square):
     f2, g2 = anchored_conjugate_pair(square, (-1, 0))
     assert f1 == f2
     assert g1 == g2
+
+
+def _bits(points):
+    """Exact bit patterns of point coordinates (float.hex keeps -0.0 apart)."""
+    return [c.hex() for p in points for c in p]
+
+
+def test_anchored_diagonal_is_the_reference_longest_chord(corpus):
+    # the lattice polygons and parallel-edge polygons are tie-heavy
+    polys = list(corpus) + [lattice_ngon(n, 7 * n) for n in (16, 50, 97)]
+    polys.append(parallel_edge_polygon(9, 41))
+    for P in polys:
+        dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (-1, 0)]
+        dirs += [P.edge_vector(k) for k in range(P.n)]
+        for u in dirs:
+            F, _ = anchored_conjugate_pair(P, u)
+            ref = longest_chord(P, Direction(*u).canonical())
+            assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
+
+
+def _locate_by_scan(P, pt, tol_dist):
+    """The vertex-then-edge scan that `_locate_on_boundary` must reproduce."""
+    px, py = pt
+    for i, q in enumerate(P.vertices):
+        if math.hypot(px - q.x, py - q.y) <= tol_dist:
+            return ("vertex", i)
+    best = None
+    best_res = math.inf
+    for k in range(P.n):
+        q = P.vertices[k]
+        ex, ey = P.edge_vector(k)
+        res = abs(ex * (py - q.y) - ey * (px - q.x)) / math.hypot(ex, ey)
+        t = ((px - q.x) * ex + (py - q.y) * ey) / (ex * ex + ey * ey)
+        if -1e-9 <= t <= 1 + 1e-9 and res < best_res:
+            best_res = res
+            best = k
+    if best is None or best_res > max(tol_dist, 1e-6 * (P.scale + 1.0)):
+        return None
+    return ("edge", best)
+
+
+def test_locate_on_boundary_matches_scan(corpus):
+    for P in corpus + [lattice_ngon(64, 5)]:
+        tol = 1e-9 * (P.scale + 1.0)
+        pts = []
+        for k in range(P.n):
+            p, q = P[k], P[k + 1]
+            for f in (0.0, 0.5, 1 / 3, 1e-12, 1e-6):
+                pts.append((p.x + f * (q.x - p.x), p.y + f * (q.y - p.y)))
+            pts.append((p.x + 0.25 * tol, p.y - 0.25 * tol))
+        pts.append((0.5 * (P[0].x + P[P.n // 2].x), 0.5 * (P[0].y + P[P.n // 2].y)))
+        for pt in pts:
+            want = _locate_by_scan(P, pt, tol)
+            if want is None:
+                with pytest.raises(GeometryError):
+                    _locate_on_boundary(P, pt, tol)
+            else:
+                assert _locate_on_boundary(P, pt, tol) == want, (P.n, pt)
+
+
+# `quadpara gen` arguments of the polygon files behind the digests below.
+ANCHORED_FILES = {
+    "lattice-64.txt": ["--kind", "lattice", "--n", "64", "--seed", "3"],
+    "lattice-1000.txt": ["--kind", "lattice", "--n", "1000", "--seed", "11"],
+    "hull-400.txt": ["--kind", "random-hull", "--n", "400", "--seed", "7"],
+    "parallel-12.txt": ["--kind", "parallel-edges", "--n", "12", "--seed", "5"],
+}
+
+# SHA-256 of the stdout of `quadpara anchored --input FILE --dir X Y`, run in
+# the directory holding FILE (the report echoes the path).  Recorded with the
+# quadratic implementation that measured the chord through every vertex
+# with chord_through, so corners, vertex_indices and touch_indices must stay
+# byte-identical.  The last direction of each file is one of its edge vectors.
+ANCHORED_GOLDEN = [
+    ("lattice-64.txt", (1, 0), "47464d38ac6d518289c208dc951ac04e2d77fc6c8dc8fe4dd83765c096310248"),
+    ("lattice-64.txt", (0, 1), "422e0b720d1006192e58dc10f749176c0374a9c7f19b1040733572a8d9a51900"),
+    ("lattice-64.txt", (1, 1), "926718c986c9541d5810111afa22078b222a129ee1285ab29ac05f3c79733cb7"),
+    ("lattice-64.txt", (-1, 1), "0287b511ddf9637b2c4fa0d7c0a11a6626832edab0348940dfbe49f64900582e"),
+    ("lattice-64.txt", (3, -7), "25ab4a4772ca31433322b6ade502fdfaa4a675c40cb403d0a8421e1a2d13a66d"),
+    ("lattice-64.txt", (1, 4), "4e6f5a21d239af987e3fe6d494899c73c6138e2899c9e3758362f4201b6800e5"),
+    ("lattice-1000.txt", (1, 0), "a11c396cbe9816ecde301f5c88c5c41727fb7042e1d080c707d122b20e50bb1e"),
+    ("lattice-1000.txt", (1, 1), "9dbff6e9075dbb897588af42c69993707689389c1df7018c2beefc5bb575f2a7"),
+    ("lattice-1000.txt", (123, -457), "23f5b80959fb52b5a5f33a46f04ca37c7c54af6f718ab647d87cc79093b27017"),
+    ("lattice-1000.txt", (75, 69), "c311e2c3189b462b8664871355b524b15a9a4f0d0e5e2617e4e8723e8c596fe7"),
+    ("hull-400.txt", (1, 0), "907e4b4b1a558f96ec44ebe5597f627d11ef4b9047ccdb9fd8e33bb15963c408"),
+    ("hull-400.txt", (2, 5), "ffb1f95d0f8acadae844fcc0ab6456dca4de4bdbbbdd27d3adf7b8706bdfa7b6"),
+    ("hull-400.txt", (77, 2), "3c0dee16a09b3498386c30c81d4c6f62647a2e8551a6464981383cee08c3357e"),
+    ("parallel-12.txt", (1, 0), "07b5fc8aa85da4bc4a4953fa092733100fbce1ee63aa3af978e60f615cc2ab2f"),
+    ("parallel-12.txt", (-3, 3), "5db0afaaddcb20e6e2152c0b13bdf4b7080b32cb152c6381c99678de4afeb9de"),
+    ("parallel-12.txt", (12, 2), "f72c4b4069bafd9e3905059000a82340c97529e91fc353c04eaa473c8e027ed6"),
+]
+
+
+def _anchored_stdout(capsys, name, direction):
+    assert main(["gen", *ANCHORED_FILES[name]]) == 0
+    with open(name, "w", encoding="utf-8") as f:
+        f.write(capsys.readouterr().out)
+    assert main(["anchored", "--input", name, "--dir", *map(str, direction)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,direction,digest", ANCHORED_GOLDEN)
+def test_anchored_cli_output_is_unchanged(tmp_path, monkeypatch, capsys, name, direction, digest):
+    monkeypatch.chdir(tmp_path)
+    out = _anchored_stdout(capsys, name, direction)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +124,16 @@ def test_make_convex_polygon_fixes_orientation():
     assert P.vertices == tuple(Point(*p) for p in reversed(cw))
 
 
+def test_cached_edges_are_vertex_differences(corpus):
+    cw = [(0, 0), (0, 1), (1, 1), (1, 0)]
+    for P in [make_convex_polygon(cw)] + corpus[:20]:
+        x, y = P.coords()[:, 0], P.coords()[:, 1]
+        ex, ey = P.edges()
+        assert np.array_equal(ex, np.roll(x, -1) - x)
+        assert np.array_equal(ey, np.roll(y, -1) - y)
+        assert [(a, b) for a, b in zip(ex, ey)] == [P.edge_vector(k) for k in range(P.n)]
+
+
 def test_make_convex_polygon_rejections():
     with pytest.raises(TooFewVertices):
         make_convex_polygon([(0, 0), (1, 1)])
@@ -175,6 +186,15 @@ def test_direction_identifies_opposites():
     assert Direction(1, 0) != Direction(0, 1)
     with pytest.raises(Degenerate):
         Direction(0, 0)
+
+
+def test_direction_is_unhashable():
+    # equality is parallelism, which a hash of the raw components would break
+    assert Direction(1, 0) == Direction(2, 0)
+    with pytest.raises(TypeError):
+        hash(Direction(1, 0))
+    with pytest.raises(TypeError):
+        {Direction(1, 0), Direction(2, 0)}
 
 
 def test_extreme_vertex(square, triangle, hexagon):
