@@ -22,7 +22,6 @@ from .geometry import (
     det,
     extreme_vertex,
     line_intersection,
-    make_convex_polygon,
     polygon_area,
     quad_area,
     triangle_area_signed,
@@ -32,12 +31,9 @@ from .calipers import (
     AntipodalPair,
     DiagonalInterval,
     SupportInterval,
-    SweepEvent,
     VerticalExtremes,
     antipodal_vertex_pairs,
     diagonal_intervals,
-    merged_sweep,
-    opposite_edge_start,
     support_intervals,
     vertical_extremes,
 )
@@ -50,9 +46,7 @@ from .extremal import (
     anchored_conjugate_pair,
     combined_extremes,
     largest_quadrilateral,
-    slide_corner,
     smallest_parallelogram,
-    star_area,
     verify_conjugate_pair,
 )
 from .oracle import (

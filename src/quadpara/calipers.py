@@ -1,15 +1,26 @@
-"""Rotating-calipers machinery over a strictly convex polygon.
+"""Interval structures of a strictly convex polygon over a half turn of
+directions.
 
-The central object is a half-turn sweep of an antipodal chord: two support
-lines parallel to the chord are maintained at vertices b and d while the
-chord endpoints walk the boundary, one of them sliding along a fixed edge
-per interval.  Directions are kept as raw vectors and every ordering
-decision is a determinant sign; angles never appear at runtime.
+* `support_intervals`: the ranges of directions on which the parallel
+  supporting lines touch a fixed vertex pair (b, d); the boundaries are the
+  edge directions.  `antipodal_vertex_pairs` lists those pairs.
+* `diagonal_intervals`: the ranges of directions on which the longest
+  chord keeps one endpoint at a fixed vertex q while the other slides along
+  a fixed edge e.
+
+Both walks start from `vertical_extremes`, the lowest and the highest
+vertex, as does `extremal.largest_quadrilateral`.  Directions are kept as
+raw vectors and every ordering decision is a determinant sign; angles never
+appear at runtime.
+
+The extremal figures do not use these lists: `extremal._combined_sweep` is
+the one sweep engine, merging the chord events and the support events in a
+single pass without building either structure.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple
 
 from .geometry import ConvexPolygon, Direction, SweepOverrun, det
 
@@ -45,26 +56,6 @@ class SupportInterval(NamedTuple):
     dir_end: Direction
 
 
-class SweepEvent(NamedTuple):
-    """A snapshot of the merged sweep between two advances.
-
-    next_ac says which chord endpoint slides ("A" on edge (a, a+1), "C" on
-    edge (c, c+1)); u_ac is the chord direction at which that endpoint
-    reaches the next vertex.  next_bd says which support side goes
-    edge-flush next ("B" or "D"); u_bd is the direction at which it does.
-    The sign of det(u_bd, u_ac) decides which event comes first.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    next_ac: str
-    next_bd: str
-    u_ac: Direction
-    u_bd: Direction
-
-
 def vertical_extremes(P: ConvexPolygon) -> VerticalExtremes:
     """Lowest-leftmost and highest-rightmost vertex indices."""
     lo = hi = 0
@@ -76,118 +67,6 @@ def vertical_extremes(P: ConvexPolygon) -> VerticalExtremes:
         if p.y > r.y or (p.y == r.y and p.x > r.x):
             hi = i
     return VerticalExtremes(lo, hi)
-
-
-def opposite_edge_start(P: ConvexPolygon) -> tuple[int, int]:
-    """Start pair (0, c0): c0 is the vertex whose supporting line is
-    parallel to edge (0, 1), found by walking while the triangle over that
-    edge strictly grows."""
-    n = P.n
-    ex, ey = P.edge_vector(0)
-    c = 1
-    while c <= n:
-        dx, dy = P.edge_vector(c)
-        if ex * dy - ey * dx > 0.0:
-            c += 1
-        else:
-            return 0, c % n
-    raise SweepOverrun("support search around the polygon did not settle")
-
-
-Start = Union[VerticalExtremes, tuple[int, int], None]
-
-
-def merged_sweep(P: ConvexPolygon, start: Start = None) -> Iterator[SweepEvent]:
-    """Drive the half-turn sweep from an antipodal vertex pair, yielding the
-    initial state and then one state per single-index advance.
-
-    The stream ends when the chord pair (a, c) returns swapped, i.e. equals
-    (c0, a0).  Consecutive events differ in exactly one of a, b, c, d; a BD
-    advance happens when det(u_bd, u_ac) >= 0 in the preceding event, an AC
-    advance otherwise.  Raises SweepOverrun after 8n advances.
-    """
-    n = P.n
-    pts = P.vertices
-
-    def pt(i: int):
-        return pts[i % n]
-
-    def edge(i: int) -> tuple[float, float]:
-        p = pts[i % n]
-        q = pts[(i + 1) % n]
-        return q.x - p.x, q.y - p.y
-
-    if start is None:
-        a0, c0 = opposite_edge_start(P)
-    elif isinstance(start, VerticalExtremes):
-        a0, c0 = start.a0, start.c0
-    else:
-        a0, c0 = start
-    a0 %= n
-    c0 %= n
-    a, c = a0, c0
-
-    guard = 8 * n + 16
-    b = a
-    pa, pc = pt(a), pt(c)
-    rx, ry = pa.x - pc.x, pa.y - pc.y
-    for _ in range(guard):
-        ex, ey = edge(b)
-        if rx * ey - ry * ex > 0.0:
-            b += 1
-        else:
-            break
-    else:
-        raise SweepOverrun("support vertex b did not settle")
-    d = c
-    for _ in range(guard):
-        ex, ey = edge(d)
-        if -rx * ey + ry * ex > 0.0:
-            d += 1
-        else:
-            break
-    else:
-        raise SweepOverrun("support vertex d did not settle")
-
-    def ac_state(a: int, c: int) -> tuple[str, Direction]:
-        eax, eay = edge(a)
-        ecx, ecy = edge(c)
-        if eax * ecy - eay * ecx <= 0.0:
-            q, r = pt(c), pt(a + 1)
-            return "A", Direction(q.x - r.x, q.y - r.y)
-        q, r = pt(c + 1), pt(a)
-        return "C", Direction(q.x - r.x, q.y - r.y)
-
-    def bd_state(b: int, d: int) -> tuple[str, Direction]:
-        ebx, eby = edge(b)
-        edx, edy = edge(d)
-        if ebx * edy - eby * edx <= 0.0:
-            return "B", Direction(ebx, eby)
-        q, r = pt(d), pt(d + 1)
-        return "D", Direction(q.x - r.x, q.y - r.y)
-
-    next_ac, u_ac = ac_state(a, c)
-    next_bd, u_bd = bd_state(b, d)
-    yield SweepEvent(a % n, b % n, c % n, d % n, next_ac, next_bd, u_ac, u_bd)
-
-    steps = 0
-    while not (a % n == c0 and c % n == a0):
-        steps += 1
-        if steps > guard:
-            raise SweepOverrun(f"more than {guard} sweep events for n={n}")
-        if det(u_bd, u_ac) >= 0.0:
-            if next_bd == "B":
-                b += 1
-            else:
-                d += 1
-            next_bd, u_bd = bd_state(b, d)
-        else:
-            if next_ac == "A":
-                a += 1
-            else:
-                c += 1
-            next_ac, u_ac = ac_state(a, c)
-        yield SweepEvent(a % n, b % n, c % n, d % n, next_ac, next_bd, u_ac, u_bd)
 
 
 def support_intervals(P: ConvexPolygon) -> list[SupportInterval]:

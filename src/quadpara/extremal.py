@@ -27,13 +27,13 @@ from typing import Optional
 
 import numpy as np
 
+from .calipers import vertical_extremes
 from .geometry import (
     ConvexPolygon,
     Degenerate,
     Direction,
     GeometryError,
     Line,
-    ParallelLines,
     Point,
     Segment,
     SweepOverrun,
@@ -106,48 +106,6 @@ class ExtremesReport:
     quad_certificate: ConjugateCertificate
     para_certificate: ConjugateCertificate
     predicate_count: int
-
-
-def slide_corner(edge_from, edge_to, opposite, u_bd) -> Point:
-    """Intersection of the edge line through (edge_from, edge_to) with the
-    line through `opposite` in direction u_bd.
-
-    Raises ParallelLines when the edge is parallel to u_bd.
-    """
-    fx, fy = _vec(edge_from)
-    tx, ty = _vec(edge_to)
-    ox, oy = _vec(opposite)
-    ux, uy = _vec(u_bd)
-    ex, ey = tx - fx, ty - fy
-    den = ex * uy - ey * ux
-    if den == 0.0:
-        raise ParallelLines("sliding edge is parallel to the chord direction")
-    s = ((ox - fx) * uy - (oy - fy) * ux) / den
-    return Point(fx + s * ex, fy + s * ey)
-
-
-def star_area(edge_from, edge_to, p_a_or_c, p_b, p_c_or_a, p_d, u_bd) -> float:
-    """Area of the quadrilateral with one corner slid along the edge line so
-    that the diagonal from p_c_or_a is parallel to u_bd, via the closed
-    determinant-ratio form (no explicit intersection point).
-
-    p_a_or_c is the quadrilateral's corner being slid (any point on the edge
-    line gives the same value).  Raises ParallelLines when the edge is
-    parallel to u_bd.
-    """
-    fx, fy = _vec(edge_from)
-    tx, ty = _vec(edge_to)
-    ax, ay = _vec(p_a_or_c)
-    bx, by = _vec(p_b)
-    cx, cy = _vec(p_c_or_a)
-    dx, dy = _vec(p_d)
-    ux, uy = _vec(u_bd)
-    ex, ey = tx - fx, ty - fy
-    den = ex * uy - ey * ux
-    if den == 0.0:
-        raise ParallelLines("sliding edge is parallel to the chord direction")
-    num = (ex * (cy - ay) - ey * (cx - ax)) * (ux * (dy - by) - uy * (dx - bx))
-    return 0.5 * abs(num / den)
 
 
 def _supports(P: ConvexPolygon, base, v, eps_dist: float) -> bool:
@@ -590,7 +548,6 @@ def combined_extremes(P: ConvexPolygon, tol: float = 1e-9) -> ExtremesReport:
     """Both extremal figures from one merged sweep, with verified
     conjugate-pair certificates and the sweep's predicate count."""
     pts = P.vertices
-    n = P.n
     maxarea, (ma, mb, mc, md), minarea, mstate, ndet = _combined_sweep(pts)
     tol_dist = tol * (P.scale + 1.0)
 
@@ -644,8 +601,6 @@ def largest_quadrilateral(P: ConvexPolygon) -> QuadResult:
     (a, c) one vertex per step, and keeps the two far support vertices b, d
     updated; all corners of the result are polygon vertices.
     """
-    from .calipers import vertical_extremes
-
     n = P.n
     pts = P.vertices
 

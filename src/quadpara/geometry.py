@@ -148,6 +148,10 @@ class ConvexPolygon:
     Every consecutive vertex triple turns strictly left: no collinear triples
     and no duplicate points.  Vertex indices wrap modulo n in `__getitem__`
     and `edge_vector`.  Instances are immutable and safe to share.
+
+    The constructor validates a vertex ring given in either orientation.
+    Raises TooFewVertices, NonFinite, Degenerate (collinear triple or
+    duplicate point; see `canonicalize`), or NotConvex.
     """
 
     __slots__ = ("vertices", "n", "_xy", "_edges", "_scale")
@@ -218,15 +222,6 @@ class ConvexPolygon:
     def scale(self) -> float:
         """Max absolute coordinate; the reference for relative tolerances."""
         return self._scale
-
-
-def make_convex_polygon(points: Iterable[Sequence[float]]) -> ConvexPolygon:
-    """Validate a vertex ring (either orientation) into a ConvexPolygon.
-
-    Raises TooFewVertices, NonFinite, Degenerate (collinear triple or
-    duplicate point; see `canonicalize`), or NotConvex.
-    """
-    return ConvexPolygon(points)
 
 
 def canonicalize(points: Iterable[Sequence[float]]) -> list[Point]:
@@ -357,4 +352,11 @@ def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:
     cross = ex * (py - vy) - ey * (px - vx)
     if tol == 0.0:
         return bool((cross >= 0.0).all())
+    if tol > 0.0:
+        # An edge with cross >= 0 passes at any length: measure only the
+        # rest, NaN included, so a non-finite x still fails.
+        k = np.flatnonzero(~(cross >= 0.0))
+        if k.size == 0:
+            return True
+        ex, ey, cross = ex[k], ey[k], cross[k]
     return bool((cross >= -tol * np.hypot(ex, ey)).all())

@@ -1,8 +1,8 @@
 import pytest
 
 from quadpara import (
+    ConvexPolygon,
     lattice_ngon,
-    make_convex_polygon,
     parallel_edge_polygon,
     random_convex,
     regular_ngon,
@@ -11,12 +11,12 @@ from quadpara import (
 
 @pytest.fixture
 def square():
-    return make_convex_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    return ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 @pytest.fixture
 def triangle():
-    return make_convex_polygon([(0, 0), (1, 0), (0, 1)])
+    return ConvexPolygon([(0, 0), (1, 0), (0, 1)])
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from quadpara import (
+    ConvexPolygon,
     Degenerate,
     Direction,
     SplitMix64,
@@ -19,7 +20,6 @@ from quadpara import (
     combined_extremes,
     largest_quadrilateral,
     lattice_ngon,
-    make_convex_polygon,
     parallel_edge_polygon,
     polygon_area,
     random_convex,
@@ -123,10 +123,10 @@ def test_c5_certificates_at_optima(base_corpus, large_corpus):
 
 
 def test_c6_named_values():
-    sq = make_convex_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    sq = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     rep = combined_extremes(sq)
     assert rep.max_quad.area == 1.0 and rep.min_para.area == 1.0
-    tri = make_convex_polygon([(0, 0), (1, 0), (0, 1)])
+    tri = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
     rep = combined_extremes(tri)
     assert rep.max_quad.area == 0.5 and rep.min_para.area == 1.0
     hexa = regular_ngon(6, 1.0)
@@ -163,14 +163,14 @@ def test_c8_invariance_suite(base_corpus):
     for P in sub:
         rep = combined_extremes(P)
         assert rep.min_para.area / 2 <= rep.max_quad.area * (1 + REL)
-        mapped = make_convex_polygon(
+        mapped = ConvexPolygon(
             [(2 * p.x + p.y + 3, p.x + 3 * p.y - 5) for p in P.vertices]
         )
         rep2 = combined_extremes(mapped)
         assert rel_err(rep2.max_quad.area, 5 * rep.max_quad.area) <= 1e-9
         assert rel_err(rep2.min_para.area, 5 * rep.min_para.area) <= 1e-9
         k = 1 + P.n // 3
-        rolled = make_convex_polygon(P.vertices[k:] + P.vertices[:k])
+        rolled = ConvexPolygon(P.vertices[k:] + P.vertices[:k])
         rep3 = combined_extremes(rolled)
         assert rep3.max_quad.area == rep.max_quad.area
         assert rep3.min_para.area == rep.min_para.area
@@ -192,8 +192,8 @@ def test_c9_degenerate_inputs():
         assert combined_extremes(P).min_para.area == polygon_area(P)
     ring = [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]
     with pytest.raises(Degenerate):
-        make_convex_polygon(ring)
-    P = make_convex_polygon(canonicalize(ring))
+        ConvexPolygon(ring)
+    P = ConvexPolygon(canonicalize(ring))
     assert P.n == 4
     print(
         "\nACCEPTANCE 9 PASS triangles give max_quad = polygon area,"

@@ -1,19 +1,16 @@
 import math
-from collections import Counter
 
 import pytest
 
 from quadpara import (
+    ConvexPolygon,
     VerticalExtremes,
     antipodal_vertex_pairs,
     chord_through,
+    combined_extremes,
     det,
     diagonal_intervals,
     is_antipodal_brute,
-    make_convex_polygon,
-    merged_sweep,
-    opposite_edge_start,
-    quad_area,
     random_convex,
     regular_ngon,
     support_intervals,
@@ -40,15 +37,10 @@ def test_vertical_extremes(square, triangle):
     assert vertical_extremes(square) == VerticalExtremes(0, 2)
     ve = vertical_extremes(triangle)
     assert triangle[ve.a0] == (0, 0) and triangle[ve.c0] == (0, 1)
-    hexa = make_convex_polygon([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)])
+    hexa = ConvexPolygon([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)])
     ve = vertical_extremes(hexa)
     assert hexa[ve.a0] == (0, 0)  # leftmost of the bottom-edge tie
     assert hexa[ve.c0] == (2, 2)  # rightmost of the top-edge tie
-
-
-def test_opposite_edge_start(square, triangle):
-    assert opposite_edge_start(square) == (0, 2)
-    assert opposite_edge_start(triangle) == (0, 2)
 
 
 def test_antipodal_pairs_triangle(triangle):
@@ -167,43 +159,32 @@ def test_diagonal_interval_chords_land_on_named_edge(corpus):
             assert supports(P, q, ev, tol)
 
 
-def test_merged_sweep_square(square):
-    events = list(merged_sweep(square))
-    assert len(events) - 1 <= 4 * square.n
-    assert all(ev.next_ac in ("A", "C") and ev.next_bd in ("B", "D") for ev in events)
+def test_sweep_square(square):
+    rep = combined_extremes(square)
+    assert rep.max_quad.area == 1.0 and rep.min_para.area == 1.0
+    # The event loop's determinant count on the unit square; a change to the
+    # loop's event rule shows here first.
+    assert rep.predicate_count == 39
 
 
-def test_merged_sweep_pairs_antipodal(corpus):
+def test_sweep_pairs_antipodal(corpus):
     for P in corpus[:12]:
-        events = list(merged_sweep(P))
-        assert len(events) - 1 <= 4 * P.n
-        ac_steps = sum(
-            1 for e0, e1 in zip(events, events[1:]) if (e0.a, e0.c) != (e1.a, e1.c)
-        )
-        assert ac_steps == P.n
-        for ev in events:
-            assert is_antipodal_brute(P, ev.a, ev.c)
+        rep = combined_extremes(P)
+        a, _, c, _ = rep.max_quad.vertex_indices
+        assert is_antipodal_brute(P, a, c)
+        a, _, c, _ = rep.min_para.touch_indices
+        assert is_antipodal_brute(P, a, c)
 
 
-def test_merged_sweep_vertical_start(square):
-    events = list(merged_sweep(square, vertical_extremes(square)))
-    assert events[0].a == 0 and events[0].c == 2
-    assert len(events) - 1 <= 4 * square.n
-
-
-def test_merged_sweep_relabeling_same_candidates():
+def test_sweep_relabeling_same_result():
     P = random_convex(24, 808, 500)
     assert P.n >= 8
 
-    def candidate_areas(Q):
-        events = list(merged_sweep(Q))
-        out = Counter()
-        for prev, cur in zip(events, events[1:]):
-            if (prev.a, prev.c) != (cur.a, cur.c):
-                out[quad_area(Q[cur.a], Q[cur.b], Q[cur.c], Q[cur.d])] += 1
-        return out
+    def sweep_areas(Q):
+        rep = combined_extremes(Q)
+        return rep.max_quad.area, rep.min_para.area
 
-    base = candidate_areas(P)
+    base = sweep_areas(P)
     for k in (1, 3, P.n - 2):
-        rolled = make_convex_polygon(P.vertices[k:] + P.vertices[:k])
-        assert candidate_areas(rolled) == base
+        rolled = ConvexPolygon(P.vertices[k:] + P.vertices[:k])
+        assert sweep_areas(rolled) == base

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -213,3 +214,46 @@ def test_svg_hexagon_touch_vertices_on_para_sides(capsys, tmp_path):
         ex, ey = qx - px, qy - py
         dist = abs(ex * (vy - py) - ey * (vx - px)) / math.hypot(ex, ey)
         assert dist <= 1e-9 * 10
+
+
+# `quadpara gen` arguments of the polygon files behind the digests below.
+REPORT_FILES = {
+    "lattice-64.txt": ["--kind", "lattice", "--n", "64", "--seed", "3"],
+    "lattice-1000.txt": ["--kind", "lattice", "--n", "1000", "--seed", "11"],
+    "hull-400.txt": ["--kind", "random-hull", "--n", "400", "--seed", "7"],
+    "parallel-12.txt": ["--kind", "parallel-edges", "--n", "12", "--seed", "5"],
+    "regular-9.txt": ["--kind", "regular", "--n", "9"],
+}
+
+# SHA-256 of the stdout of `quadpara both|quad|para --input FILE`, run in the
+# directory holding FILE (the report echoes the path).  Recorded while the
+# calipers module still carried a second copy of the half-turn sweep beside
+# `extremal._combined_sweep`: the JSON reports must stay byte-identical.
+REPORT_GOLDEN = [
+    ("lattice-64.txt", "both", "ed9419bc2369debe4d88fdd84c87a570921c77bba767e5256e9150a38356c0b6"),
+    ("lattice-64.txt", "quad", "17fad025b7348bc2505fbfd02644619621591cfc3ee469b2e0328ab3a04debaa"),
+    ("lattice-64.txt", "para", "d797e44cb29a43d56cc06e7089a18499d8f536b5f7869c814fa843254437537f"),
+    ("lattice-1000.txt", "both", "3caeefddf2d85c63790b041e868b0e9ba4b0c860aed0251558ace416db5ca93a"),
+    ("lattice-1000.txt", "quad", "abe0f181666ec2937f01256ad566378219cc6ba9085a7da3b304f0c36b510592"),
+    ("lattice-1000.txt", "para", "fedc03f75400b35a3526ee2564aa2f82e625204baed0a4c5e31e71409efb8157"),
+    ("hull-400.txt", "both", "2d152833603656537142abef9bfe72c8209f12b2dfe05e7eb4bbd276a7b4ae34"),
+    ("hull-400.txt", "quad", "687bd065b339ad20274e63ce89264ca7859114f48dda17f2ed9c38d50de0fafb"),
+    ("hull-400.txt", "para", "6fd3ebbe2d5ad4b5b5fd41ab2b795bae62b3f37534ffa208a1f486f2ba8312bb"),
+    ("parallel-12.txt", "both", "4ee4f07a0c0090641484dda2a54f10cc7517419cf3cb672710d0c71dcef80aa9"),
+    ("parallel-12.txt", "quad", "c1f0cf68669233bfe4648092aa9c85c56c805441c71861a1bd47a187f3761610"),
+    ("parallel-12.txt", "para", "c6cda4f00df62ccdcb02f822be0d4302d9b38decbc1818e8fa12b2a28a22a39c"),
+    ("regular-9.txt", "both", "72ed24353d370b89a855940b674fd8b2146f92e4181f8afd386b4cc986ec02dd"),
+    ("regular-9.txt", "quad", "dafed5b6902635005a28519702e85a8bb7c34ec9f38780d263b5f3bb3d9f50e8"),
+    ("regular-9.txt", "para", "a405e91cce9db39d44e4156f732e04c5cf3b4db5d6582b2b8535c9231d7f09ec"),
+]
+
+
+@pytest.mark.parametrize("name,command,digest", REPORT_GOLDEN)
+def test_report_cli_output_is_unchanged(tmp_path, monkeypatch, capsys, name, command, digest):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", *REPORT_FILES[name]]) == 0
+    with open(name, "w", encoding="utf-8") as f:
+        f.write(capsys.readouterr().out)
+    code, out, _ = run(capsys, command, "--input", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from quadpara import (
+    ConvexPolygon,
     Direction,
     GeometryError,
-    ParallelLines,
     ParaResult,
     Point,
     QuadResult,
@@ -20,14 +20,11 @@ from quadpara import (
     largest_quadrilateral,
     lattice_ngon,
     longest_chord,
-    make_convex_polygon,
     parallel_edge_polygon,
     polygon_area,
     quad_area,
     random_convex,
-    slide_corner,
     smallest_parallelogram,
-    star_area,
     verify_conjugate_pair,
 )
 from quadpara.cli import main
@@ -38,54 +35,6 @@ REL = 1e-12
 
 def rel_eq(x, y, rel=REL):
     return abs(x - y) <= rel * max(abs(x), abs(y), 1e-300)
-
-
-def test_slide_corner_examples():
-    assert slide_corner((0, 0), (1, 0), (0.5, 1), (0, 1)) == Point(0.5, 0)
-    assert slide_corner((0, 0), (0, 1), (1, 0), (-1, 1)) == Point(0, 1)
-    with pytest.raises(ParallelLines):
-        slide_corner((0, 0), (1, 0), (0, 1), (1, 0))
-
-
-def test_star_area_square_config():
-    # bottom edge sliding, chord direction vertical: the half-square triangle
-    a = star_area((0, 0), (1, 0), (0, 0), (1, 0), (1, 1), (0, 1), (0, 1))
-    assert a == 0.5
-
-
-def test_star_area_degenerate_direction():
-    with pytest.raises(ParallelLines):
-        star_area((0, 0), (1, 0), (0, 0), (1, 0), (1, 1), (0, 1), (1, 0))
-
-
-def test_star_area_consistent_with_slid_corner():
-    rng = SplitMix64(2024)
-    scale = 1000.0
-    checked = 0
-    while checked < 1000:
-        f = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        t = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        stat = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        pb = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        pd = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        u = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        ex, ey = t[0] - f[0], t[1] - f[1]
-        if (ex, ey) == (0, 0) or u == (0, 0):
-            continue
-        if ex * u[1] - ey * u[0] == 0:
-            continue
-        slid = slide_corner(f, t, stat, u)
-        want = quad_area(slid, pb, stat, pd)
-        got = star_area(f, t, f, pb, stat, pd, u)
-        assert abs(got - want) <= 1e-12 * scale * scale
-        checked += 1
-
-
-def test_star_area_base_point_on_edge_line_is_irrelevant():
-    # any point on the edge line may stand in for the slid corner's anchor
-    a1 = star_area((0, 0), (2, 0), (0, 0), (1, 0), (1, 3), (0, 1), (0, 1))
-    a2 = star_area((0, 0), (2, 0), (7, 0), (1, 0), (1, 3), (0, 1), (0, 1))
-    assert a1 == a2
 
 
 def test_anchored_pair_square(square):
@@ -262,7 +211,7 @@ def test_duality_inequality(corpus):
 def test_affine_equivariance(corpus):
     for P in corpus[:20]:
         rep = combined_extremes(P)
-        mapped = make_convex_polygon(
+        mapped = ConvexPolygon(
             [(2 * p.x + p.y + 3, p.x + 3 * p.y - 5) for p in P.vertices]
         )
         rep2 = combined_extremes(mapped)  # determinant of the map is 5
@@ -274,7 +223,7 @@ def test_relabeling_invariance(corpus):
     for P in corpus[:20]:
         rep = combined_extremes(P)
         for k in (1, P.n // 2):
-            rolled = make_convex_polygon(P.vertices[k:] + P.vertices[:k])
+            rolled = ConvexPolygon(P.vertices[k:] + P.vertices[:k])
             rep2 = combined_extremes(rolled)
             assert rep2.max_quad.area == rep.max_quad.area
             assert rep2.min_para.area == rep.min_para.area
@@ -297,7 +246,7 @@ def test_parallelogram_input_is_its_own_optimum():
 
 def test_four_flush_degenerate_lattice():
     # parallel edge pairs align with the optimum on both axes simultaneously
-    P = make_convex_polygon(
+    P = ConvexPolygon(
         [(0, 0), (4, 0), (7, 2), (8, 4), (8, 6), (4, 6), (1, 4), (0, 2)]
     )
     rep = combined_extremes(P)

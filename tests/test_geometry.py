@@ -20,7 +20,6 @@ from quadpara import (
     det,
     extreme_vertex,
     line_intersection,
-    make_convex_polygon,
     polygon_area,
     quad_area,
     random_convex,
@@ -70,7 +69,7 @@ def test_quad_area_examples():
 @given(st.lists(vec, min_size=4, max_size=4, unique=True))
 def test_quad_area_matches_shoelace_on_hulls(pts):
     try:
-        P = make_convex_polygon(canonicalize_hull(pts))
+        P = ConvexPolygon(canonicalize_hull(pts))
     except (Degenerate, TooFewVertices):
         return
     if P.n != 4:
@@ -117,16 +116,16 @@ def test_polygon_area_equals_triangle_fan():
     assert polygon_area(P) > 0
 
 
-def test_make_convex_polygon_fixes_orientation():
+def test_convex_polygon_fixes_orientation():
     cw = [(0, 0), (0, 1), (1, 1), (1, 0)]
-    P = make_convex_polygon(cw)
+    P = ConvexPolygon(cw)
     assert polygon_area(P) == 1
     assert P.vertices == tuple(Point(*p) for p in reversed(cw))
 
 
 def test_cached_edges_are_vertex_differences(corpus):
     cw = [(0, 0), (0, 1), (1, 1), (1, 0)]
-    for P in [make_convex_polygon(cw)] + corpus[:20]:
+    for P in [ConvexPolygon(cw)] + corpus[:20]:
         x, y = P.coords()[:, 0], P.coords()[:, 1]
         ex, ey = P.edges()
         assert np.array_equal(ex, np.roll(x, -1) - x)
@@ -134,24 +133,24 @@ def test_cached_edges_are_vertex_differences(corpus):
         assert [(a, b) for a, b in zip(ex, ey)] == [P.edge_vector(k) for k in range(P.n)]
 
 
-def test_make_convex_polygon_rejections():
+def test_convex_polygon_rejections():
     with pytest.raises(TooFewVertices):
-        make_convex_polygon([(0, 0), (1, 1)])
+        ConvexPolygon([(0, 0), (1, 1)])
     with pytest.raises(Degenerate):
-        make_convex_polygon([(0, 0), (1, 0), (2, 0), (1, 1)])
+        ConvexPolygon([(0, 0), (1, 0), (2, 0), (1, 1)])
     with pytest.raises(Degenerate):
-        make_convex_polygon([(0, 0), (0, 0), (1, 0), (0, 1)])
+        ConvexPolygon([(0, 0), (0, 0), (1, 0), (0, 1)])
     with pytest.raises(NonFinite):
-        make_convex_polygon([(0, 0), (1, 0), (0, float("nan"))])
+        ConvexPolygon([(0, 0), (1, 0), (0, float("nan"))])
     with pytest.raises(NotConvex):
-        make_convex_polygon([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)])
-    P = make_convex_polygon([(0, 0), (1, 0), (0, 1)])
+        ConvexPolygon([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)])
+    P = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
     assert P.n == 3
 
 
-def test_make_convex_polygon_idempotent(corpus):
+def test_convex_polygon_idempotent(corpus):
     for P in corpus[:20]:
-        Q = make_convex_polygon(P.vertices)
+        Q = ConvexPolygon(P.vertices)
         assert Q.vertices == P.vertices
 
 
@@ -177,7 +176,7 @@ def test_canonicalize_idempotent():
     ring = [(0, 0), (2, 0), (4, 0), (4, 1), (4, 2), (2, 3), (0, 2), (0, 1)]
     once = canonicalize(ring)
     assert canonicalize(once) == once
-    make_convex_polygon(once)
+    ConvexPolygon(once)
 
 
 def test_direction_identifies_opposites():
@@ -264,6 +263,33 @@ def test_contains_point(square):
     assert not contains_point(square, (1.5, 0.5), 0.0)
     assert contains_point(square, (1 + 1e-12, 0.5), 1e-9)
     assert not contains_point(square, (1 + 1e-6, 0.5), 1e-9)
+
+
+def test_contains_point_matches_full_edge_formula(corpus):
+    # contains_point measures edge lengths only where cross < 0 or NaN; the
+    # answer must equal the test over every edge at once.
+    inf, nan = math.inf, math.nan
+    non_finite = [(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0), (-inf, 0.0),
+                  (0.0, inf), (inf, inf), (-inf, inf), (inf, nan)]
+    polys = corpus[::3] + [regular_ngon(n, 1000.0) for n in (3, 7, 12)]
+    for P in polys:
+        xy = P.coords()
+        ex, ey = P.edges()
+        scale = P.scale + 1.0
+        mids = xy + 0.5 * np.column_stack((ex, ey))
+        normal = np.column_stack((ey, -ex)) / np.hypot(ex, ey)[:, None]  # outward
+        points = [xy, mids]
+        for h in (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6):
+            points.append(mids + h * scale * normal)
+            points.append(xy + h * scale * normal)
+        for q in np.concatenate(points).tolist() + non_finite:
+            with np.errstate(invalid="ignore"):
+                cross = ex * (q[1] - xy[:, 1]) - ey * (q[0] - xy[:, 0])
+                for tol in (1e-12, 1e-9, 1e-6, 1e-3, 0.0, -1e-9):
+                    want = bool((cross >= -tol * scale * np.hypot(ex, ey)).all())
+                    assert contains_point(P, q, tol * scale) == want, (P.n, q, tol)
+                    if q in non_finite:
+                        assert not want
 
 
 def test_polygon_indexing_wraps(square):

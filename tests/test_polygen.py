@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from quadpara import (
+    ConvexPolygon,
     GenSpec,
     SplitMix64,
     generate,
     lattice_ngon,
-    make_convex_polygon,
     parallel_edge_polygon,
     polygon_area,
     random_convex,
@@ -72,7 +72,7 @@ def test_random_convex_properties():
         for p in P.vertices:
             assert p.x == int(p.x) and p.y == int(p.y)
             assert abs(p.x) <= 10 + seed and abs(p.y) <= 10 + seed
-        make_convex_polygon(P.vertices)
+        ConvexPolygon(P.vertices)
 
 
 def test_parallel_edge_polygon_structure():
