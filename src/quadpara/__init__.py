@@ -24,7 +24,6 @@ from .geometry import (
     line_intersection,
     polygon_area,
     quad_area,
-    triangle_area_signed,
     width,
 )
 from .calipers import (

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .geometry import ConvexPolygon, Direction, SweepOverrun, det
 
 
@@ -58,15 +60,10 @@ class SupportInterval(NamedTuple):
 
 def vertical_extremes(P: ConvexPolygon) -> VerticalExtremes:
     """Lowest-leftmost and highest-rightmost vertex indices."""
-    lo = hi = 0
-    for i, p in enumerate(P.vertices):
-        q = P.vertices[lo]
-        if p.y < q.y or (p.y == q.y and p.x < q.x):
-            lo = i
-        r = P.vertices[hi]
-        if p.y > r.y or (p.y == r.y and p.x > r.x):
-            hi = i
-    return VerticalExtremes(lo, hi)
+    x, y = P.coords().T
+    low = np.flatnonzero(y == y.min())
+    high = np.flatnonzero(y == y.max())
+    return VerticalExtremes(int(low[np.argmin(x[low])]), int(high[np.argmax(x[high])]))
 
 
 def support_intervals(P: ConvexPolygon) -> list[SupportInterval]:
@@ -141,34 +138,25 @@ def _raw_diagonal_walk(P: ConvexPolygon) -> list[tuple[int, int, str, Direction,
     """One half-turn walk of the antipodal chord from the vertical extremes:
     n structural intervals whose direction ranges chain continuously."""
     n = P.n
-    pts = P.vertices
-
-    def pt(i: int):
-        return pts[i % n]
-
-    def edge(i: int) -> tuple[float, float]:
-        p, q = pts[i % n], pts[(i + 1) % n]
-        return q.x - p.x, q.y - p.y
-
+    xs, ys = P.coords().T.tolist()
+    exs, eys = (e.tolist() for e in P.edges())
     a0, c0 = vertical_extremes(P)
     a, c = a0, c0
-    pa, pc = pt(a), pt(c)
-    cur = Direction(pc.x - pa.x, pc.y - pa.y)
+    cur = Direction(xs[c] - xs[a], ys[c] - ys[a])
     out = []
     for _ in range(8 * n + 16):
-        if a % n == c0 and c % n == a0:
+        i, j = a % n, c % n
+        if i == c0 and j == a0:
             return out
-        eax, eay = edge(a)
-        ecx, ecy = edge(c)
-        if eax * ecy - eay * ecx <= 0.0:
-            q, r = pt(c), pt(a + 1)
-            nxt = Direction(q.x - r.x, q.y - r.y)
-            out.append((c % n, a % n, "A", cur, nxt))
+        if exs[i] * eys[j] - eys[i] * exs[j] <= 0.0:
+            k = (a + 1) % n
+            nxt = Direction(xs[j] - xs[k], ys[j] - ys[k])
+            out.append((j, i, "A", cur, nxt))
             a += 1
         else:
-            q, r = pt(c + 1), pt(a)
-            nxt = Direction(q.x - r.x, q.y - r.y)
-            out.append((a % n, c % n, "C", cur, nxt))
+            k = (c + 1) % n
+            nxt = Direction(xs[k] - xs[i], ys[k] - ys[i])
+            out.append((i, j, "C", cur, nxt))
             c += 1
         cur = nxt
     raise SweepOverrun("diagonal walk did not return to the swapped start")

@@ -74,11 +74,15 @@ def _parse_json_vertices(text: str) -> list[tuple[float, float]]:
         raise InputError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InputError("JSON document must be an object with a 'vertices' array")
+    if not isinstance(doc["vertices"], list):
+        raise InputError("'vertices' must be an array of [x, y] pairs")
     verts = []
     for i, pair in enumerate(doc["vertices"]):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise InputError(f"vertices[{i}]: expected a coordinate pair")
         try:
             x, y = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, OverflowError):
             raise InputError(f"vertices[{i}]: expected a coordinate pair") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InputError(f"vertices[{i}]: coordinates must be finite")
@@ -285,8 +289,8 @@ def cmd_gen(args) -> int:
         f"# quadpara gen kind={spec.kind} n={spec.n} seed={spec.seed}"
         f" coord-range={spec.coord_range} rotation={spec.rotation}\n"
     )
-    for p in P.vertices:
-        sys.stdout.write(f"{p.x!r} {p.y!r}\n")
+    for x, y in P.coords().tolist():
+        sys.stdout.write(f"{x!r} {y!r}\n")
     return 0
 
 
@@ -310,7 +314,7 @@ def cmd_bench(args) -> int:
 
 
 def _svg_polygon(points, scale: float, style: str) -> str:
-    coords = " ".join(f"{p.x!r},{-p.y!r}" for p in points)
+    coords = " ".join(f"{x!r},{-y!r}" for x, y in points)
     return f'  <polygon points="{coords}" {style}/>\n'
 
 
@@ -353,7 +357,7 @@ def render_svg(P: ConvexPolygon, rep: ExtremesReport) -> str:
     )
     out.append(
         _svg_polygon(
-            P.vertices,
+            P.coords().tolist(),
             stroke,
             f'fill="#d7e8f4" stroke="#35607c" stroke-width="{stroke!r}"',
         )

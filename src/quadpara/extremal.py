@@ -243,7 +243,7 @@ def _longest_vertex_chord(P: ConvexPolygon, u: Direction) -> Segment:
     ext = np.maximum(ext, 0.0)  # chord_through shrinks a chord with t0 > t1 to a point
     while True:
         i = int(np.argmax(ext))
-        seg = chord_through(P, P.vertices[i], u)
+        seg = chord_through(P, P[i], u)
         full = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
         if not full < ext[i]:
             return seg
@@ -275,7 +275,7 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
 
     b_idx = extreme_vertex(P, (uc.dy, -uc.dx))
     d_idx = extreme_vertex(P, (-uc.dy, uc.dx))
-    b_pt, d_pt = P.vertices[b_idx], P.vertices[d_idx]
+    b_pt, d_pt = P[b_idx], P[d_idx]
 
     idx_a = loc_a[1] if loc_a[0] == "vertex" else None
     idx_c = loc_c[1] if loc_c[0] == "vertex" else None
@@ -357,8 +357,9 @@ def verify_conjugate_pair(
     return ConjugateCertificate(F, G, udir, checks)
 
 
-def _combined_sweep(pts):
-    """The merged half-turn sweep over a CCW strictly convex vertex tuple.
+def _combined_sweep(xy: np.ndarray):
+    """The merged half-turn sweep over the (n, 2) vertex array of a CCW
+    strictly convex ring, as `ConvexPolygon.coords()` returns it.
 
     Returns (maxarea, max_state, minarea, min_state, predicate_count) where
     max_state is the vertex-index quadruple of the best contained
@@ -366,10 +367,10 @@ def _combined_sweep(pts):
     for the best enclosing parallelogram.  predicate_count counts every
     2x2 determinant sign evaluation the sweep performs.
     """
-    n = len(pts)
-    # Flat coordinate arrays with raw forward indices; no modulo in the loop.
-    xs = [q[0] for q in pts] * 3
-    ys = [q[1] for q in pts] * 3
+    n = len(xy)
+    # Flat coordinate lists with raw forward indices; no modulo in the loop.
+    xs = xy[:, 0].tolist() * 3
+    ys = xy[:, 1].tolist() * 3
     ndet = 0
 
     # Start: a0 = 0; c0 = the vertex whose supporting line is parallel to
@@ -547,11 +548,10 @@ def _combined_sweep(pts):
 def combined_extremes(P: ConvexPolygon, tol: float = 1e-9) -> ExtremesReport:
     """Both extremal figures from one merged sweep, with verified
     conjugate-pair certificates and the sweep's predicate count."""
-    pts = P.vertices
-    maxarea, (ma, mb, mc, md), minarea, mstate, ndet = _combined_sweep(pts)
+    maxarea, (ma, mb, mc, md), minarea, mstate, ndet = _combined_sweep(P.coords())
     tol_dist = tol * (P.scale + 1.0)
 
-    qa, qb, qc, qd = pts[ma], pts[mb], pts[mc], pts[md]
+    qa, qb, qc, qd = P[ma], P[mb], P[mc], P[md]
     max_quad = QuadResult((qa, qb, qc, qd), (ma, mb, mc, md), maxarea)
     u_max = Direction(qc.x - qa.x, qc.y - qa.y)
     v_max = Direction(*_side_direction(P, qa, qc, ("vertex", ma), ("vertex", mc), u_max, tol_dist))
@@ -566,7 +566,7 @@ def combined_extremes(P: ConvexPolygon, tol: float = 1e-9) -> ExtremesReport:
 
     a_slides, sa, sb_, sc, sd, ubx, uby, slid_xy = mstate
     slid = Point(*slid_xy)
-    pa, pb, pc, pd = pts[sa], pts[sb_], pts[sc], pts[sd]
+    pa, pb, pc, pd = P[sa], P[sb_], P[sc], P[sd]
     if a_slides:
         f_corners = (slid, pb, pc, pd)
         f_indices = (None, sb_, sc, sd)
@@ -602,11 +602,8 @@ def largest_quadrilateral(P: ConvexPolygon) -> QuadResult:
     updated; all corners of the result are polygon vertices.
     """
     n = P.n
-    pts = P.vertices
-
-    def pt(i):
-        return pts[i % n]
-
+    xs, ys = P.coords().T.tolist()
+    exs, eys = (e.tolist() for e in P.edges())
     a0, c0 = vertical_extremes(P)
     a, c = a0, c0
     b, d = a, c
@@ -618,14 +615,14 @@ def largest_quadrilateral(P: ConvexPolygon) -> QuadResult:
         steps += 1
         if steps > guard:
             raise SweepOverrun(f"more than {guard} antipodal steps for n={n}")
-        pa, pc = pt(a), pt(c)
-        rx, ry = pa.x - pc.x, pa.y - pc.y
+        ax, ay = xs[a % n], ys[a % n]
+        cx, cy = xs[c % n], ys[c % n]
+        rx, ry = ax - cx, ay - cy
         while True:
             steps += 1
             if steps > guard:
                 raise SweepOverrun("support vertex b did not settle")
-            q, r = pt(b), pt(b + 1)
-            if rx * (r.y - q.y) - ry * (r.x - q.x) > 0.0:
+            if rx * eys[b % n] - ry * exs[b % n] > 0.0:
                 b += 1
             else:
                 break
@@ -633,26 +630,22 @@ def largest_quadrilateral(P: ConvexPolygon) -> QuadResult:
             steps += 1
             if steps > guard:
                 raise SweepOverrun("support vertex d did not settle")
-            q, r = pt(d), pt(d + 1)
-            if -rx * (r.y - q.y) + ry * (r.x - q.x) > 0.0:
+            if -rx * eys[d % n] + ry * exs[d % n] > 0.0:
                 d += 1
             else:
                 break
-        ar = quad_area(pa, pt(b), pc, pt(d))
+        ar = quad_area((ax, ay), (xs[b % n], ys[b % n]), (cx, cy), (xs[d % n], ys[d % n]))
         if ar > maxarea:
             maxarea = ar
             best = (a % n, b % n, c % n, d % n)
-        eax, eay = pt(a + 1).x - pa.x, pt(a + 1).y - pa.y
-        ecx, ecy = pt(c + 1).x - pc.x, pt(c + 1).y - pc.y
-        if eax * ecy - eay * ecx <= 0.0:
+        if exs[a % n] * eys[c % n] - eys[a % n] * exs[c % n] <= 0.0:
             a += 1
         else:
             c += 1
         if a % n == c0 and c % n == a0:
             break
     assert best is not None
-    ia, ib, ic, id_ = best
-    return QuadResult((pts[ia], pts[ib], pts[ic], pts[id_]), best, maxarea)
+    return QuadResult(tuple(P[i] for i in best), best, maxarea)
 
 
 def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
@@ -663,14 +656,8 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
     are carried along and updated on the fly.
     """
     n = P.n
-    pts = P.vertices
-
-    def pt(i):
-        return pts[i % n]
-
-    def edge(i):
-        p, q = pt(i), pt(i + 1)
-        return q.x - p.x, q.y - p.y
+    xs, ys = P.coords().T.tolist()
+    exs, eys = (e.tolist() for e in P.edges())
 
     c, d, a = 1, 1, 2
     guard = 16 * n + 32
@@ -679,9 +666,7 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
         steps += 1
         if steps > guard:
             raise SweepOverrun("initial opposite-vertex search did not settle")
-        ecx, ecy = edge(c)
-        eax, eay = edge(a)
-        if ecx * eay - ecy * eax > 0.0:
+        if exs[c % n] * eys[a % n] - eys[c % n] * exs[a % n] > 0.0:
             a += 1
         else:
             break
@@ -689,13 +674,12 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
     minarea = math.inf
     best = None
     for b in range(n):
-        ux, uy = edge(b)
+        ux, uy = exs[b], eys[b]
         while True:
             steps += 1
             if steps > guard:
                 raise SweepOverrun("opposite vertex d did not settle")
-            edx, edy = edge(d)
-            if ux * edy - uy * edx > 0.0:
+            if ux * eys[d % n] - uy * exs[d % n] > 0.0:
                 d += 1
             else:
                 break
@@ -709,16 +693,14 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
                 steps += 1
                 if steps > guard:
                     raise SweepOverrun("opposite vertex a did not settle")
-                ecx, ecy = edge(c)
-                eax, eay = edge(a)
-                cross = ecx * eay - ecy * eax
+                i, j = c % n, a % n
+                cross = exs[i] * eys[j] - eys[i] * exs[j]
                 if cross > 0.0:
                     a += 1
                     continue
                 if cross == 0.0:
-                    s = pt(a + 1)
-                    t = pt(c)
-                    if ux * (s.y - t.y) - uy * (s.x - t.x) >= 0.0:
+                    j = (a + 1) % n
+                    if ux * (ys[j] - ys[i]) - uy * (xs[j] - xs[i]) >= 0.0:
                         a += 1
                         continue
                 break
@@ -728,37 +710,37 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
             steps += 1
             if steps > guard:
                 raise SweepOverrun("chord edge c did not settle")
-            q = pt(a)
-            r = pt(c + 1)
-            if ux * (q.y - r.y) - uy * (q.x - r.x) > 0.0:
+            i, j = a % n, (c + 1) % n
+            if ux * (ys[i] - ys[j]) - uy * (xs[i] - xs[j]) > 0.0:
                 c += 1
                 settle_a()
             else:
                 break
-        pa, pc = pt(a), pt(c)
-        if ux * (pa.y - pc.y) - uy * (pa.x - pc.x) >= 0.0:
-            ecx, ecy = edge(c)
+        ax, ay = xs[a % n], ys[a % n]
+        cx, cy = xs[c % n], ys[c % n]
+        if ux * (ay - cy) - uy * (ax - cx) >= 0.0:
+            ecx, ecy = exs[c % n], eys[c % n]
             den = ecx * uy - ecy * ux
             if den != 0.0:
-                s = ((pa.x - pc.x) * uy - (pa.y - pc.y) * ux) / den
-                c_slid = Point(pc.x + s * ecx, pc.y + s * ecy)
+                s = ((ax - cx) * uy - (ay - cy) * ux) / den
+                c_slid = (cx + s * ecx, cy + s * ecy)
             else:
                 # Chord through p_a runs along the flush-parallel edge line.
-                c_slid = pc
-            cand = 2.0 * quad_area(pa, pt(b), c_slid, pt(d))
+                c_slid = (cx, cy)
+            cand = 2.0 * quad_area((ax, ay), (xs[b], ys[b]), c_slid, (xs[d % n], ys[d % n]))
             if cand < minarea:
                 minarea = cand
                 best = (a % n, b % n, c % n, d % n, c_slid)
     if best is None:
         raise SweepOverrun("no edge-flush candidate found; invalid polygon?")
     ia, ib, ic, id_, c_slid = best
-    u = Direction(*P.edge_vector(ib))
-    v = Direction(*P.edge_vector(ic))
+    u = Direction(exs[ib], eys[ib])
+    v = Direction(exs[ic], eys[ic])
     return _para_from_lines(
-        Line(pts[ia], v),
-        Line(pts[ib], u),
-        Line(c_slid, v),
-        Line(pts[id_], u),
+        Line(P[ia], v),
+        Line(P[ib], u),
+        Line(Point(*c_slid), v),
+        Line(P[id_], u),
         (ia, ib, ic, id_),
         area=minarea,
     )

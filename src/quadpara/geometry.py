@@ -121,14 +121,6 @@ def det(u, v) -> float:
     return x1 * y2 - x2 * y1
 
 
-def triangle_area_signed(p, q, r) -> float:
-    """Half the determinant of (q-p, r-p); positive iff p,q,r are CCW."""
-    px, py = _vec(p)
-    qx, qy = _vec(q)
-    rx, ry = _vec(r)
-    return 0.5 * ((qx - px) * (ry - py) - (rx - px) * (qy - py))
-
-
 def quad_area(a, b, c, d) -> float:
     """Area of the convex CCW quadrilateral abcd: half |det(c-a, d-b)|.
 
@@ -142,6 +134,17 @@ def quad_area(a, b, c, d) -> float:
     return 0.5 * abs((cx - ax) * (dy - by) - (dx - bx) * (cy - ay))
 
 
+def _pair_array(points: Iterable[Sequence[float]]) -> np.ndarray:
+    """A fresh (n, 2) float64 array of the (x, y) pairs in `points`, which
+    may be any iterable, a generator or an array included."""
+    xy = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
+    if xy.shape == (0,):
+        return xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"expected (x, y) pairs, got an array of shape {xy.shape}")
+    return xy
+
+
 class ConvexPolygon:
     """A strictly convex, counterclockwise vertex ring.
 
@@ -149,18 +152,22 @@ class ConvexPolygon:
     and no duplicate points.  Vertex indices wrap modulo n in `__getitem__`
     and `edge_vector`.  Instances are immutable and safe to share.
 
+    The ring is stored once, as the (n, 2) float64 array that `coords()`
+    returns.  `vertices`, indexing and iteration build `Point`s from it on
+    every access.
+
     The constructor validates a vertex ring given in either orientation.
-    Raises TooFewVertices, NonFinite, Degenerate (collinear triple or
-    duplicate point; see `canonicalize`), or NotConvex.
+    Raises ValueError for rows that are not (x, y) pairs, TooFewVertices,
+    NonFinite, Degenerate (collinear triple or duplicate point; see
+    `canonicalize`), or NotConvex.
     """
 
-    __slots__ = ("vertices", "n", "_xy", "_edges", "_scale")
+    __slots__ = ("n", "_xy", "_edges", "_scale")
 
     def __init__(self, points: Iterable[Sequence[float]]):
-        pts = [Point(float(x), float(y)) for x, y in points]
-        if len(pts) < 3:
-            raise TooFewVertices(f"need at least 3 vertices, got {len(pts)}")
-        xy = np.asarray(pts, dtype=np.float64)
+        xy = _pair_array(points)
+        if len(xy) < 3:
+            raise TooFewVertices(f"need at least 3 vertices, got {len(xy)}")
         if not np.isfinite(xy).all():
             raise NonFinite("vertex coordinates must be finite")
         x, y = xy[:, 0], xy[:, 1]
@@ -168,7 +175,6 @@ class ConvexPolygon:
         if doubled == 0.0:
             raise Degenerate("vertex ring has zero signed area")
         if doubled < 0.0:
-            pts.reverse()
             xy = xy[::-1].copy()
             x, y = xy[:, 0], xy[:, 1]
         ex = np.roll(x, -1) - x
@@ -183,31 +189,35 @@ class ConvexPolygon:
         upper = (ey > 0.0) | ((ey == 0.0) & (ex > 0.0))
         if int(np.sum(~upper & np.roll(upper, -1))) != 1:
             raise NotConvex("edge directions wind more than once")
-        self.vertices: tuple[Point, ...] = tuple(pts)
-        self.n: int = len(pts)
+        self.n: int = len(xy)
         self._xy = xy
         self._edges = None
         self._scale = float(np.abs(xy).max())
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """All vertices as Points, built anew on every access."""
+        return tuple(self)
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, i: int) -> Point:
-        return self.vertices[i % self.n]
+        return Point._make(self._xy[i % self.n].tolist())
 
     def __iter__(self):
-        return iter(self.vertices)
+        return map(Point._make, self._xy.tolist())
 
     def __repr__(self) -> str:
-        return f"ConvexPolygon({list(self.vertices)!r})"
+        return f"ConvexPolygon({list(self)!r})"
 
     def edge_vector(self, i: int) -> tuple[float, float]:
-        p = self.vertices[i % self.n]
-        q = self.vertices[(i + 1) % self.n]
-        return q.x - p.x, q.y - p.y
+        px, py = self._xy[i % self.n].tolist()
+        qx, qy = self._xy[(i + 1) % self.n].tolist()
+        return qx - px, qy - py
 
     def coords(self) -> np.ndarray:
-        """The cached (n, 2) float64 vertex array.  Do not mutate."""
+        """The (n, 2) float64 vertex array.  Do not mutate."""
         return self._xy
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,39 +234,42 @@ class ConvexPolygon:
         return self._scale
 
 
-def canonicalize(points: Iterable[Sequence[float]]) -> list[Point]:
+def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
     """Strip duplicate points and interior-of-edge vertices from a weakly
-    convex ring, returning a strictly convex CCW ring.
+    convex ring, returning the strictly convex CCW ring as an (m, 2)
+    float64 array.
 
-    Raises Degenerate if fewer than 3 extreme points remain.
+    Consecutive equal points, and a tail equal to the first point, count
+    once; a vertex is dropped when its turn is exactly zero.  Raises
+    ValueError for rows that are not (x, y) pairs, NonFinite, and
+    Degenerate if fewer than 3 extreme points remain.
     """
-    pts = [Point(float(x), float(y)) for x, y in points]
-    dedup: list[Point] = []
-    for p in pts:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    while len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    if len(dedup) < 3:
+    xy = _pair_array(points)
+    if not np.isfinite(xy).all():
+        raise NonFinite("vertex coordinates must be finite")
+    keep = np.ones(len(xy), dtype=bool)
+    keep[1:] = (xy[1:] != xy[:-1]).any(axis=1)
+    xy = xy[keep]
+    if len(xy) > 1 and xy[0].tolist() == xy[-1].tolist():
+        xy = xy[:-1]
+    m = len(xy)
+    if m < 3:
         raise Degenerate("fewer than 3 distinct points")
-    area2 = 0.0
-    m = len(dedup)
-    for i in range(m):
-        p, q = dedup[i], dedup[(i + 1) % m]
-        area2 += p.x * q.y - q.x * p.y
+    ring = np.concatenate((xy[-1:], xy, xy[:1]))  # ring[i + 1] is vertex i
+    p, q = ring[1:-1], ring[2:]
+    # cumsum adds the terms one at a time in ring order, so the sign of a
+    # near-zero area does not depend on numpy's pairwise summation.
+    area2 = np.cumsum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1])[-1]
     if area2 == 0.0:
         raise Degenerate("ring has zero area")
-    if area2 < 0.0:
-        dedup.reverse()
-    out = []
-    for i in range(m):
-        prev, cur, nxt = dedup[i - 1], dedup[i], dedup[(i + 1) % m]
-        turn = (cur.x - prev.x) * (nxt.y - cur.y) - (cur.y - prev.y) * (nxt.x - cur.x)
-        if turn != 0.0:
-            out.append(cur)
+    e = ring[1:] - ring[:-1]  # e[i] runs from vertex i - 1 to vertex i
+    # Reversing the ring negates every turn exactly, so the zero turns are
+    # found before the orientation is fixed.
+    turn = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    out = xy[turn != 0.0]
     if len(out) < 3:
         raise Degenerate("fewer than 3 extreme points remain")
-    return out
+    return out[::-1] if area2 < 0.0 else out
 
 
 def polygon_area(P: ConvexPolygon) -> float:

@@ -50,7 +50,7 @@ def longest_chord(P: ConvexPolygon, u) -> Segment:
         raise Degenerate("zero vector is not a direction")
     best: Segment | None = None
     best_ext = -1.0
-    for q in P.vertices:
+    for q in P.coords().tolist():
         seg = chord_through(P, q, (ux, uy))
         ext = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy  # t-extent * |u|^2
         if ext > best_ext:
@@ -77,7 +77,7 @@ def brute_largest_quad(P: ConvexPolygon) -> OracleQuad:
     lexicographically smallest index tuple.
     """
     n = P.n
-    pts = P.vertices
+    pts = P.coords().tolist()
     if n == 3:
         tuples = combinations_with_replacement(range(3), 4)
     else:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .geometry import ConvexPolygon, DegenerateSample, Point
+from .geometry import ConvexPolygon, DegenerateSample
 
 _MASK64 = (1 << 64) - 1
 
@@ -83,7 +83,7 @@ def regular_ngon(n: int, circumradius: float = 1.0, rotation_steps: int = 0) -> 
     pts = []
     for k in range(n):
         ang = 2.0 * math.pi * k / n + phase
-        pts.append(Point(circumradius * math.cos(ang), circumradius * math.sin(ang)))
+        pts.append((circumradius * math.cos(ang), circumradius * math.sin(ang)))
     return ConvexPolygon(pts)
 
 

@@ -74,6 +74,30 @@ def test_json_input(capsys, tmp_path):
     assert doc["min_para"]["area"] == pytest.approx(2 * math.sqrt(3), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        5,
+        None,
+        "0 0 1 0 0 1",
+        {"x": [0, 1, 0], "y": [0, 0, 1]},
+        [[0, 0, 7], [1, 0, 7], [0, 1, 7]],
+        [[0, 0], [1, 0], [0, 1, 7]],
+        [[0, 0], [1], [0, 1]],
+        [[0, 0], {"x": 1, "y": 0}, [0, 1]],
+        [[0, 0], "10", [0, 1]],
+        [[0, 0], [10**400, 0], [0, 1]],
+    ],
+)
+def test_json_malformed_vertices_exit_2(capsys, tmp_path, vertices):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"vertices": vertices}))
+    code, out, err = run(capsys, "quad", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "vertices" in err
+
+
 def test_clockwise_and_collinear_inputs_fixed(capsys, tmp_path):
     p = tmp_path / "weak.txt"
     p.write_text("0 0\n0 2\n2 2\n2 0\n1 0\n")  # clockwise, one mid-edge vertex

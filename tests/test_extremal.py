@@ -193,6 +193,19 @@ def test_three_routes_agree(corpus):
         assert rel_eq(rep.min_para.area, smallest_parallelogram(P).area)
 
 
+def test_results_carry_python_floats(corpus):
+    # Corners are built from the float64 vertex array; numpy scalars would
+    # change the results' repr.
+    for P in corpus[::7]:
+        rep = combined_extremes(P)
+        figures = [rep.max_quad, rep.min_para, largest_quadrilateral(P), smallest_parallelogram(P)]
+        figures += anchored_conjugate_pair(P, (3, -7))
+        values = [v for f in figures for c in f.corners for v in c]
+        values += [f.area for f in figures] + [v for p in P.vertices for v in p]
+        values += [*P[P.n + 1], *P.edge_vector(P.n - 1)]
+        assert {type(v) for v in values} == {float}
+
+
 def test_oracle_equivalence(corpus):
     for P in corpus:
         rep = combined_extremes(P)

@@ -24,7 +24,6 @@ from quadpara import (
     quad_area,
     random_convex,
     regular_ngon,
-    triangle_area_signed,
     width,
 )
 
@@ -51,12 +50,6 @@ def test_det_examples():
 @given(vec, vec)
 def test_det_antisymmetric(u, v):
     assert det(u, v) == -det(v, u)
-
-
-def test_triangle_area_signed():
-    assert triangle_area_signed((0, 0), (1, 0), (0, 1)) == 0.5
-    assert triangle_area_signed((0, 0), (1, 0), (2, 0)) == 0
-    assert triangle_area_signed((0, 0), (0, 1), (1, 0)) == -0.5
 
 
 def test_quad_area_examples():
@@ -109,8 +102,10 @@ def test_polygon_area(square, triangle, hexagon):
 
 def test_polygon_area_equals_triangle_fan():
     P = random_convex(20, 51, 300)
+    o, v = P[0], P.vertices
     fan = sum(
-        triangle_area_signed(P[0], P[i], P[i + 1]) for i in range(1, P.n - 1)
+        0.5 * ((v[i].x - o.x) * (v[i + 1].y - o.y) - (v[i + 1].x - o.x) * (v[i].y - o.y))
+        for i in range(1, P.n - 1)
     )
     assert polygon_area(P) == pytest.approx(fan, rel=1e-12)
     assert polygon_area(P) > 0
@@ -155,18 +150,18 @@ def test_convex_polygon_idempotent(corpus):
 
 
 def test_canonicalize_examples():
-    assert canonicalize([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]) == [
-        Point(0, 0),
-        Point(2, 0),
-        Point(2, 2),
-        Point(0, 2),
+    assert canonicalize([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]).tolist() == [
+        [0, 0],
+        [2, 0],
+        [2, 2],
+        [0, 2],
     ]
     sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    assert canonicalize(sq) == [Point(*p) for p in sq]
-    assert canonicalize([(0, 0), (0, 0), (1, 0), (0, 1)]) == [
-        Point(0, 0),
-        Point(1, 0),
-        Point(0, 1),
+    assert canonicalize(sq).tolist() == [list(p) for p in sq]
+    assert canonicalize([(0, 0), (0, 0), (1, 0), (0, 1)]).tolist() == [
+        [0, 0],
+        [1, 0],
+        [0, 1],
     ]
     with pytest.raises(Degenerate):
         canonicalize([(0, 0), (1, 0), (2, 0)])
@@ -175,8 +170,113 @@ def test_canonicalize_examples():
 def test_canonicalize_idempotent():
     ring = [(0, 0), (2, 0), (4, 0), (4, 1), (4, 2), (2, 3), (0, 2), (0, 1)]
     once = canonicalize(ring)
-    assert canonicalize(once) == once
+    assert canonicalize(once).tolist() == once.tolist()
     ConvexPolygon(once)
+
+
+def loop_canonicalize(points):
+    """The per-point loop that canonicalize replaced, kept as its reference."""
+    pts = [Point(float(x), float(y)) for x, y in points]
+    dedup = []
+    for p in pts:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    while len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    if len(dedup) < 3:
+        raise Degenerate("fewer than 3 distinct points")
+    area2 = 0.0
+    m = len(dedup)
+    for i in range(m):
+        p, q = dedup[i], dedup[(i + 1) % m]
+        area2 += p.x * q.y - q.x * p.y
+    if area2 == 0.0:
+        raise Degenerate("ring has zero area")
+    if area2 < 0.0:
+        dedup.reverse()
+    out = []
+    for i in range(m):
+        prev, cur, nxt = dedup[i - 1], dedup[i], dedup[(i + 1) % m]
+        turn = (cur.x - prev.x) * (nxt.y - cur.y) - (cur.y - prev.y) * (nxt.x - cur.x)
+        if turn != 0.0:
+            out.append(cur)
+    if len(out) < 3:
+        raise Degenerate("fewer than 3 extreme points remain")
+    return out
+
+
+def canonicalize_outcome(fn, ring):
+    """(the output as a list of [x, y] floats, or the exception type and message)."""
+    try:
+        out = np.asarray(fn(ring), dtype=np.float64)
+    except Degenerate as exc:
+        return "Degenerate", str(exc)
+    return "ok", out.tolist()
+
+
+def test_canonicalize_matches_loop(corpus):
+    degenerate = [
+        [(0, 0), (1, 0), (2, 0)],
+        [(0, 0), (1, 1), (0, 0), (1, 1)],
+        [(3, 3)] * 5,
+        [(0, 0), (0, 0), (0, 0), (1, 0)],
+        [(0, 0), (2, 0), (1, 0), (1, 0), (0, 0)],
+        [(0, 0), (1, 0), (1, 1), (0, 0), (0, 0)],
+        [(0, 0), (1, 0), (0.5, 0.5), (0, 1), (0, 0)],
+    ]
+    rings = degenerate[:]
+    for k, P in enumerate(corpus):
+        ring = [(p.x, p.y) for p in P.vertices]
+        r = 1 + k % P.n
+        rings += [ring, ring[::-1], ring[r:] + ring[:r]]
+        # repeated vertices (first and last included), edge midpoints, and a
+        # back-and-forth spike at the seam, whose turns are exactly zero
+        mids = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(ring, ring[1:])]
+        padded = [ring[0]] * 2
+        for p, m in zip(ring[1:], mids):
+            padded += [m, p, p] if k % 2 else [m, p]
+        padded += [ring[0], ring[-1], ring[0], ring[0]]
+        rings += [padded, padded[::-1]]
+    for ring in rings:
+        want = canonicalize_outcome(loop_canonicalize, ring)
+        assert canonicalize_outcome(canonicalize, ring) == want, ring
+        if want[0] == "ok":
+            assert ConvexPolygon(canonicalize(ring)).vertices == tuple(
+                Point(*p) for p in want[1]
+            )
+
+
+def test_input_contract():
+    sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert ConvexPolygon(p for p in sq).vertices == tuple(Point(*p) for p in sq)
+    assert np.asarray(canonicalize(p for p in sq)).tolist() == [list(p) for p in sq]
+    with pytest.raises(TooFewVertices, match="got 0"):
+        ConvexPolygon([])
+    with pytest.raises(TooFewVertices, match="got 0"):
+        ConvexPolygon(p for p in [])
+    with pytest.raises(Degenerate, match="fewer than 3 distinct points"):
+        canonicalize([])
+    for rows in ([(0, 0, 7), (1, 0, 7), (0, 1, 7)], [(0, 0), (1, 0, 7), (0, 1)]):
+        with pytest.raises(ValueError):
+            ConvexPolygon(rows)
+        with pytest.raises(ValueError):
+            canonicalize(rows)
+    with pytest.raises(Degenerate, match="zero signed area"):
+        ConvexPolygon([(0, 0), (1, 1), (0, 0), (1, 1)])
+    with pytest.raises(Degenerate, match="zero area"):
+        canonicalize([(0, 0), (1, 1), (0, 0), (1, 1)])
+    with pytest.raises(Degenerate, match="zero signed area"):
+        ConvexPolygon([(2, 5)] * 4)
+    with pytest.raises(Degenerate, match="fewer than 3 distinct points"):
+        canonicalize([(2, 5)] * 4)
+    inf, nan = math.inf, math.nan
+    for bad in ((nan, 0.5), (0.5, nan), (inf, 0.5), (-inf, 0.5), (0.5, inf), (inf, -inf)):
+        for k in range(4):
+            ring = sq[:k] + [bad] + sq[k:]
+            with pytest.raises(NonFinite):
+                ConvexPolygon(ring)
+            with pytest.raises(NonFinite):
+                ConvexPolygon(canonicalize(ring))
 
 
 def test_direction_identifies_opposites():
