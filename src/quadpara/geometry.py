@@ -145,6 +145,13 @@ def _pair_array(points: Iterable[Sequence[float]]) -> np.ndarray:
     return xy
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """A fresh array holding a[(i + 1) % n] at index i, like np.roll(a, -1),
+    built from two slices: np.roll costs several times as much on small
+    arrays."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 class ConvexPolygon:
     """A strictly convex, counterclockwise vertex ring.
 
@@ -171,15 +178,15 @@ class ConvexPolygon:
         if not np.isfinite(xy).all():
             raise NonFinite("vertex coordinates must be finite")
         x, y = xy[:, 0], xy[:, 1]
-        doubled = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
+        doubled = np.dot(x, _next(y)) - np.dot(_next(x), y)
         if doubled == 0.0:
             raise Degenerate("vertex ring has zero signed area")
         if doubled < 0.0:
             xy = xy[::-1].copy()
             x, y = xy[:, 0], xy[:, 1]
-        ex = np.roll(x, -1) - x
-        ey = np.roll(y, -1) - y
-        cross = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
+        ex = _next(x) - x
+        ey = _next(y) - y
+        cross = ex * _next(ey) - ey * _next(ex)
         if (cross == 0.0).any():
             i = int(np.flatnonzero(cross == 0.0)[0])
             raise Degenerate(f"collinear or duplicate vertices around index {i + 1}")
@@ -187,7 +194,7 @@ class ConvexPolygon:
             i = int(np.flatnonzero(cross < 0.0)[0])
             raise NotConvex(f"clockwise turn at vertex index {i + 1}")
         upper = (ey > 0.0) | ((ey == 0.0) & (ex > 0.0))
-        if int(np.sum(~upper & np.roll(upper, -1))) != 1:
+        if int(np.sum(~upper & _next(upper))) != 1:
             raise NotConvex("edge directions wind more than once")
         self.n: int = len(xy)
         self._xy = xy
@@ -225,7 +232,7 @@ class ConvexPolygon:
         i + 1; built on first use, then cached.  Do not mutate."""
         if self._edges is None:
             x, y = self._xy[:, 0], self._xy[:, 1]
-            self._edges = (np.roll(x, -1) - x, np.roll(y, -1) - y)
+            self._edges = (_next(x) - x, _next(y) - y)
         return self._edges
 
     @property
@@ -276,7 +283,7 @@ def polygon_area(P: ConvexPolygon) -> float:
     """Positive area of the polygon (shoelace)."""
     xy = P.coords()
     x, y = xy[:, 0], xy[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return 0.5 * float(np.dot(x, _next(y)) - np.dot(_next(x), y))
 
 
 def extreme_vertex(P: ConvexPolygon, d) -> int:

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from quadpara.cli import main
+from quadpara import cli
+from quadpara.cli import InputError, main
 
 SQUARE = "0 0\n1 0\n1 1\n0 1\n"
 TRIANGLE = "# right triangle\n0 0\n1 0\n0 1\n"
@@ -183,6 +187,30 @@ def test_verify_expect_negative_control(capsys, square_file, tmp_path):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "report",
+    [
+        7,
+        "report",
+        [1.0, 1.0],
+        {"max_quad": 5},
+        {"max_quad": {}},
+        {"max_quad": {"area": "x"}},
+        {"max_quad": {"area": None}},
+        {"max_quad": [1.0]},
+        {"min_para": {"area": [1.0]}},
+        {"min_para": {"area": 10**400}},
+    ],
+)
+def test_verify_expect_malformed_report_exit_2(capsys, square_file, tmp_path, report):
+    p = tmp_path / "report.json"
+    p.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify", "--input", square_file, "--expect", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {p}: ")
+
+
 def test_verify_skips_quad_oracle_over_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "--kind", "lattice", "--n", "45", "--seed", "1")
     p = tmp_path / "n45.txt"
@@ -281,3 +309,97 @@ def test_report_cli_output_is_unchanged(tmp_path, monkeypatch, capsys, name, com
     code, out, _ = run(capsys, command, "--input", name)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Text parsing: one bulk np.loadtxt pass, with the per-line loop
+# `_parse_text_lines` as the reference and the only source of parse errors.
+
+
+def _parse_outcome(parse, text):
+    try:
+        xy = parse(text)
+    except InputError as exc:
+        return "error", str(exc)
+    assert xy.dtype == np.float64 and xy.ndim == 2 and xy.shape[1] == 2
+    return "ok", xy.shape, xy.tobytes()  # bytes, so the sign of -0.0 counts
+
+
+RISKY_TOKENS = [
+    "0", "-0", "-0.0", "+0.0", "1", "+1", "-1", "+-1", "--1", ".", ".5", "5.", "-.5", "e", "1e5",
+    "1E-3", "1e", "1e+", "e5", "_", "1_0", "1__0", "_1", "1_", "1.0_1", "1d0", "1D0", "0x10",
+    "0x1p3", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "infinity", "1e400", "-1e400",
+    "1e-400", "00012", "1e0001", "\u0661\u0662", "\u0663.5", "\uff11", "\xb2", "1\x00",
+]
+TEXT_TOKENS = st.one_of(
+    st.sampled_from(RISKY_TOKENS),
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+TEXT_SEPARATORS = st.sampled_from(
+    [" ", " ", " ", "  ", "\t", " \t ", "\x1f", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\xa0"]
+)
+TEXT_COMMENTS = st.sampled_from(["", "", "", " #", "# note", "#1 2", " # x\r3 4", "#\x0c5 6"])
+TEXT_LINE_ENDS = st.sampled_from(
+    ["\n", "\n", "\n", "\n\n", "\n \t\n", "\n# c\n", "\r", "\r\n", "\x0b", "\x0c",
+     "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028"]
+)
+
+
+@st.composite
+def risky_line(draw):
+    tokens = draw(st.lists(TEXT_TOKENS, min_size=1, max_size=3))
+    line = tokens[0] + "".join(draw(TEXT_SEPARATORS) + t for t in tokens[1:])
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(TEXT_COMMENTS) + draw(TEXT_LINE_ENDS)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(risky_line(), max_size=6).map("".join))
+@example("")  # numpy warns about an empty text
+@example("# header only\n")
+@example("1 2#\r3 4\n5 6\n")  # numpy reads "3 4" as part of the comment
+@example("1\x0b2\n3 4\n5 6\n")  # numpy reads \x0b, \x0c and \x1c-\x1e as spaces
+@example("1\x0c2\n3 4\n5 6\n")
+@example("1\x1c2\n3 4\n5 6\n")
+@example("1\x1e2\n3 4\n5 6\n")
+@example("1\x852\n3 4\n5 6\n")  # and \x85 and \u2028, which are not ASCII
+@example("1\u20282\n3 4\n5 6\n")
+@example("\u0661 2\n3 4\n5 6\n")
+@example("1 2\n3 nan\n5 6\n")
+@example("1 2 3\n")
+def test_text_parse_matches_per_line_loop(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _parse_outcome(cli._parse_text_vertices, text)
+    assert caught == []  # nothing reaches stderr
+    assert got == _parse_outcome(cli._parse_text_lines, text)
+
+
+def _loop_not_called(text):
+    raise AssertionError("the per-line loop ran")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FORMATS = st.sampled_from(["{!r}", "{:.17e}", "{:.40f}", "{:.3g}", "{:+.25e}"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE, FORMATS), min_size=1, max_size=20))
+def test_text_bulk_path_parses_like_float(rows):
+    text = "".join(f"{fmt.format(x)} {fmt.format(y)}\n" for x, y, fmt in rows)
+    want = np.array([[float(t) for t in line.split()] for line in text.splitlines()])
+    assume(np.isfinite(want).all())  # "{:.3g}" can round past the largest float
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_parse_text_lines", _loop_not_called)
+        got = cli._parse_text_vertices(text)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gen_file_takes_bulk_path(capsys, tmp_path, monkeypatch):
+    code, out, _ = run(capsys, "gen", "--kind", "lattice", "--n", "200", "--seed", "4")
+    assert code == 0 and out.startswith("# quadpara gen")
+    want = cli._parse_text_lines(out)
+    p = tmp_path / "lattice.txt"
+    p.write_text(out)
+    monkeypatch.setattr(cli, "_parse_text_lines", _loop_not_called)
+    assert cli._parse_text_vertices(out).tobytes() == want.tobytes()
+    assert cli.load_polygon(str(p)).n == 200
