@@ -13,7 +13,7 @@ vertex, as does `extremal.largest_quadrilateral`.  Directions are kept as
 raw vectors and every ordering decision is a determinant sign; angles never
 appear at runtime.
 
-The extremal figures do not use these lists: `extremal._combined_sweep` is
+The extremal figures do not use these lists: `sweep._combined_sweep` is
 the one sweep engine, merging the chord events and the support events in a
 single pass without building either structure.
 """

@@ -103,6 +103,14 @@ def _parse_text_lines(text: str) -> np.ndarray:
     return np.array(verts, dtype=np.float64).reshape(-1, 2)
 
 
+def _json_float(value) -> float:
+    """float(value) for a JSON number or numeric string; JSON true and false
+    are refused, which float() would read as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
 def _parse_json_vertices(text: str) -> list[tuple[float, float]]:
     try:
         doc = json.loads(text)
@@ -117,7 +125,7 @@ def _parse_json_vertices(text: str) -> list[tuple[float, float]]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputError(f"vertices[{i}]: expected a coordinate pair")
         try:
-            x, y = float(pair[0]), float(pair[1])
+            x, y = _json_float(pair[0]), _json_float(pair[1])
         except (TypeError, ValueError, OverflowError):
             raise InputError(f"vertices[{i}]: expected a coordinate pair") from None
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -295,7 +303,7 @@ def cmd_verify(args) -> int:
                 continue
             entry = expected[key]
             try:
-                want = float(entry["area"])
+                want = _json_float(entry["area"])
             except (TypeError, KeyError, ValueError, OverflowError):
                 raise InputError(f"{args.expect}: '{key}' must be an object with a numeric 'area'") from None
             check(name, rel_eq(got, want), f"expected {entry['area']!r}, got {got!r}")

@@ -17,6 +17,11 @@ Largest-quadrilateral candidates are evaluated only when a diagonal
 endpoint sits at a vertex; smallest-parallelogram candidates only when a
 side is edge-flush.  Between those events the areas are linear in the
 sliding corner, so the extremes happen at interval endpoints.
+
+The merged sweep lives in `quadpara.sweep`: a Python loop, and from a few
+hundred vertices on a numpy path whose direction keys only propose the
+order of the events, while every decision is still the sign of the loop's
+own determinant expression; where one sign disagrees, the loop runs.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .geometry import (
     Point,
     Segment,
     SweepOverrun,
+    _next,
     _vec,
     chord_through,
     contains_point,
@@ -44,6 +50,7 @@ from .geometry import (
     line_intersection,
     quad_area,
 )
+from .sweep import _combined_sweep
 
 
 @dataclass(frozen=True)
@@ -331,7 +338,7 @@ def verify_conjugate_pair(
 
     gx = np.array([p.x for p in g])
     gy = np.array([p.y for p in g])
-    doubled = float(np.dot(gx, np.roll(gy, -1)) - np.dot(np.roll(gx, -1), gy))
+    doubled = float(np.dot(gx, _next(gy)) - np.dot(_next(gx), gy))
     if doubled < 0.0:
         gx, gy = gx[::-1], gy[::-1]
     xy = P.coords()
@@ -355,194 +362,6 @@ def verify_conjugate_pair(
         area_ratio=area_ratio,
     )
     return ConjugateCertificate(F, G, udir, checks)
-
-
-def _combined_sweep(xy: np.ndarray):
-    """The merged half-turn sweep over the (n, 2) vertex array of a CCW
-    strictly convex ring, as `ConvexPolygon.coords()` returns it.
-
-    Returns (maxarea, max_state, minarea, min_state, predicate_count) where
-    max_state is the vertex-index quadruple of the best contained
-    quadrilateral and min_state is (a_slides, a, b, c, d, ubx, uby, slid)
-    for the best enclosing parallelogram.  predicate_count counts every
-    2x2 determinant sign evaluation the sweep performs.
-    """
-    n = len(xy)
-    # Flat coordinate lists with raw forward indices; no modulo in the loop.
-    xs = xy[:, 0].tolist() * 3
-    ys = xy[:, 1].tolist() * 3
-    ndet = 0
-
-    # Start: a0 = 0; c0 = the vertex whose supporting line is parallel to
-    # edge (0, 1), reached while the triangle over that edge strictly grows.
-    e0x = xs[1] - xs[0]
-    e0y = ys[1] - ys[0]
-    c = 1
-    while c <= n:
-        ndet += 1
-        if e0x * (ys[c + 1] - ys[c]) - e0y * (xs[c + 1] - xs[c]) > 0.0:
-            c += 1
-        else:
-            break
-    else:
-        raise SweepOverrun("initial support search did not settle")
-    a0 = 0
-    c0 = c
-    a = 0
-
-    # A slides on edge (a, a+1); u_ac is the chord direction at which it
-    # arrives at the next vertex.
-    ac_a = True
-    u_acx = xs[c] - xs[a + 1]
-    u_acy = ys[c] - ys[a + 1]
-
-    b = a
-    rx = xs[a] - xs[c]
-    ry = ys[a] - ys[c]
-    while b <= 2 * n:
-        ndet += 1
-        if rx * (ys[b + 1] - ys[b]) - ry * (xs[b + 1] - xs[b]) > 0.0:
-            b += 1
-        else:
-            break
-    else:
-        raise SweepOverrun("support vertex b did not settle")
-    d = c
-    while d <= 2 * n:
-        ndet += 1
-        if -rx * (ys[d + 1] - ys[d]) + ry * (xs[d + 1] - xs[d]) > 0.0:
-            d += 1
-        else:
-            break
-    else:
-        raise SweepOverrun("support vertex d did not settle")
-
-    ndet += 1
-    ebx = xs[b + 1] - xs[b]
-    eby = ys[b + 1] - ys[b]
-    edx = xs[d + 1] - xs[d]
-    edy = ys[d + 1] - ys[d]
-    if ebx * edy - eby * edx <= 0.0:
-        bd_b = True
-        u_bdx, u_bdy = ebx, eby
-    else:
-        bd_b = False
-        u_bdx = xs[d] - xs[d + 1]
-        u_bdy = ys[d] - ys[d + 1]
-
-    maxarea = 0.0
-    max_state = None
-    minarea = math.inf
-    min_state = None
-    guard = 8 * n + 16
-    steps = 0
-
-    while True:
-        steps += 1
-        if steps > guard:
-            raise SweepOverrun(f"more than {guard} sweep events for n={n}")
-        ndet += 1
-        if u_bdx * u_acy - u_bdy * u_acx >= 0.0:
-            # A support side goes edge-flush: enclosing-parallelogram
-            # candidate with the sliding diagonal endpoint mid-edge.
-            if ac_a:
-                fx = xs[a]
-                fy = ys[a]
-                ex = xs[a + 1] - fx
-                ey = ys[a + 1] - fy
-                sx = xs[c]
-                sy = ys[c]
-            else:
-                fx = xs[c]
-                fy = ys[c]
-                ex = xs[c + 1] - fx
-                ey = ys[c + 1] - fy
-                sx = xs[a]
-                sy = ys[a]
-            ndet += 3
-            den = ex * u_bdy - ey * u_bdx
-            if den != 0.0:
-                num = (ex * (sy - fy) - ey * (sx - fx)) * (
-                    u_bdx * (ys[d] - ys[b]) - u_bdy * (xs[d] - xs[b])
-                )
-                cand = abs(num / den)
-                if cand < minarea:
-                    minarea = cand
-                    s = ((sx - fx) * u_bdy - (sy - fy) * u_bdx) / den
-                    min_state = (
-                        ac_a,
-                        a % n,
-                        b % n,
-                        c % n,
-                        d % n,
-                        u_bdx,
-                        u_bdy,
-                        (fx + s * ex, fy + s * ey),
-                    )
-            else:
-                ndet += 1
-                if u_bdx * (sy - fy) - u_bdy * (sx - fx) == 0.0:
-                    # Chord lies along the sliding edge itself; the corner
-                    # sits at the edge's base vertex.
-                    cand = abs(
-                        (xs[c] - xs[a]) * (ys[d] - ys[b])
-                        - (ys[c] - ys[a]) * (xs[d] - xs[b])
-                    )
-                    if cand < minarea:
-                        minarea = cand
-                        min_state = (ac_a, a % n, b % n, c % n, d % n, u_bdx, u_bdy, (fx, fy))
-                # Otherwise the flush direction cannot meet the sliding edge:
-                # a stale event at a parallel-edge tie; skip the candidate.
-            if bd_b:
-                b += 1
-            else:
-                d += 1
-            ndet += 1
-            ebx = xs[b + 1] - xs[b]
-            eby = ys[b + 1] - ys[b]
-            edx = xs[d + 1] - xs[d]
-            edy = ys[d + 1] - ys[d]
-            if ebx * edy - eby * edx <= 0.0:
-                bd_b = True
-                u_bdx, u_bdy = ebx, eby
-            else:
-                bd_b = False
-                u_bdx = xs[d] - xs[d + 1]
-                u_bdy = ys[d] - ys[d + 1]
-        else:
-            # The sliding diagonal endpoint reaches a vertex: contained-
-            # quadrilateral candidate with all corners at vertices.
-            if ac_a:
-                a += 1
-            else:
-                c += 1
-            ndet += 1
-            ar = (xs[c] - xs[a]) * (ys[d] - ys[b]) - (ys[c] - ys[a]) * (xs[d] - xs[b])
-            if ar < 0.0:
-                ar = -ar
-            ar *= 0.5
-            if ar > maxarea:
-                maxarea = ar
-                max_state = (a % n, b % n, c % n, d % n)
-            ndet += 1
-            eax = xs[a + 1] - xs[a]
-            eay = ys[a + 1] - ys[a]
-            ecx = xs[c + 1] - xs[c]
-            ecy = ys[c + 1] - ys[c]
-            if eax * ecy - eay * ecx <= 0.0:
-                ac_a = True
-                u_acx = xs[c] - xs[a + 1]
-                u_acy = ys[c] - ys[a + 1]
-            else:
-                ac_a = False
-                u_acx = xs[c + 1] - xs[a]
-                u_acy = ys[c + 1] - ys[a]
-            if a % n == c0 % n and c % n == a0:
-                break
-
-    if max_state is None or min_state is None:
-        raise SweepOverrun("sweep finished without candidates; invalid polygon?")
-    return maxarea, max_state, minarea, min_state, ndet
 
 
 def combined_extremes(P: ConvexPolygon, tol: float = 1e-9) -> ExtremesReport:

@@ -91,6 +91,7 @@ def test_json_input(capsys, tmp_path):
         [[0, 0], {"x": 1, "y": 0}, [0, 1]],
         [[0, 0], "10", [0, 1]],
         [[0, 0], [10**400, 0], [0, 1]],
+        [[False, False], [True, False], [False, True]],
     ],
 )
 def test_json_malformed_vertices_exit_2(capsys, tmp_path, vertices):
@@ -200,6 +201,7 @@ def test_verify_expect_negative_control(capsys, square_file, tmp_path):
         {"max_quad": [1.0]},
         {"min_para": {"area": [1.0]}},
         {"min_para": {"area": 10**400}},
+        {"max_quad": {"area": True}},
     ],
 )
 def test_verify_expect_malformed_report_exit_2(capsys, square_file, tmp_path, report):
