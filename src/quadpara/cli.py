@@ -12,6 +12,7 @@ Exit codes: 0 success; 1 verification or benchmark assertion failure;
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -447,6 +448,7 @@ def cmd_svg(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: each parse starts from a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadpara",

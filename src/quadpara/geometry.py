@@ -177,20 +177,25 @@ class ConvexPolygon:
             raise TooFewVertices(f"need at least 3 vertices, got {len(xy)}")
         if not np.isfinite(xy).all():
             raise NonFinite("vertex coordinates must be finite")
-        x, y = xy[:, 0], xy[:, 1]
-        doubled = np.dot(x, _next(y)) - np.dot(_next(x), y)
-        if doubled == 0.0:
-            raise Degenerate("vertex ring has zero signed area")
-        if doubled < 0.0:
-            xy = xy[::-1].copy()
+        # Products of huge coordinates overflow; the checks below then reject
+        # the ring, without numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
             x, y = xy[:, 0], xy[:, 1]
-        ex = _next(x) - x
-        ey = _next(y) - y
-        cross = ex * _next(ey) - ey * _next(ex)
-        if (cross == 0.0).any():
-            i = int(np.flatnonzero(cross == 0.0)[0])
-            raise Degenerate(f"collinear or duplicate vertices around index {i + 1}")
-        if (cross < 0.0).any():
+            doubled = np.dot(x, _next(y)) - np.dot(_next(x), y)
+            if doubled == 0.0:
+                raise Degenerate("vertex ring has zero signed area")
+            if doubled < 0.0:
+                xy = xy[::-1].copy()
+                x, y = xy[:, 0], xy[:, 1]
+            ex = _next(x) - x
+            ey = _next(y) - y
+            cross = ex * _next(ey) - ey * _next(ex)
+        if not (math.isfinite(doubled) and np.isfinite(cross).all()):
+            raise NonFinite("coordinates too large: the doubled area or an edge cross product overflows")
+        if not (cross > 0.0).all():
+            if (cross == 0.0).any():
+                i = int(np.flatnonzero(cross == 0.0)[0])
+                raise Degenerate(f"collinear or duplicate vertices around index {i + 1}")
             i = int(np.flatnonzero(cross < 0.0)[0])
             raise NotConvex(f"clockwise turn at vertex index {i + 1}")
         upper = (ey > 0.0) | ((ey == 0.0) & (ex > 0.0))
@@ -328,22 +333,47 @@ def chord_through(P: ConvexPolygon, q, u) -> Segment:
     ux, uy = _vec(u)
     if ux == 0.0 and uy == 0.0:
         raise Degenerate("zero vector is not a direction")
+    t0, t1 = _chord_params(P, qx, qy, ux, uy)
+    t0, t1 = float(t0), float(t1)
+    return Segment(Point(qx + t0 * ux, qy + t0 * uy), Point(qx + t1 * ux, qy + t1 * uy))
+
+
+def _chord_params(P: ConvexPolygon, qx, qy, ux: float, uy: float):
+    """The parameters (t0, t1) of `chord_through`'s segments along the
+    nonzero direction (ux, uy), through the point (qx, qy) given as floats,
+    or through m points given as (m, 1) columns: two numpy scalars or two
+    (m,) arrays.  Each point's row is computed with the same float
+    expressions whatever the number of points, so `oracle.longest_chord`,
+    which passes every vertex at once, measures the chords `chord_through`
+    returns, to the bit.
+    """
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
-    c = ex * (qy - vy) - ey * (qx - vx)  # inside margin of q for each edge
+    # c = ex * (qy - vy) - ey * (qx - vx), the inside margin of q for each
+    # edge, then t = -c / d, computed in place to keep two arrays live.
+    c = qy - vy
+    c *= ex
+    c2 = qx - vx
+    c2 *= ey
+    c -= c2
     d = ex * uy - ey * ux
-    t = -c / np.where(d == 0.0, 1.0, d)
-    lo = t[d > 0.0]
-    hi = t[d < 0.0]
-    t0 = float(lo.max()) if lo.size else -math.inf
-    t1 = float(hi.min()) if hi.size else math.inf
-    if not (math.isfinite(t0) and math.isfinite(t1)):
+    t = np.divide(np.negative(c, out=c), np.where(d == 0.0, 1.0, d), out=c)
+    # Adding 0.0 turns a zero of either sign into +0.0: numpy's max and min
+    # pick between -0.0 and +0.0 by memory layout, not by value.
+    t0 = np.where(d > 0.0, t, -math.inf).max(axis=-1) + 0.0
+    t1 = np.where(d < 0.0, t, math.inf).min(axis=-1) + 0.0
+    if not np.isfinite((t0, t1)).all():
         raise Degenerate("line does not leave the polygon; invalid polygon?")
-    if t0 > t1:
+    tangent = t0 > t1
+    if tangent.any():
         # Rounding at a tangency; collapse to the midpoint parameter.
-        t0 = t1 = 0.5 * (t0 + t1)
-    return Segment(Point(qx + t0 * ux, qy + t0 * uy), Point(qx + t1 * ux, qy + t1 * uy))
+        # Overflow gives inf without a warning, as in Python float arithmetic.
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (t0 + t1)
+        t0 = np.where(tangent, mid, t0)
+        t1 = np.where(tangent, mid, t1)
+    return t0, t1
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:

@@ -5,22 +5,30 @@ enumerates vertex tuples (a largest contained k-gon can always be chosen
 with its corners at polygon vertices), and the parallelogram oracle scans
 edge directions (a smallest enclosing parallelogram has an edge-flush side).
 Complexity budgets are enforced by callers, not here.
+
+The enumerations are those of plain Python loops over the chords and the
+tuples, run as numpy passes over blocks: of vertices for the chords, and of
+vertex 4-tuples sharing their second corner for the quadrilaterals.  Every
+candidate is evaluated with the loops' float expressions and the loops'
+winner is kept on ties, so results are bit-identical to the loops, which
+the tests keep as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+
+import numpy as np
 
 from .geometry import (
     ConvexPolygon,
     Degenerate,
+    Point,
     Segment,
+    _chord_params,
     _vec,
-    chord_through,
     det,
-    quad_area,
     width,
 )
 
@@ -37,25 +45,40 @@ class OraclePara:
     area: float
 
 
+# Vertex chords are measured in equal blocks of at most this many (vertex,
+# edge) pairs, which bounds the temporaries to a few hundred KiB at any n.
+_CHORD_BLOCK = 1 << 14
+
+
 def longest_chord(P: ConvexPolygon, u) -> Segment:
     """The longest chord of P parallel to u.
 
     Realized exhaustively: the maximum of chord length over the heights of P
     is attained at a vertex height, so the longest chord passes through some
-    vertex.  Ties keep the lowest vertex index.  One O(n) chord_through per
-    vertex makes this the O(n^2) reference for `anchored_conjugate_pair`.
+    vertex.  Ties keep the lowest vertex index.  `chord_through` for every
+    vertex, in O(n^2) array passes over blocks of vertices, makes this the
+    reference for `anchored_conjugate_pair`.
     """
     ux, uy = _vec(u)
     if ux == 0.0 and uy == 0.0:
         raise Degenerate("zero vector is not a direction")
+    xy = P.coords()
+    rows = math.ceil(P.n / math.ceil(P.n * P.n / _CHORD_BLOCK))
     best: Segment | None = None
     best_ext = -1.0
-    for q in P.coords().tolist():
-        seg = chord_through(P, q, (ux, uy))
-        ext = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy  # t-extent * |u|^2
-        if ext > best_ext:
-            best_ext = ext
-            best = seg
+    for s in range(0, P.n, rows):
+        qx, qy = xy[s : s + rows, 0], xy[s : s + rows, 1]
+        t0, t1 = _chord_params(P, qx[:, None], qy[:, None], ux, uy)
+        # chord_through's endpoints and the extents; overflow gives inf
+        # without a warning, as in Python float arithmetic.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ax, ay, bx, by = qx + t0 * ux, qy + t0 * uy, qx + t1 * ux, qy + t1 * uy
+            ext = (bx - ax) * ux + (by - ay) * uy  # t-extent * |u|^2
+        np.fmax(ext, -1.0, out=ext)  # NaN never wins
+        i = int(np.argmax(ext))  # the first of the block's longest
+        if ext[i] > best_ext:
+            best_ext = ext[i]
+            best = Segment(Point(float(ax[i]), float(ay[i])), Point(float(bx[i]), float(by[i])))
     assert best is not None
     return best
 
@@ -77,19 +100,35 @@ def brute_largest_quad(P: ConvexPolygon) -> OracleQuad:
     lexicographically smallest index tuple.
     """
     n = P.n
-    pts = P.coords().tolist()
-    if n == 3:
-        tuples = combinations_with_replacement(range(3), 4)
-    else:
-        tuples = combinations(range(n), 4)
+    # The 4-multisets of range(3), in lexicographic order, are the
+    # 4-combinations of range(6) in that order with corner r lowered by r.
+    m, drop = (6, (0, 1, 2, 3)) if n == 3 else (n, (0, 0, 0, 0))
+    k, l = np.triu_indices(m, 1)  # the pairs k < l, in lexicographic order
+    start = np.searchsorted(k, np.arange(m), side="right")  # those with k > j
+    xy = P.coords()
+    x, y = xy[:, 0], xy[:, 1]
+    cx, cy = x[k - drop[2]], y[k - drop[2]]
+    dx, dy = x[l - drop[3]], y[l - drop[3]]
     best = None
     best_area = -1.0
-    for idx in tuples:
-        i, j, k, l = idx
-        area = quad_area(pts[i], pts[j], pts[k], pts[l])
-        if area > best_area:
-            best_area = area
-            best = idx
+    # quad_area's expression on every tuple (i, j, k, l), in blocks of one
+    # second corner j: all i < j against all pairs k < l with k > j.
+    # Python floats overflow silently; so do these.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, m - 2):
+            s = start[j]
+            ax, ay = x[:j, None], y[:j, None]
+            bx, by = x[j - drop[1]], y[j - drop[1]]
+            area = 0.5 * np.abs((cx[s:] - ax) * (dy[s:] - by) - (dx[s:] - bx) * (cy[s:] - ay))
+            np.fmax(area, -1.0, out=area)  # NaN never wins
+            i, h = divmod(int(np.argmax(area)), area.shape[1])  # the block's first maximum
+            got = float(area[i, h])
+            idx = (i, j - drop[1], int(k[s + h]) - drop[2], int(l[s + h]) - drop[3])
+            # The blocks run in order of j, not of i, so an equal area found
+            # later can still come first in lexicographic order.
+            if got > best_area or (got == best_area and best is not None and idx < best):
+                best_area = got
+                best = idx
     assert best is not None
     return OracleQuad(best, best_area)
 

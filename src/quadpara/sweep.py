@@ -109,108 +109,113 @@ def _scalar_sweep(xy: np.ndarray):
     guard = 8 * n + 16
     steps = 0
 
-    while True:
-        steps += 1
-        if steps > guard:
-            raise SweepOverrun(f"more than {guard} sweep events for n={n}")
-        ndet += 1
-        if u_bdx * u_acy - u_bdy * u_acx >= 0.0:
-            # A support side goes edge-flush: enclosing-parallelogram
-            # candidate with the sliding diagonal endpoint mid-edge.
-            if ac_a:
-                fx = xs[a]
-                fy = ys[a]
-                ex = xs[a + 1] - fx
-                ey = ys[a + 1] - fy
-                sx = xs[c]
-                sy = ys[c]
-            else:
-                fx = xs[c]
-                fy = ys[c]
-                ex = xs[c + 1] - fx
-                ey = ys[c + 1] - fy
-                sx = xs[a]
-                sy = ys[a]
-            ndet += 3
-            den = ex * u_bdy - ey * u_bdx
-            if den != 0.0:
-                num = (ex * (sy - fy) - ey * (sx - fx)) * (
-                    u_bdx * (ys[d] - ys[b]) - u_bdy * (xs[d] - xs[b])
-                )
-                cand = abs(num / den)
-                if cand < minarea:
-                    minarea = cand
-                    s = ((sx - fx) * u_bdy - (sy - fy) * u_bdx) / den
-                    min_state = (
-                        ac_a,
-                        a % n,
-                        b % n,
-                        c % n,
-                        d % n,
-                        u_bdx,
-                        u_bdy,
-                        (fx + s * ex, fy + s * ey),
+    # A ring that is not CCW and strictly convex can walk an index past the
+    # tripled lists before the event guard trips.
+    try:
+        while True:
+            steps += 1
+            if steps > guard:
+                raise SweepOverrun(f"more than {guard} sweep events for n={n}")
+            ndet += 1
+            if u_bdx * u_acy - u_bdy * u_acx >= 0.0:
+                # A support side goes edge-flush: enclosing-parallelogram
+                # candidate with the sliding diagonal endpoint mid-edge.
+                if ac_a:
+                    fx = xs[a]
+                    fy = ys[a]
+                    ex = xs[a + 1] - fx
+                    ey = ys[a + 1] - fy
+                    sx = xs[c]
+                    sy = ys[c]
+                else:
+                    fx = xs[c]
+                    fy = ys[c]
+                    ex = xs[c + 1] - fx
+                    ey = ys[c + 1] - fy
+                    sx = xs[a]
+                    sy = ys[a]
+                ndet += 3
+                den = ex * u_bdy - ey * u_bdx
+                if den != 0.0:
+                    num = (ex * (sy - fy) - ey * (sx - fx)) * (
+                        u_bdx * (ys[d] - ys[b]) - u_bdy * (xs[d] - xs[b])
                     )
-            else:
-                ndet += 1
-                if u_bdx * (sy - fy) - u_bdy * (sx - fx) == 0.0:
-                    # Chord lies along the sliding edge itself; the corner
-                    # sits at the edge's base vertex.
-                    cand = abs(
-                        (xs[c] - xs[a]) * (ys[d] - ys[b])
-                        - (ys[c] - ys[a]) * (xs[d] - xs[b])
-                    )
+                    cand = abs(num / den)
                     if cand < minarea:
                         minarea = cand
-                        min_state = (ac_a, a % n, b % n, c % n, d % n, u_bdx, u_bdy, (fx, fy))
-                # Otherwise the flush direction cannot meet the sliding edge:
-                # a stale event at a parallel-edge tie; skip the candidate.
-            if bd_b:
-                b += 1
+                        s = ((sx - fx) * u_bdy - (sy - fy) * u_bdx) / den
+                        min_state = (
+                            ac_a,
+                            a % n,
+                            b % n,
+                            c % n,
+                            d % n,
+                            u_bdx,
+                            u_bdy,
+                            (fx + s * ex, fy + s * ey),
+                        )
+                else:
+                    ndet += 1
+                    if u_bdx * (sy - fy) - u_bdy * (sx - fx) == 0.0:
+                        # Chord lies along the sliding edge itself; the corner
+                        # sits at the edge's base vertex.
+                        cand = abs(
+                            (xs[c] - xs[a]) * (ys[d] - ys[b])
+                            - (ys[c] - ys[a]) * (xs[d] - xs[b])
+                        )
+                        if cand < minarea:
+                            minarea = cand
+                            min_state = (ac_a, a % n, b % n, c % n, d % n, u_bdx, u_bdy, (fx, fy))
+                    # Otherwise the flush direction cannot meet the sliding edge:
+                    # a stale event at a parallel-edge tie; skip the candidate.
+                if bd_b:
+                    b += 1
+                else:
+                    d += 1
+                ndet += 1
+                ebx = xs[b + 1] - xs[b]
+                eby = ys[b + 1] - ys[b]
+                edx = xs[d + 1] - xs[d]
+                edy = ys[d + 1] - ys[d]
+                if ebx * edy - eby * edx <= 0.0:
+                    bd_b = True
+                    u_bdx, u_bdy = ebx, eby
+                else:
+                    bd_b = False
+                    u_bdx = xs[d] - xs[d + 1]
+                    u_bdy = ys[d] - ys[d + 1]
             else:
-                d += 1
-            ndet += 1
-            ebx = xs[b + 1] - xs[b]
-            eby = ys[b + 1] - ys[b]
-            edx = xs[d + 1] - xs[d]
-            edy = ys[d + 1] - ys[d]
-            if ebx * edy - eby * edx <= 0.0:
-                bd_b = True
-                u_bdx, u_bdy = ebx, eby
-            else:
-                bd_b = False
-                u_bdx = xs[d] - xs[d + 1]
-                u_bdy = ys[d] - ys[d + 1]
-        else:
-            # The sliding diagonal endpoint reaches a vertex: contained-
-            # quadrilateral candidate with all corners at vertices.
-            if ac_a:
-                a += 1
-            else:
-                c += 1
-            ndet += 1
-            ar = (xs[c] - xs[a]) * (ys[d] - ys[b]) - (ys[c] - ys[a]) * (xs[d] - xs[b])
-            if ar < 0.0:
-                ar = -ar
-            ar *= 0.5
-            if ar > maxarea:
-                maxarea = ar
-                max_state = (a % n, b % n, c % n, d % n)
-            ndet += 1
-            eax = xs[a + 1] - xs[a]
-            eay = ys[a + 1] - ys[a]
-            ecx = xs[c + 1] - xs[c]
-            ecy = ys[c + 1] - ys[c]
-            if eax * ecy - eay * ecx <= 0.0:
-                ac_a = True
-                u_acx = xs[c] - xs[a + 1]
-                u_acy = ys[c] - ys[a + 1]
-            else:
-                ac_a = False
-                u_acx = xs[c + 1] - xs[a]
-                u_acy = ys[c + 1] - ys[a]
-            if a % n == c0 % n and c % n == a0:
-                break
+                # The sliding diagonal endpoint reaches a vertex: contained-
+                # quadrilateral candidate with all corners at vertices.
+                if ac_a:
+                    a += 1
+                else:
+                    c += 1
+                ndet += 1
+                ar = (xs[c] - xs[a]) * (ys[d] - ys[b]) - (ys[c] - ys[a]) * (xs[d] - xs[b])
+                if ar < 0.0:
+                    ar = -ar
+                ar *= 0.5
+                if ar > maxarea:
+                    maxarea = ar
+                    max_state = (a % n, b % n, c % n, d % n)
+                ndet += 1
+                eax = xs[a + 1] - xs[a]
+                eay = ys[a + 1] - ys[a]
+                ecx = xs[c + 1] - xs[c]
+                ecy = ys[c + 1] - ys[c]
+                if eax * ecy - eay * ecx <= 0.0:
+                    ac_a = True
+                    u_acx = xs[c] - xs[a + 1]
+                    u_acy = ys[c] - ys[a + 1]
+                else:
+                    ac_a = False
+                    u_acx = xs[c + 1] - xs[a]
+                    u_acy = ys[c + 1] - ys[a]
+                if a % n == c0 % n and c % n == a0:
+                    break
+    except IndexError:
+        raise SweepOverrun(f"sweep ran past the vertex lists for n={n}; not a CCW convex ring?") from None
 
     if max_state is None or min_state is None:
         raise SweepOverrun("sweep finished without candidates; invalid polygon?")

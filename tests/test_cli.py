@@ -169,6 +169,16 @@ def test_gen_kinds(capsys):
         assert len(rows) == n
 
 
+def test_overflowing_ring_exits_2(capsys, tmp_path):
+    code, out, _ = run(capsys, "gen", "--kind", "lattice", "--n", "300", "--seed", "3")
+    rows = [line.split() for line in out.splitlines() if not line.startswith("#")]
+    p = tmp_path / "huge.txt"
+    p.write_text("".join(f"{float(x) * 1e150!r} {float(y) * 1e150!r}\n" for x, y in rows))
+    code, out, err = run(capsys, "both", "--input", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {p}: coordinates too large")
+
+
 def test_verify_clean_exit(capsys, triangle_file):
     code, out, _ = run(capsys, "verify", "--input", triangle_file)
     assert code == 0
@@ -220,6 +230,28 @@ def test_verify_skips_quad_oracle_over_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", str(p))
     assert code == 0
     assert "skip" in out and "quad-oracle" in out
+
+
+def test_repeated_main_calls_share_no_options(capsys, square_file, tmp_path):
+    # The parser is built once per process; no option of one call may
+    # reach the next.
+    assert cli._build_parser() is cli._build_parser()
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"max_quad": {"area": 0.9}}))
+    code, out, _ = run(capsys, "verify", "--input", square_file, "--expect", str(expect))
+    assert code == 1 and "expect-max-quad" in out
+    code, out, _ = run(capsys, "verify", "--input", square_file)
+    assert code == 0 and "expect" not in out
+    code, out, _ = run(capsys, "gen", "--kind", "lattice", "--n", "5", "--seed", "2", "--coord-range", "40")
+    assert out.startswith("# quadpara gen kind=lattice n=5 seed=2 coord-range=40 rotation=0\n")
+    code, out, _ = run(capsys, "gen")
+    assert out.startswith("# quadpara gen kind=random-hull n=12 seed=0 coord-range=1000 rotation=0\n")
+    assert run(capsys, "bench", "50", "--assert-linear", "--budget", "0.001")[0] == 1
+    assert run(capsys, "bench", "50")[0] == 0
+    code, out, _ = run(capsys, "anchored", "--input", square_file, "--dir", "0", "1")
+    assert json.loads(out)["anchor"] == [0.0, 1.0]
+    code, out, _ = run(capsys, "anchored", "--input", square_file, "--dir", "1", "0")
+    assert json.loads(out)["anchor"] == [1.0, 0.0]
 
 
 def test_bench_assert_linear(capsys):
@@ -277,6 +309,19 @@ REPORT_FILES = {
     "hull-400.txt": ["--kind", "random-hull", "--n", "400", "--seed", "7"],
     "parallel-12.txt": ["--kind", "parallel-edges", "--n", "12", "--seed", "5"],
     "regular-9.txt": ["--kind", "regular", "--n", "9"],
+    # `verify` runs both brute oracles on n = 4-40, only the parallelogram
+    # one on n = 52-200.
+    "lattice-4.txt": ["--kind", "lattice", "--n", "4", "--seed", "1"],
+    "lattice-23.txt": ["--kind", "lattice", "--n", "23", "--seed", "5"],
+    "lattice-40.txt": ["--kind", "lattice", "--n", "40", "--seed", "2"],
+    "parallel-24.txt": ["--kind", "parallel-edges", "--n", "24", "--seed", "3"],
+    "regular-7.txt": ["--kind", "regular", "--n", "7", "--rotation", "1"],
+    "regular-40.txt": ["--kind", "regular", "--n", "40", "--rotation", "3"],
+    "hull-2000.txt": ["--kind", "random-hull", "--n", "2000", "--seed", "3"],  # 23 vertices
+    "lattice-52.txt": ["--kind", "lattice", "--n", "52", "--seed", "4"],
+    "parallel-100.txt": ["--kind", "parallel-edges", "--n", "100", "--seed", "6"],
+    "regular-150.txt": ["--kind", "regular", "--n", "150", "--rotation", "1"],
+    "lattice-200.txt": ["--kind", "lattice", "--n", "200", "--seed", "9"],
 }
 
 # SHA-256 of the stdout of `quadpara both|quad|para --input FILE`, run in the
@@ -301,8 +346,25 @@ REPORT_GOLDEN = [
     ("regular-9.txt", "para", "a405e91cce9db39d44e4156f732e04c5cf3b4db5d6582b2b8535c9231d7f09ec"),
 ]
 
+# SHA-256 of the stdout of `quadpara verify --input FILE`.  Recorded while the
+# brute oracles were Python loops over vertex tuples with one `chord_through`
+# call per vertex: the oracle areas printed must stay bit-identical.
+VERIFY_GOLDEN = [
+    ("lattice-4.txt", "verify", "a8819ce027a1d5f5a1b1efc4d981210dab389f62ef6846c64ae789534f033732"),
+    ("lattice-23.txt", "verify", "e96e876e6741038b9e054fdabba5a508aa151fa75a88755609312247d9aae725"),
+    ("lattice-40.txt", "verify", "2f73229bba396f8966ec033de61779043338ab5bc5f14a650c90f7983d064341"),
+    ("parallel-24.txt", "verify", "d50f3726437df94a999b94b70cb5f180608c845cf7b80d262781064013e2b3b9"),
+    ("regular-7.txt", "verify", "b0d413e395989c2bdfa48684f872dca69dbf0469e6ad16dcc00faa7f3fdc96c2"),
+    ("regular-40.txt", "verify", "a24806018e0f37cebb82b151482f9f97ac8bb0136ea9102f5b8c71125a14ecf6"),
+    ("hull-2000.txt", "verify", "cd9440ddef8fda337d1caa9c8e9f6f41fbf342f105fca546b2bcfecddcbd658c"),
+    ("lattice-52.txt", "verify", "388e577f5505a2bf6d25bd52c52bd13057b5dd2f83b358110136357d8798596e"),
+    ("parallel-100.txt", "verify", "dda080db616203edb5f1b5ac050983be4aa9d821891fafd947f5d46b4776dd7b"),
+    ("regular-150.txt", "verify", "bcfb8a0c9f4f83caad4088a5ab7eec1b5f95551a66e078bcf2dfd4db0934e3e3"),
+    ("lattice-200.txt", "verify", "4341f3b029dbb60d2baccaf431e44260f748577aeba97baf7d4aa40eebea8cc3"),
+]
 
-@pytest.mark.parametrize("name,command,digest", REPORT_GOLDEN)
+
+@pytest.mark.parametrize("name,command,digest", REPORT_GOLDEN + VERIFY_GOLDEN)
 def test_report_cli_output_is_unchanged(tmp_path, monkeypatch, capsys, name, command, digest):
     monkeypatch.chdir(tmp_path)
     assert main(["gen", *REPORT_FILES[name]]) == 0

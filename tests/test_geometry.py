@@ -19,6 +19,7 @@ from quadpara import (
     contains_point,
     det,
     extreme_vertex,
+    lattice_ngon,
     line_intersection,
     polygon_area,
     quad_area,
@@ -26,6 +27,7 @@ from quadpara import (
     regular_ngon,
     width,
 )
+from quadpara.geometry import _chord_params
 
 coord = st.integers(min_value=-(2**20), max_value=2**20)
 vec = st.tuples(coord, coord)
@@ -141,6 +143,23 @@ def test_convex_polygon_rejections():
         ConvexPolygon([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)])
     P = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
     assert P.n == 3
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        lattice_ngon(300, 3).coords() * 1e150,  # cross products overflow to inf - inf
+        lattice_ngon(300, 3).coords()[::-1] * 1e150,
+        # An edge x-extent of inf: two cross products are +inf, the
+        # doubled area is finite.
+        np.array([(-1.5e308, 0.0), (1.5e308, 0.0), (0.0, 1e-300)]),
+    ],
+)
+def test_convex_polygon_rejects_overflowing_ring(ring):
+    # A typed error (exit 2 in the CLI), and no RuntimeWarning, which the
+    # test configuration turns into an error.
+    with pytest.raises(NonFinite):
+        ConvexPolygon(ring)
 
 
 def test_convex_polygon_idempotent(corpus):
@@ -344,6 +363,28 @@ def test_chord_through_endpoints_on_polygon_and_line(corpus):
         for e in (seg.a, seg.b):
             assert contains_point(P, e, tol)
             assert abs(det((e.x - q.x, e.y - q.y), u)) <= tol * math.hypot(*u)
+
+
+def test_chord_parameters_do_not_depend_on_the_batch():
+    # Half-turned lattice polygons have -0.0 coordinates and give chord
+    # parameters of -0.0 and +0.0 alike; numpy's max and min choose between
+    # them by memory layout, so a zero parameter is made +0.0.  The points
+    # just outside each vertex give lines that miss the polygon near the
+    # tangent vertices, whose bounds cross and collapse to their midpoint.
+    collapsed = 0
+    for n in (5, 12, 33):
+        P = ConvexPolygon(-lattice_ngon(n, n).coords())
+        xy = P.coords()
+        for x, y in (xy.T, (xy + 1e-9 * (xy - xy.mean(axis=0))).T):
+            for u in [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)] + [P.edge_vector(e) for e in range(P.n)]:
+                batch = _chord_params(P, x[:, None], y[:, None], *u)
+                for i in range(P.n):
+                    one = _chord_params(P, float(x[i]), float(y[i]), *u)
+                    assert [np.float64(t).tobytes() for t in one] == [t[i].tobytes() for t in batch]
+                for t in batch:
+                    assert not np.signbit(t[t == 0.0]).any()
+                collapsed += int(np.sum((batch[0] == batch[1]) & (batch[0] != 0.0)))
+    assert collapsed
 
 
 def test_line_intersection():

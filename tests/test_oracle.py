@@ -1,18 +1,169 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from quadpara import (
+    ConvexPolygon,
+    GeometryError,
     SplitMix64,
     brute_anchored_quad_area,
     brute_largest_quad,
     brute_smallest_para,
+    canonicalize,
+    chord_through,
     is_antipodal_brute,
+    lattice_ngon,
     longest_chord,
+    parallel_edge_polygon,
     polygon_area,
+    quad_area,
+    random_convex,
     regular_ngon,
     width,
 )
+from quadpara.oracle import OraclePara, OracleQuad
+
+
+# The scalar loops the numpy oracles replace: the reference they must match
+# to the bit, ties and all.
+
+
+def longest_chord_loop(P, u):
+    ux, uy = float(u[0]), float(u[1])
+    best = None
+    best_ext = -1.0
+    for q in P.coords().tolist():
+        seg = chord_through(P, q, (ux, uy))
+        ext = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
+        if ext > best_ext:
+            best_ext = ext
+            best = seg
+    assert best is not None
+    return best
+
+
+def brute_anchored_quad_area_loop(P, u):
+    return 0.5 * longest_chord_loop(P, u).length() * width(P, u)
+
+
+def brute_largest_quad_loop(P):
+    n = P.n
+    pts = P.coords().tolist()
+    if n == 3:
+        tuples = combinations_with_replacement(range(3), 4)
+    else:
+        tuples = combinations(range(n), 4)
+    best = None
+    best_area = -1.0
+    for idx in tuples:
+        i, j, k, l = idx
+        area = quad_area(pts[i], pts[j], pts[k], pts[l])
+        if area > best_area:
+            best_area = area
+            best = idx
+    assert best is not None
+    return OracleQuad(best, best_area)
+
+
+def brute_smallest_para_loop(P):
+    best_edge = -1
+    best_area = math.inf
+    for e in range(P.n):
+        u = P.edge_vector(e)
+        area = longest_chord_loop(P, u).length() * width(P, u)
+        if area < best_area:
+            best_area = area
+            best_edge = e
+    return OraclePara(best_edge, best_area)
+
+
+def assert_oracles_match_loops(P, directions, quad=True):
+    # repr tells -0.0 from 0.0 and a numpy scalar from a Python float.
+    for u in directions:
+        assert repr(longest_chord(P, u)) == repr(longest_chord_loop(P, u)), (P, u)
+        assert repr(brute_anchored_quad_area(P, u)) == repr(brute_anchored_quad_area_loop(P, u)), (P, u)
+    if quad:
+        assert repr(brute_largest_quad(P)) == repr(brute_largest_quad_loop(P)), P
+    assert repr(brute_smallest_para(P)) == repr(brute_smallest_para_loop(P)), P
+
+
+def rotated(P, turn, scale=1.0):
+    c, s = math.cos(turn) * scale, math.sin(turn) * scale
+    x, y = P.coords().T
+    return ConvexPolygon(canonicalize(np.column_stack((c * x - s * y, s * x + c * y))))
+
+
+def oracle_corpus():
+    """Tie-heavy lattice and parallel-edge polygons, triangles (the
+    multiset case), and float regular and rotated hulls, whose rounded
+    coordinates make near-ties."""
+    polys = [lattice_ngon(n, n) for n in (3, 4, 5, 6, 9, 16, 27, 40, 64)]
+    polys += [parallel_edge_polygon(m, m) for m in (2, 3, 5, 8, 13, 20)]
+    polys += [random_convex(3, s, 1000) for s in range(3)]
+    polys += [ConvexPolygon([(0.1, 0.2), (3.3, 0.7), (1.1, 2.9)]), ConvexPolygon([(0, 0), (2, 1), (1, 3)])]
+    polys += [regular_ngon(n, 1000.0, r) for n, r in ((5, 0), (7, 1), (12, 3), (24, 1), (40, 0))]
+    polys += [rotated(random_convex(60, s, 1000), 0.3 + s) for s in range(4)]
+    polys += [rotated(lattice_ngon(20, 2), 1.1, 0.01)]
+    return polys
+
+
+def oracle_directions(P):
+    return [(1, 0), (0, 1), (1, 1), (-3, 7), (12, -5), (0.1, 0.7), (1e-3, -2.5), (-123.25, 4.5)] + [
+        P.edge_vector(e) for e in range(0, P.n, max(1, P.n // 4))
+    ]
+
+
+@pytest.mark.parametrize("P", oracle_corpus(), ids=lambda P: f"n{P.n}")
+def test_oracles_match_scalar_loops_on_corpus(P):
+    assert_oracles_match_loops(P, oracle_directions(P), quad=P.n <= 40)
+
+
+@st.composite
+def oracle_polygons(draw):
+    kind = draw(st.sampled_from(["lattice", "parallel", "hull", "regular", "triangle"]))
+    n = draw(st.integers(3, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "lattice":
+        P = lattice_ngon(n, seed)
+    elif kind == "parallel":
+        P = parallel_edge_polygon(max(2, n // 2), seed)
+    elif kind == "hull":
+        P = random_convex(n, seed, draw(st.sampled_from([3, 10, 1000])))
+    elif kind == "regular":
+        P = regular_ngon(n, draw(st.sampled_from([1.0, 1000.0])), seed % 7)
+    else:
+        P = random_convex(3, seed, 6)
+    move = draw(st.sampled_from(["none", "negate", "rotate"]))
+    try:
+        if move == "negate":  # a half turn: zero coordinates become -0.0
+            P = ConvexPolygon(-P.coords())
+        elif move == "rotate":
+            P = rotated(P, draw(st.floats(0.0, 2.0 * math.pi)), draw(st.sampled_from([1e-3, 1.0, 7.3])))
+    except GeometryError:
+        assume(False)
+    e = np.abs(np.concatenate(P.edges()))
+    assume(((e == 0.0) | (e >= 1e-6)).all())  # edge vectors serve as directions
+    return P
+
+
+# Float components are zero or at least 1e-6 in size: a tiny direction
+# overflows t = -c / d, in the loop's numpy expression too, with a warning.
+COMPONENT = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+DIRECTION = st.one_of(
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+    st.tuples(COMPONENT, COMPONENT),
+).filter(lambda u: u != (0, 0))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_polygons(), st.lists(DIRECTION, min_size=1, max_size=4))
+def test_oracles_match_scalar_loops(P, directions):
+    edges = [P.edge_vector(e) for e in range(0, P.n, max(1, P.n // 3))]
+    assert_oracles_match_loops(P, directions + edges)
 
 
 def test_longest_chord(square, triangle, hexagon):

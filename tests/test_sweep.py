@@ -200,6 +200,28 @@ def test_overrun_raised_alike_on_both_paths():
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["clockwise-400", "clockwise-20", "reflex-at-1", "reflex-at-0"],
+)
+def test_ring_not_ccw_convex_raises_overrun(name):
+    # The loop used to walk its indices off the tripled coordinate lists on
+    # these rings and raise IndexError.
+    if name == "clockwise-400":
+        xy = lattice_ngon(400, 3).coords()[::-1]
+    elif name == "clockwise-20":
+        xy = regular_ngon(20, 10.0).coords()[::-1]
+    else:
+        xy = regular_ngon(20, 10.0).coords().copy()
+        k = int(name[-1])
+        xy[k] *= 0.5 if k else 0.8  # pulled inward: a reflex vertex
+    xy = np.ascontiguousarray(xy)
+    with pytest.raises(SweepOverrun):
+        _scalar_sweep(xy)
+    with pytest.raises(SweepOverrun):
+        _combined_sweep(xy)
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e300])
 def test_overflow_and_underflow_handled_like_the_loop(scale):
     # The loop's Python floats overflow to inf, make NaN of inf - inf and
