@@ -139,7 +139,7 @@ def load_polygon(path: str) -> ConvexPolygon:
     """Read a polygon file (text 'x y' lines, or JSON for .json paths),
     fix orientation, drop duplicate/collinear vertices, and validate."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     try:
@@ -291,7 +291,7 @@ def cmd_verify(args) -> int:
 
     if args.expect:
         try:
-            expected = json.loads(Path(args.expect).read_text(encoding="utf-8"))
+            expected = json.loads(Path(args.expect).read_text(encoding="utf-8-sig"))
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"{args.expect}: {exc}") from None
         if not isinstance(expected, dict):

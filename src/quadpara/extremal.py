@@ -42,6 +42,7 @@ from .geometry import (
     Point,
     Segment,
     SweepOverrun,
+    _neg_margins,
     _next,
     _vec,
     chord_through,
@@ -202,7 +203,7 @@ def _chord_bounds(P: ConvexPolygon, d: np.ndarray, s: np.ndarray, lower: bool) -
 
     The edges of one sign form a cyclic chain along which the offset s falls
     (d > 0) or rises (d < 0), so one binary search per vertex finds the
-    crossed edge.  Each t uses chord_through's expression; as the bound is
+    crossed edge.  Each t uses chord_through's margins; as the bound is
     taken over a subset of the edges, it is never tighter than the true one.
     """
     chain = np.flatnonzero(d > 0.0 if lower else d < 0.0)
@@ -220,7 +221,8 @@ def _chord_bounds(P: ConvexPolygon, d: np.ndarray, s: np.ndarray, lower: bool) -
     bound = None
     for offset in (-1, 0, 1):
         k = chain[np.clip(hit + offset, 0, chain.size - 1)]
-        t = -(ex[k] * (vy - vy[k]) - ey[k] * (vx - vx[k])) / d[k]
+        t = _neg_margins(vx, vy, vx[k], vy[k], ex[k], ey[k])
+        t /= d[k]
         bound = t if bound is None else tighter(bound, t)
     return bound
 

@@ -333,36 +333,47 @@ def chord_through(P: ConvexPolygon, q, u) -> Segment:
     ux, uy = _vec(u)
     if ux == 0.0 and uy == 0.0:
         raise Degenerate("zero vector is not a direction")
-    t0, t1 = _chord_params(P, qx, qy, ux, uy)
+    xy = P.coords()
+    ex, ey = P.edges()
+    t0, t1 = _chord_params(_neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey), ex, ey, ux, uy)
     t0, t1 = float(t0), float(t1)
     return Segment(Point(qx + t0 * ux, qy + t0 * uy), Point(qx + t1 * ux, qy + t1 * uy))
 
 
-def _chord_params(P: ConvexPolygon, qx, qy, ux: float, uy: float):
-    """The parameters (t0, t1) of `chord_through`'s segments along the
-    nonzero direction (ux, uy), through the point (qx, qy) given as floats,
-    or through m points given as (m, 1) columns: two numpy scalars or two
-    (m,) arrays.  Each point's row is computed with the same float
-    expressions whatever the number of points, so `oracle.longest_chord`,
-    which passes every vertex at once, measures the chords `chord_through`
-    returns, to the bit.
+def _neg_margins(qx, qy, vx, vy, ex, ey):
+    """-c for c = ex * (qy - vy) - ey * (qx - vx): the inside margin of the
+    point (qx, qy) for the edge from (vx, vy) along (ex, ey), scaled by the
+    edge length.  The arguments broadcast; the result is a fresh array.
+
+    `chord_through`, `oracle.longest_chord`, `oracle.brute_smallest_para`
+    and `extremal._chord_bounds` all take their margins from here, so their
+    chord parameters agree to the bit.
     """
-    xy = P.coords()
-    vx, vy = xy[:, 0], xy[:, 1]
-    ex, ey = P.edges()
-    # c = ex * (qy - vy) - ey * (qx - vx), the inside margin of q for each
-    # edge, then t = -c / d, computed in place to keep two arrays live.
     c = qy - vy
     c *= ex
     c2 = qx - vx
     c2 *= ey
     c -= c2
+    return np.negative(c, out=c)
+
+
+def _chord_params(neg_c, ex, ey, ux, uy):
+    """The parameters (t0, t1) of `chord_through`'s segments along the
+    nonzero direction (ux, uy), from `_neg_margins` of the points against
+    every edge (ex, ey) along the last axis.
+
+    The direction may be a pair of floats, or of (b, 1, 1) columns against
+    margins of shape (m, n), giving (b, m) parameters.  Each chord's
+    parameters come from the same float expressions whatever the shapes, so
+    the oracles, which measure many chords at once, measure the chords
+    `chord_through` returns, to the bit.
+    """
     d = ex * uy - ey * ux
-    t = np.divide(np.negative(c, out=c), np.where(d == 0.0, 1.0, d), out=c)
+    t = neg_c / np.where(d == 0.0, 1.0, d)
     # Adding 0.0 turns a zero of either sign into +0.0: numpy's max and min
     # pick between -0.0 and +0.0 by memory layout, not by value.
-    t0 = np.where(d > 0.0, t, -math.inf).max(axis=-1) + 0.0
-    t1 = np.where(d < 0.0, t, math.inf).min(axis=-1) + 0.0
+    t0 = np.maximum.reduce(t, axis=-1, where=d > 0.0, initial=-math.inf) + 0.0
+    t1 = np.minimum.reduce(t, axis=-1, where=d < 0.0, initial=math.inf) + 0.0
     if not np.isfinite((t0, t1)).all():
         raise Degenerate("line does not leave the polygon; invalid polygon?")
     tangent = t0 > t1

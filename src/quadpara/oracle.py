@@ -7,11 +7,11 @@ edge directions (a smallest enclosing parallelogram has an edge-flush side).
 Complexity budgets are enforced by callers, not here.
 
 The enumerations are those of plain Python loops over the chords and the
-tuples, run as numpy passes over blocks: of vertices for the chords, and of
-vertex 4-tuples sharing their second corner for the quadrilaterals.  Every
-candidate is evaluated with the loops' float expressions and the loops'
-winner is kept on ties, so results are bit-identical to the loops, which
-the tests keep as the reference.
+tuples, run as numpy passes over blocks: of directions and vertices for the
+chords, and of vertex 4-tuples sharing their second corner for the
+quadrilaterals.  Every candidate is evaluated with the loops' float
+expressions and the loops' winner is kept on ties, so results are
+bit-identical to the loops, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .geometry import (
     Point,
     Segment,
     _chord_params,
+    _neg_margins,
     _vec,
     det,
     width,
@@ -45,9 +46,46 @@ class OraclePara:
     area: float
 
 
-# Vertex chords are measured in equal blocks of at most this many (vertex,
-# edge) pairs, which bounds the temporaries to a few hundred KiB at any n.
+# Vertex chords are measured in blocks whose (direction, vertex, edge)
+# triples, or (direction, vertex) pairs, number at most this many, which
+# bounds the temporaries to a few hundred KiB at any n.
 _CHORD_BLOCK = 1 << 14
+
+
+def _longest_vertex_chords(P: ConvexPolygon, ux: np.ndarray, uy: np.ndarray, margins):
+    """For each direction (ux[j], uy[j]), given as (b, 1) columns, the
+    endpoints ax, ay, bx, by of the first longest `chord_through` a vertex
+    of P, as four (b,) arrays.
+
+    `margins(s, e)` gives `_neg_margins` of vertices s..e-1 against every
+    edge.  The chord parameters are computed in blocks of directions, or of
+    one direction and equal blocks of vertices once a direction's n^2
+    (vertex, edge) pairs exceed _CHORD_BLOCK; the endpoints and extents of
+    all b * n chords at once.
+    """
+    xy = P.coords()
+    vx, vy = xy[:, 0], xy[:, 1]
+    ex, ey = P.edges()
+    b, n = len(ux), P.n
+    per = max(1, _CHORD_BLOCK // (n * n))
+    rows = math.ceil(n / math.ceil(n * n / _CHORD_BLOCK))
+    t0, t1 = np.empty((b, n)), np.empty((b, n))
+    for j in range(0, b, per):
+        cx, cy = ux[j : j + per, :, None], uy[j : j + per, :, None]
+        for s in range(0, n, rows):
+            t0[j : j + per, s : s + rows], t1[j : j + per, s : s + rows] = _chord_params(
+                margins(s, s + rows), ex, ey, cx, cy
+            )
+    # chord_through's endpoints and the extents; overflow gives inf without
+    # a warning, as in Python float arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ax, ay, bx, by = vx + t0 * ux, vy + t0 * uy, vx + t1 * ux, vy + t1 * uy
+        ext = (bx - ax) * ux + (by - ay) * uy  # t-extent * |u|^2
+    np.fmax(ext, -1.0, out=ext)  # NaN never wins
+    j = np.arange(b)
+    i = np.argmax(ext, axis=1)  # the first of the longest
+    assert (ext[j, i] > -1.0).all()
+    return ax[j, i], ay[j, i], bx[j, i], by[j, i]
 
 
 def longest_chord(P: ConvexPolygon, u) -> Segment:
@@ -63,24 +101,13 @@ def longest_chord(P: ConvexPolygon, u) -> Segment:
     if ux == 0.0 and uy == 0.0:
         raise Degenerate("zero vector is not a direction")
     xy = P.coords()
-    rows = math.ceil(P.n / math.ceil(P.n * P.n / _CHORD_BLOCK))
-    best: Segment | None = None
-    best_ext = -1.0
-    for s in range(0, P.n, rows):
-        qx, qy = xy[s : s + rows, 0], xy[s : s + rows, 1]
-        t0, t1 = _chord_params(P, qx[:, None], qy[:, None], ux, uy)
-        # chord_through's endpoints and the extents; overflow gives inf
-        # without a warning, as in Python float arithmetic.
-        with np.errstate(over="ignore", invalid="ignore"):
-            ax, ay, bx, by = qx + t0 * ux, qy + t0 * uy, qx + t1 * ux, qy + t1 * uy
-            ext = (bx - ax) * ux + (by - ay) * uy  # t-extent * |u|^2
-        np.fmax(ext, -1.0, out=ext)  # NaN never wins
-        i = int(np.argmax(ext))  # the first of the block's longest
-        if ext[i] > best_ext:
-            best_ext = ext[i]
-            best = Segment(Point(float(ax[i]), float(ay[i])), Point(float(bx[i]), float(by[i])))
-    assert best is not None
-    return best
+    vx, vy = xy[:, 0], xy[:, 1]
+    ex, ey = P.edges()
+    ends = _longest_vertex_chords(
+        P, np.array([[ux]]), np.array([[uy]]), lambda a, b: _neg_margins(vx[a:b, None], vy[a:b, None], vx, vy, ex, ey)
+    )
+    ax, ay, bx, by = (float(v[0]) for v in ends)
+    return Segment(Point(ax, ay), Point(bx, by))
 
 
 def brute_anchored_quad_area(P: ConvexPolygon, u) -> float:
@@ -139,15 +166,36 @@ def brute_smallest_para(P: ConvexPolygon) -> OraclePara:
     A smallest enclosing parallelogram can be chosen with one side pair
     flush against an edge, so scanning the n edge directions suffices.
     Ties keep the smallest edge index.
+
+    For every edge direction the chord through every vertex is measured,
+    as `longest_chord` measures it: O(n^3) work.  The margins of every
+    vertex against every edge do not depend on the direction, so they are
+    computed once, as an n x n array.  The directions are then taken in
+    blocks of _CHORD_BLOCK // 8n (see `_longest_vertex_chords`).  Each chord
+    length and width is the Python float that `Segment.length` and `width`
+    compute for that direction.
     """
+    n = P.n
+    xy = P.coords()
+    vx, vy = xy[:, 0], xy[:, 1]
+    ex, ey = P.edges()
+    exs, eys = ex.tolist(), ey.tolist()
+    neg_c = _neg_margins(vx[:, None], vy[:, None], vx, vy, ex, ey)  # vertex i, edge k
+    # About eight (directions, n) arrays are live at once in
+    # `_longest_vertex_chords`: together they stay within one block.
+    dirs = max(1, _CHORD_BLOCK // (8 * n))
     best_edge = -1
     best_area = math.inf
-    for e in range(P.n):
-        u = P.edge_vector(e)
-        area = longest_chord(P, u).length() * width(P, u)
-        if area < best_area:
-            best_area = area
-            best_edge = e
+    for s in range(0, n, dirs):
+        ux, uy = ex[s : s + dirs, None], ey[s : s + dirs, None]
+        ax, ay, bx, by = _longest_vertex_chords(P, ux, uy, lambda a, b: neg_c[a:b])
+        proj = vx * -uy + vy * ux  # width's expression
+        spread = proj.max(axis=1) - proj.min(axis=1)
+        for e, lx, ly, w in zip(range(s, n), (bx - ax).tolist(), (by - ay).tolist(), spread.tolist()):
+            area = math.hypot(lx, ly) * (w / math.hypot(exs[e], eys[e]))
+            if area < best_area:
+                best_area = area
+                best_edge = e
     return OraclePara(best_edge, best_area)
 
 

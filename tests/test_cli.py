@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,30 @@ def test_json_input(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["max_quad"]["area"] == pytest.approx(math.sqrt(3), rel=1e-12)
     assert doc["min_para"]["area"] == pytest.approx(2 * math.sqrt(3), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name,content",
+    [("square.txt", SQUARE), ("square.json", json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))],
+    ids=["text", "json"],
+)
+def test_polygon_file_with_byte_order_mark(capsys, tmp_path, monkeypatch, name, content):
+    # Editors on Windows save UTF-8 with a byte-order mark; it is skipped.
+    # The report names the input: give both files one relative path.
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_bytes(content.encode())
+    code, want, _ = run(capsys, "both", "--input", name)
+    assert code == 0
+    Path(name).write_bytes(b"\xef\xbb\xbf" + content.encode())
+    assert run(capsys, "both", "--input", name)[:2] == (0, want)
+
+
+def test_verify_expect_report_with_byte_order_mark(capsys, square_file, tmp_path):
+    p = tmp_path / "expect.json"
+    p.write_bytes(b"\xef\xbb\xbf" + json.dumps({"max_quad": {"area": 1.0}, "min_para": {"area": 1.0}}).encode())
+    code, out, _ = run(capsys, "verify", "--input", square_file, "--expect", str(p))
+    assert code == 0
+    assert "expect-max-quad" in out and "expect-min-para" in out
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from quadpara import (
     regular_ngon,
     width,
 )
-from quadpara.geometry import _chord_params
+from quadpara.geometry import _chord_params, _neg_margins
 
 coord = st.integers(min_value=-(2**20), max_value=2**20)
 vec = st.tuples(coord, coord)
@@ -365,25 +365,38 @@ def test_chord_through_endpoints_on_polygon_and_line(corpus):
             assert abs(det((e.x - q.x, e.y - q.y), u)) <= tol * math.hypot(*u)
 
 
+def chord_params(P, qx, qy, ux, uy):
+    xy = P.coords()
+    ex, ey = P.edges()
+    return _chord_params(_neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey), ex, ey, ux, uy)
+
+
 def test_chord_parameters_do_not_depend_on_the_batch():
     # Half-turned lattice polygons have -0.0 coordinates and give chord
     # parameters of -0.0 and +0.0 alike; numpy's max and min choose between
     # them by memory layout, so a zero parameter is made +0.0.  The points
     # just outside each vertex give lines that miss the polygon near the
     # tangent vertices, whose bounds cross and collapse to their midpoint.
+    # The edge directions are also taken all at once, as (n, 1, 1) columns,
+    # as `oracle.brute_smallest_para` takes them.
     collapsed = 0
     for n in (5, 12, 33):
         P = ConvexPolygon(-lattice_ngon(n, n).coords())
         xy = P.coords()
+        ex, ey = P.edges()
         for x, y in (xy.T, (xy + 1e-9 * (xy - xy.mean(axis=0))).T):
+            edges = chord_params(P, x[:, None], y[:, None], ex[:, None, None], ey[:, None, None])
             for u in [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)] + [P.edge_vector(e) for e in range(P.n)]:
-                batch = _chord_params(P, x[:, None], y[:, None], *u)
+                batch = chord_params(P, x[:, None], y[:, None], *u)
                 for i in range(P.n):
-                    one = _chord_params(P, float(x[i]), float(y[i]), *u)
+                    one = chord_params(P, float(x[i]), float(y[i]), *u)
                     assert [np.float64(t).tobytes() for t in one] == [t[i].tobytes() for t in batch]
                 for t in batch:
                     assert not np.signbit(t[t == 0.0]).any()
                 collapsed += int(np.sum((batch[0] == batch[1]) & (batch[0] != 0.0)))
+            for e in range(P.n):
+                batch = chord_params(P, x[:, None], y[:, None], *P.edge_vector(e))
+                assert [t[e].tobytes() for t in edges] == [t.tobytes() for t in batch]
     assert collapsed
 
 

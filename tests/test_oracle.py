@@ -25,6 +25,7 @@ from quadpara import (
     regular_ngon,
     width,
 )
+from quadpara import oracle
 from quadpara.oracle import OraclePara, OracleQuad
 
 
@@ -108,6 +109,9 @@ def oracle_corpus():
     polys += [regular_ngon(n, 1000.0, r) for n, r in ((5, 0), (7, 1), (12, 3), (24, 1), (40, 0))]
     polys += [rotated(random_convex(60, s, 1000), 0.3 + s) for s in range(4)]
     polys += [rotated(lattice_ngon(20, 2), 1.1, 0.01)]
+    # 131^2 (vertex, edge) pairs exceed oracle._CHORD_BLOCK: each direction
+    # is measured in two blocks of vertices.
+    polys += [lattice_ngon(131, 131)]
     return polys
 
 
@@ -120,6 +124,41 @@ def oracle_directions(P):
 @pytest.mark.parametrize("P", oracle_corpus(), ids=lambda P: f"n{P.n}")
 def test_oracles_match_scalar_loops_on_corpus(P):
     assert_oracles_match_loops(P, oracle_directions(P), quad=P.n <= 40)
+
+
+# Values of oracle._CHORD_BLOCK for a ring of n vertices.  brute_smallest_para
+# takes _CHORD_BLOCK // 8n directions at a time, and computes their chord
+# parameters for _CHORD_BLOCK // n^2 directions, or for one direction and
+# vertex blocks of about _CHORD_BLOCK / n, at a time.
+BLOCKINGS = {
+    "one-vertex": lambda n: 1,
+    "7-vertices": lambda n: 7 * n,
+    "7-directions": lambda n: 8 * 7 * n,
+    "one-direction-of-params": lambda n: n * n,
+    "7-directions-of-params": lambda n: 7 * n * n,
+    "whole-ring": lambda n: 8 * n**3,
+}
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        lattice_ngon(131, 3),
+        parallel_edge_polygon(10, 4),
+        rotated(random_convex(24, 5, 1000), 0.7),
+        regular_ngon(9, 1000.0, 2),
+        ConvexPolygon([(0, 0), (2, 1), (1, 3)]),
+    ],
+    ids=lambda P: f"n{P.n}",
+)
+def test_para_oracle_does_not_depend_on_its_blocks(monkeypatch, P):
+    want = repr(brute_smallest_para_loop(P))
+    u = P.edge_vector(1)
+    chord = repr(longest_chord_loop(P, u))
+    for name, blocking in BLOCKINGS.items():
+        monkeypatch.setattr(oracle, "_CHORD_BLOCK", blocking(P.n))
+        assert repr(brute_smallest_para(P)) == want, name
+        assert repr(longest_chord(P, u)) == chord, name
 
 
 @st.composite
