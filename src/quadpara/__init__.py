@@ -26,16 +26,6 @@ from .geometry import (
     quad_area,
     width,
 )
-from .calipers import (
-    AntipodalPair,
-    DiagonalInterval,
-    SupportInterval,
-    VerticalExtremes,
-    antipodal_vertex_pairs,
-    diagonal_intervals,
-    support_intervals,
-    vertical_extremes,
-)
 from .extremal import (
     CertificateChecks,
     ConjugateCertificate,

@@ -360,7 +360,7 @@ def cmd_bench(args) -> int:
     return 1 if failed else 0
 
 
-def _svg_polygon(points, scale: float, style: str) -> str:
+def _svg_polygon(points, style: str) -> str:
     coords = " ".join(f"{x!r},{-y!r}" for x, y in points)
     return f'  <polygon points="{coords}" {style}/>\n'
 
@@ -405,21 +405,18 @@ def render_svg(P: ConvexPolygon, rep: ExtremesReport) -> str:
     out.append(
         _svg_polygon(
             P.coords().tolist(),
-            stroke,
             f'fill="#d7e8f4" stroke="#35607c" stroke-width="{stroke!r}"',
         )
     )
     out.append(
         _svg_polygon(
             rep.max_quad.corners,
-            stroke,
             f'fill="none" stroke="#b03a2e" stroke-width="{stroke!r}"',
         )
     )
     out.append(
         _svg_polygon(
             rep.min_para.corners,
-            stroke,
             f'fill="none" stroke="#1e1e1e" stroke-width="{stroke!r}" '
             f'stroke-dasharray="{dash!r} {dash!r}"',
         )
@@ -448,6 +445,19 @@ def cmd_svg(args) -> int:
     return 0
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for `--tol` and `--budget`: a finite number >= 0.  An
+    infinite tolerance would pass every certificate residual, a NaN budget
+    every predicate count."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
+
+
 @functools.cache  # built once per process: each parse starts from a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -461,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("--input", required=True, help="polygon file ('x y' lines, or JSON for .json)")
-        p.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance, relative to coordinate scale (default 1e-9)")
+        p.add_argument("--tol", type=_nonnegative_float, default=1e-9, help="certificate tolerance, relative to coordinate scale (default 1e-9)")
 
     p = sub.add_parser("quad", help="largest contained quadrilateral")
     add_input(p)
@@ -497,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sizes", nargs="+", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--assert-linear", action="store_true", dest="assert_linear")
-    p.add_argument("--budget", type=float, default=64.0, help="max predicates per vertex (default 64)")
+    p.add_argument("--budget", type=_nonnegative_float, default=64.0, help="max predicates per vertex (default 64)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("svg", help="draw polygon, quadrilateral, and parallelogram")

@@ -8,10 +8,11 @@ Three routes to the same two numbers:
   diagonal is parallel to the direction to which the parallelogram's sides
   are anchored, with each corner on the corresponding side; the sandwich
   F inside P inside G proves joint optimality, and area(G) = 2 area(F)).
-* `largest_quadrilateral` is the specialized antipodal-pair walk for the
-  quadrilateral alone.
-* `smallest_parallelogram` is the specialized edge-flush scan for the
-  parallelogram alone, sweeping a full turn with one flush side.
+* `largest_quadrilateral`, the vertex walk over the antipodal pairs, and
+  `smallest_parallelogram`, the edge-flush scan over a full turn with one
+  flush side, are independent cross-check routes: `quadpara verify`
+  compares the sweep's two areas against them.  Each computes one figure
+  alone, without a certificate.
 
 Largest-quadrilateral candidates are evaluated only when a diagonal
 endpoint sits at a vertex; smallest-parallelogram candidates only when a
@@ -32,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 
-from .calipers import vertical_extremes
 from .geometry import (
     ConvexPolygon,
     Degenerate,
@@ -415,6 +415,14 @@ def combined_extremes(P: ConvexPolygon, tol: float = 1e-9) -> ExtremesReport:
     return ExtremesReport(max_quad, min_para, quad_cert, para_cert, ndet)
 
 
+def _vertical_extremes(P: ConvexPolygon) -> tuple[int, int]:
+    """Lowest-leftmost and highest-rightmost vertex indices."""
+    x, y = P.coords().T
+    low = np.flatnonzero(y == y.min())
+    high = np.flatnonzero(y == y.max())
+    return int(low[np.argmin(x[low])]), int(high[np.argmax(x[high])])
+
+
 def largest_quadrilateral(P: ConvexPolygon) -> QuadResult:
     """Largest contained quadrilateral via the antipodal-pair walk alone.
 
@@ -425,7 +433,7 @@ def largest_quadrilateral(P: ConvexPolygon) -> QuadResult:
     n = P.n
     xs, ys = P.coords().T.tolist()
     exs, eys = (e.tolist() for e in P.edges())
-    a0, c0 = vertical_extremes(P)
+    a0, c0 = _vertical_extremes(P)
     a, c = a0, c0
     b, d = a, c
     maxarea = -1.0

@@ -79,13 +79,6 @@ class Direction:
             return NotImplemented
         return self.dx * other.dy - self.dy * other.dx == 0.0
 
-    def __neg__(self) -> "Direction":
-        return Direction(-self.dx, -self.dy)
-
-    def perp(self) -> "Direction":
-        """Rotate a quarter turn counterclockwise."""
-        return Direction(-self.dy, self.dx)
-
     def canonical(self) -> "Direction":
         """The representative with dy > 0, or dy == 0 and dx > 0."""
         if self.dy < 0.0 or (self.dy == 0.0 and self.dx < 0.0):

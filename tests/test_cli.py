@@ -289,6 +289,23 @@ def test_bench_assert_linear(capsys):
     assert code == 1
 
 
+def test_tol_and_budget_reject_nonfinite_and_negative(capsys, square_file):
+    # An infinite tolerance makes every certificate residual check vacuous,
+    # so a wrong answer would print `ok`; a NaN budget never trips
+    # --assert-linear.  Both are usage errors.
+    for value in ("inf", "-inf", "nan", "1e400", "-1", "-0.5"):
+        for argv in (
+            ["verify", "--input", square_file, f"--tol={value}"],
+            ["bench", "40", "--assert-linear", f"--budget={value}"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "not a finite number >= 0" in capsys.readouterr().err
+    assert run(capsys, "verify", "--input", square_file, "--tol=1e-6")[0] == 0
+    assert run(capsys, "bench", "40", "--assert-linear", "--budget=0")[0] == 1
+
+
 def test_svg_structure_and_determinism(capsys, tmp_path, square_file):
     out_path = tmp_path / "fig.svg"
     code, _, _ = run(capsys, "svg", "--input", square_file, "--out", str(out_path))
@@ -389,7 +406,18 @@ VERIFY_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("name,command,digest", REPORT_GOLDEN + VERIFY_GOLDEN)
+# SHA-256 of the stdout of `quadpara svg --input FILE`.  Recorded while
+# `calipers.py` still held the vertex walk's start and the interval walks:
+# the figures must stay byte-identical.  `quadpara anchored` stdout is pinned
+# by ANCHORED_GOLDEN in test_extremal.py.
+SVG_GOLDEN = [
+    ("lattice-64.txt", "svg", "0aeebc7a50f591854ccce21dafd067981df93f881131045b29151fa9aec0217f"),
+    ("hull-400.txt", "svg", "79c6c0faaedf1fcb0b8771f689826431121f70c89fd60f117b7ecd02e5ba4154"),
+    ("parallel-12.txt", "svg", "8be01d025a905b9b4e29d698b27ccb144a455b7c11e04eb3eb472972e26f926c"),
+]
+
+
+@pytest.mark.parametrize("name,command,digest", REPORT_GOLDEN + VERIFY_GOLDEN + SVG_GOLDEN)
 def test_report_cli_output_is_unchanged(tmp_path, monkeypatch, capsys, name, command, digest):
     monkeypatch.chdir(tmp_path)
     assert main(["gen", *REPORT_FILES[name]]) == 0

@@ -17,6 +17,7 @@ from quadpara import (
     brute_smallest_para,
     combined_extremes,
     contains_point,
+    is_antipodal_brute,
     largest_quadrilateral,
     lattice_ngon,
     longest_chord,
@@ -28,7 +29,7 @@ from quadpara import (
     verify_conjugate_pair,
 )
 from quadpara.cli import main
-from quadpara.extremal import _locate_on_boundary
+from quadpara.extremal import _locate_on_boundary, _vertical_extremes
 
 REL = 1e-12
 
@@ -379,3 +380,44 @@ def test_anchored_cli_output_is_unchanged(tmp_path, monkeypatch, capsys, name, d
     monkeypatch.chdir(tmp_path)
     out = _anchored_stdout(capsys, name, direction)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_vertical_extremes(square, triangle):
+    assert _vertical_extremes(square) == (0, 2)
+    a0, c0 = _vertical_extremes(triangle)
+    assert triangle[a0] == (0, 0) and triangle[c0] == (0, 1)
+    hexa = ConvexPolygon([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)])
+    a0, c0 = _vertical_extremes(hexa)
+    assert hexa[a0] == (0, 0)  # leftmost of the bottom-edge tie
+    assert hexa[c0] == (2, 2)  # rightmost of the top-edge tie
+
+
+def test_sweep_square(square):
+    rep = combined_extremes(square)
+    assert rep.max_quad.area == 1.0 and rep.min_para.area == 1.0
+    # The event loop's determinant count on the unit square; a change to the
+    # loop's event rule shows here first.
+    assert rep.predicate_count == 39
+
+
+def test_sweep_pairs_antipodal(corpus):
+    for P in corpus[:12]:
+        rep = combined_extremes(P)
+        a, _, c, _ = rep.max_quad.vertex_indices
+        assert is_antipodal_brute(P, a, c)
+        a, _, c, _ = rep.min_para.touch_indices
+        assert is_antipodal_brute(P, a, c)
+
+
+def test_sweep_relabeling_same_result():
+    P = random_convex(24, 808, 500)
+    assert P.n >= 8
+
+    def sweep_areas(Q):
+        rep = combined_extremes(Q)
+        return rep.max_quad.area, rep.min_para.area
+
+    base = sweep_areas(P)
+    for k in (1, 3, P.n - 2):
+        rolled = ConvexPolygon(P.vertices[k:] + P.vertices[:k])
+        assert sweep_areas(rolled) == base
