@@ -211,7 +211,7 @@ def _emit(doc: dict) -> None:
 def _run_extremes(args, keys: tuple[str, ...]) -> int:
     P = load_polygon(args.input)
     t0 = time.perf_counter()
-    rep = combined_extremes(P, tol=args.tol)
+    rep = combined_extremes(P)
     elapsed = (time.perf_counter() - t0) * 1000.0
     doc = _report_dict(args.input, P, rep)
     doc = {k: v for k, v in doc.items() if k in keys}
@@ -239,7 +239,7 @@ def cmd_anchored(args) -> int:
     P = load_polygon(args.input)
     u = Direction(args.dir[0], args.dir[1]).canonical()
     quad, para = anchored_conjugate_pair(P, u)
-    cert = verify_conjugate_pair(quad, para, u, P, tol=args.tol)
+    cert = verify_conjugate_pair(quad, para, u, P)
     _emit(
         {
             "input": args.input,
@@ -255,7 +255,7 @@ def cmd_anchored(args) -> int:
 
 def cmd_verify(args) -> int:
     P = load_polygon(args.input)
-    rep = combined_extremes(P, tol=args.tol)
+    rep = combined_extremes(P)
     rows: list[tuple[str, str, str]] = []
 
     def check(name: str, ok: bool, note: str = "") -> None:
@@ -433,7 +433,7 @@ def render_svg(P: ConvexPolygon, rep: ExtremesReport) -> str:
 
 def cmd_svg(args) -> int:
     P = load_polygon(args.input)
-    rep = combined_extremes(P, tol=args.tol)
+    rep = combined_extremes(P)
     svg = render_svg(P, rep)
     if args.out:
         try:
@@ -446,9 +446,8 @@ def cmd_svg(args) -> int:
 
 
 def _nonnegative_float(text: str) -> float:
-    """argparse type for `--tol` and `--budget`: a finite number >= 0.  An
-    infinite tolerance would pass every certificate residual, a NaN budget
-    every predicate count."""
+    """argparse type for `--budget`: a finite number >= 0.  A NaN or
+    infinite budget would pass every predicate count."""
     try:
         value = float(text)
     except ValueError:
@@ -471,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("--input", required=True, help="polygon file ('x y' lines, or JSON for .json)")
-        p.add_argument("--tol", type=_nonnegative_float, default=1e-9, help="certificate tolerance, relative to coordinate scale (default 1e-9)")
 
     p = sub.add_parser("quad", help="largest contained quadrilateral")
     add_input(p)

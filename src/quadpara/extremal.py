@@ -53,6 +53,14 @@ from .geometry import (
 )
 from .sweep import _combined_sweep
 
+CERT_TOL = 1e-9
+"""Relative residual tolerance of every conjugate-pair certificate."""
+
+
+def _cert_dist_tol(P: ConvexPolygon) -> float:
+    """The certificates' distance tolerance: CERT_TOL * (max|coord| + 1)."""
+    return CERT_TOL * (P.scale + 1.0)
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -179,21 +187,20 @@ def _side_direction(P: ConvexPolygon, a_pt, c_pt, loc_a, loc_c, u, eps_dist: flo
     return candidates[0]
 
 
-def _para_from_lines(
-    a_line: Line,
-    b_line: Line,
-    c_line: Line,
-    d_line: Line,
-    touch: tuple[int, int, int, int],
-    area: Optional[float] = None,
+def _parallelogram(
+    a, b, c, d, u: Direction, v: Direction, touch: tuple[int, int, int, int], area: Optional[float] = None
 ) -> ParaResult:
+    """The parallelogram whose sides through a and c are parallel to v and
+    whose sides through b and d are parallel to u, with corners ordered
+    (d^a, a^b, b^c, c^d)."""
+    a_line, b_line, c_line, d_line = Line(a, v), Line(b, u), Line(c, v), Line(d, u)
     g0 = line_intersection(d_line, a_line)
     g1 = line_intersection(a_line, b_line)
     g2 = line_intersection(b_line, c_line)
     g3 = line_intersection(c_line, d_line)
     if area is None:
         area = quad_area(g0, g1, g2, g3)
-    return ParaResult((g0, g1, g2, g3), b_line.dir, a_line.dir, area, touch)
+    return ParaResult((g0, g1, g2, g3), u, v, area, touch)
 
 
 def _chord_bounds(P: ConvexPolygon, d: np.ndarray, s: np.ndarray, lower: bool) -> np.ndarray:
@@ -273,7 +280,7 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     which `oracle.longest_chord` does in O(n^2).
     """
     uc = Direction(*_vec(u)).canonical()
-    tol_dist = 1e-9 * (P.scale + 1.0)
+    tol_dist = _cert_dist_tol(P)
 
     best_seg = _longest_vertex_chord(P, uc)
     a_pt, c_pt = best_seg.a, best_seg.b
@@ -294,27 +301,21 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
         quad_area(a_pt, b_pt, c_pt, d_pt),
     )
 
-    vdir = Direction(*v)
-    touch = (loc_a[1], b_idx, loc_c[1], d_idx)
-    para = _para_from_lines(
-        Line(a_pt, vdir), Line(b_pt, uc), Line(c_pt, vdir), Line(d_pt, uc), touch
-    )
+    para = _parallelogram(a_pt, b_pt, c_pt, d_pt, uc, Direction(*v), (loc_a[1], b_idx, loc_c[1], d_idx))
     return quad, para
 
 
-def verify_conjugate_pair(
-    F: QuadResult, G: ParaResult, u, P: ConvexPolygon, tol: float = 1e-9
-) -> ConjugateCertificate:
+def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> ConjugateCertificate:
     """Evaluate every conjugate-pair condition plus the sandwich containments
     and the factor-two area relation; failures are recorded, not raised.
 
-    All distance-like comparisons use tol * scale, areas tol * scale**2,
-    where scale is the polygon's max absolute coordinate.
+    Angles are compared with CERT_TOL, distances with CERT_TOL * scale and
+    areas with CERT_TOL * scale**2, where scale is the polygon's max absolute
+    coordinate plus one.
     """
     ux, uy = _vec(u)
     udir = Direction(ux, uy)
-    scale = P.scale + 1.0
-    dist_tol = tol * scale
+    dist_tol = _cert_dist_tol(P)
     ulen = math.hypot(ux, uy)
 
     A, B, C, D = F.corners
@@ -322,7 +323,7 @@ def verify_conjugate_pair(
 
     sb = G.side_dir_bd
     anchoring_s = (
-        abs(sb.dx * uy - sb.dy * ux) / (math.hypot(sb.dx, sb.dy) * ulen) <= tol
+        abs(sb.dx * uy - sb.dy * ux) / (math.hypot(sb.dx, sb.dy) * ulen) <= CERT_TOL
     )
 
     g = G.corners
@@ -353,7 +354,7 @@ def verify_conjugate_pair(
             inside = False
             break
 
-    area_ratio = abs(G.area - 2.0 * F.area) <= tol * scale * scale
+    area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * (P.scale + 1.0)
 
     checks = CertificateChecks(
         anchoring_d=anchoring_d,
@@ -366,51 +367,32 @@ def verify_conjugate_pair(
     return ConjugateCertificate(F, G, udir, checks)
 
 
-def combined_extremes(P: ConvexPolygon, tol: float = 1e-9) -> ExtremesReport:
+def combined_extremes(P: ConvexPolygon) -> ExtremesReport:
     """Both extremal figures from one merged sweep, with verified
     conjugate-pair certificates and the sweep's predicate count."""
     maxarea, (ma, mb, mc, md), minarea, mstate, ndet = _combined_sweep(P.coords())
-    tol_dist = tol * (P.scale + 1.0)
 
     qa, qb, qc, qd = P[ma], P[mb], P[mc], P[md]
     max_quad = QuadResult((qa, qb, qc, qd), (ma, mb, mc, md), maxarea)
     u_max = Direction(qc.x - qa.x, qc.y - qa.y)
-    v_max = Direction(*_side_direction(P, qa, qc, ("vertex", ma), ("vertex", mc), u_max, tol_dist))
-    g_max = _para_from_lines(
-        Line(qa, v_max),
-        Line(qb, u_max),
-        Line(qc, v_max),
-        Line(qd, u_max),
-        (ma, mb, mc, md),
-    )
-    quad_cert = verify_conjugate_pair(max_quad, g_max, u_max, P, tol)
+    v_max = _side_direction(P, qa, qc, ("vertex", ma), ("vertex", mc), u_max, _cert_dist_tol(P))
+    g_max = _parallelogram(qa, qb, qc, qd, u_max, Direction(*v_max), (ma, mb, mc, md))
+    quad_cert = verify_conjugate_pair(max_quad, g_max, u_max, P)
 
+    # The slid corner lies on the flush edge; the sides through it and the
+    # opposite corner are parallel to that edge.
     a_slides, sa, sb_, sc, sd, ubx, uby, slid_xy = mstate
     slid = Point(*slid_xy)
     pa, pb, pc, pd = P[sa], P[sb_], P[sc], P[sd]
     if a_slides:
-        f_corners = (slid, pb, pc, pd)
-        f_indices = (None, sb_, sc, sd)
-        edge_dir = Direction(*P.edge_vector(sa))
-        a_line = Line(slid, edge_dir)
-        c_line = Line(pc, edge_dir)
+        fa, fc, f_indices, flush = slid, pc, (None, sb_, sc, sd), sa
     else:
-        f_corners = (pa, pb, slid, pd)
-        f_indices = (sa, sb_, None, sd)
-        edge_dir = Direction(*P.edge_vector(sc))
-        a_line = Line(pa, edge_dir)
-        c_line = Line(slid, edge_dir)
-    min_f = QuadResult(f_corners, f_indices, quad_area(*f_corners))
+        fa, fc, f_indices, flush = pa, slid, (sa, sb_, None, sd), sc
+    min_f = QuadResult((fa, pb, fc, pd), f_indices, quad_area(fa, pb, fc, pd))
     u_min = Direction(ubx, uby)
-    min_para = _para_from_lines(
-        a_line,
-        Line(pb, u_min),
-        c_line,
-        Line(pd, u_min),
-        (sa, sb_, sc, sd),
-        area=minarea,
-    )
-    para_cert = verify_conjugate_pair(min_f, min_para, u_min, P, tol)
+    v_min = Direction(*P.edge_vector(flush))
+    min_para = _parallelogram(fa, pb, fc, pd, u_min, v_min, (sa, sb_, sc, sd), area=minarea)
+    para_cert = verify_conjugate_pair(min_f, min_para, u_min, P)
 
     return ExtremesReport(max_quad, min_para, quad_cert, para_cert, ndet)
 
@@ -565,11 +547,4 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
     ia, ib, ic, id_, c_slid = best
     u = Direction(exs[ib], eys[ib])
     v = Direction(exs[ic], eys[ic])
-    return _para_from_lines(
-        Line(P[ia], v),
-        Line(P[ib], u),
-        Line(Point(*c_slid), v),
-        Line(P[id_], u),
-        (ia, ib, ic, id_),
-        area=minarea,
-    )
+    return _parallelogram(P[ia], P[ib], Point(*c_slid), P[id_], u, v, (ia, ib, ic, id_), area=minarea)

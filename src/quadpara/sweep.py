@@ -233,8 +233,7 @@ _BLOCK = 1 << 14
 def _combined_sweep(xy: np.ndarray):
     """The merged half-turn sweep: `_scalar_sweep`'s 5-tuple, computed by
     `_vector_sweep` when the ring has at least `_VECTOR_MIN_N` vertices and
-    the loop's predicates confirm that path's proposed event order, and by
-    the scalar loop otherwise."""
+    that path does not decline, and by the scalar loop otherwise."""
     if len(xy) >= _VECTOR_MIN_N:
         swept = _vector_sweep(xy)
         if swept is not None:
@@ -244,7 +243,10 @@ def _combined_sweep(xy: np.ndarray):
 
 def _vector_sweep(xy: np.ndarray):
     """`_scalar_sweep`'s 5-tuple computed with numpy, or None when the
-    loop's own predicates do not confirm the proposed event order.
+    loop's own predicates do not confirm the proposed event order, and at
+    the loop's rare branches, which it leaves to the loop: a search for d0
+    that wraps past vertex n-1, and a flush side parallel to the sliding
+    edge.
 
     The sweep is three merges of runs already sorted by direction: the
     diagonal events merge the edges 0..c0-1 with the reversed edges
@@ -272,10 +274,10 @@ def _vector_sweep(xy: np.ndarray):
         if best_para is None:
             return None
     maxarea, max_state = best_quad
-    minarea, min_state, flat_skips = best_para
+    minarea, min_state = best_para
     # The loop's count: its three searches and first support choice, then 3
-    # per diagonal event, 5 per support event and 1 more per flat one.
-    ndet = steps.b0 + steps.d0 + 3 + 3 * steps.n + 5 * steps.bd_events + flat_skips
+    # per diagonal event and 5 per support event.
+    ndet = steps.b0 + steps.d0 + 3 + 3 * steps.n + 5 * steps.bd_events
     return maxarea, max_state, minarea, min_state, ndet
 
 
@@ -357,10 +359,10 @@ class _SweepSteps:
     @classmethod
     def propose(cls, xy: np.ndarray) -> Optional["_SweepSteps"]:
         """The loop's three initial searches, then the proposed orders; None
-        when a search would not settle within one period, when a run is not
-        sorted by key, or when the support state after the last event lies
-        beyond the proposed support runs."""
-        n = len(xy)
+        when a search would not settle within one period or the search for
+        d0 would wrap past vertex n-1, when a run is not sorted by key, or
+        when the support state after the last event lies beyond the proposed
+        support runs."""
         x = np.concatenate((xy[:, 0], xy[:1, 0]))  # x[n] is x[0]
         y = np.concatenate((xy[:, 1], xy[:1, 1]))
         ex = x[1:] - x[:-1]
@@ -379,10 +381,7 @@ class _SweepSteps:
         past_d = -rx * ey + ry * ex > 0.0
         i = _first_false(past_d[c0:])
         if i is None:
-            i = _first_false(past_d[:c0])
-            if i is None:
-                return None
-            i += n - c0
+            return None
         d0 = c0 + i
 
         k0 = float(_direction_keys(ex[:1], ey[:1], 0.0)[0])
@@ -397,7 +396,7 @@ class _SweepSteps:
             return None
         # From b0 and d0 the runs would wrap past a full turn.
         b_run = _rising_prefix(keys[b0:])
-        d_run = _rising_prefix(np.concatenate((rev_keys[d0 % n :], rev_keys[: d0 % n])))
+        d_run = _rising_prefix(np.concatenate((rev_keys[d0:], rev_keys[:d0])))
         is_b = _merge_mask(b_run, d_run)
         bd_keys = np.empty(len(is_b))
         bd_keys[is_b] = b_run
@@ -449,10 +448,7 @@ class _SweepSteps:
         fx, fy, sx, sy = float(x[f]), float(y[f]), float(x[s]), float(y[s])
         ex = float(x[f + 1]) - fx
         ey = float(y[f + 1]) - fy
-        den = ex * uby - ey * ubx
-        if den == 0.0:
-            return (fx, fy)
-        t = ((sx - fx) * uby - (sy - fy) * ubx) / den
+        t = ((sx - fx) * uby - (sy - fy) * ubx) / (ex * uby - ey * ubx)
         return (fx + t * ex, fy + t * ey)
 
 
@@ -486,13 +482,14 @@ def _diagonal_events(steps: _SweepSteps):
 def _support_events(steps: _SweepSteps):
     """Confirm the top-level and support predicates at every support event
     and the support choice after the last one, and find the first smallest
-    flush parallelogram: (minarea, min_state, the number of events whose
-    flush side is parallel to the sliding edge), or None."""
+    flush parallelogram: (minarea, min_state), or None.  None also when a
+    flush side is parallel to the sliding edge (the loop's `den == 0`
+    branch), which the loop answers."""
     x, y, n = steps.x, steps.y, steps.n
     last = np.array([steps.bd_events])
     if not steps.support_agrees(*steps.support(last)[:3]).all():
         return None
-    minarea, min_state, flat_skips = math.inf, None, 0
+    minarea, min_state = math.inf, None
     for j in _blocks(steps.bd_events):
         b, d, fb, ubx, uby = steps.support(j)
         if not steps.support_agrees(b, d, fb).all():
@@ -507,18 +504,10 @@ def _support_events(steps: _SweepSteps):
         ex = x[f + 1] - fx
         ey = y[f + 1] - fy
         den = ex * uby - ey * ubx
+        if (den == 0.0).any():
+            return None
         num = (ex * (sy - fy) - ey * (sx - fx)) * (ubx * (y[d] - y[b]) - uby * (x[d] - x[b]))
-        live = den != 0.0
-        cand = np.full(len(j), math.inf)
-        np.divide(num, den, out=cand, where=live)
-        np.abs(cand, out=cand)
-        flat = ~live
-        flat_skips += int(np.count_nonzero(flat))
-        # A chord along the sliding edge itself: the corner is its base vertex.
-        flat &= ubx * (sy - fy) - uby * (sx - fx) == 0.0
-        if flat.any():
-            whole = (x[c] - x[a]) * (y[d] - y[b]) - (y[c] - y[a]) * (x[d] - x[b])
-            cand[flat] = np.abs(whole[flat])
+        cand = np.abs(num / den)
         cand[np.isnan(cand)] = math.inf  # as for the areas
         i = int(np.argmin(cand))
         if cand[i] < minarea:
@@ -527,4 +516,4 @@ def _support_events(steps: _SweepSteps):
             u = float(ubx[i]), float(uby[i])
             slid = steps.slid_corner(ai, ci, ac_a, *u)
             min_state = (ac_a, ai % n, int(b[i]), ci % n, int(d[i]), *u, slid)
-    return None if min_state is None else (minarea, min_state, flat_skips)
+    return None if min_state is None else (minarea, min_state)

@@ -113,7 +113,7 @@ def test_c4_conjugate_ratio_law():
 
 def test_c5_certificates_at_optima(base_corpus, large_corpus):
     for P in base_corpus + large_corpus:
-        rep = combined_extremes(P, tol=1e-9)
+        rep = combined_extremes(P)
         assert rep.quad_certificate.checks.all_ok, P.n
         assert rep.para_certificate.checks.all_ok, P.n
     print(

@@ -290,20 +290,21 @@ def test_bench_assert_linear(capsys):
 
 
 def test_tol_and_budget_reject_nonfinite_and_negative(capsys, square_file):
-    # An infinite tolerance makes every certificate residual check vacuous,
-    # so a wrong answer would print `ok`; a NaN budget never trips
-    # --assert-linear.  Both are usage errors.
+    # A NaN budget never trips --assert-linear: a usage error, like every
+    # other value that is not a finite number >= 0.
     for value in ("inf", "-inf", "nan", "1e400", "-1", "-0.5"):
-        for argv in (
-            ["verify", "--input", square_file, f"--tol={value}"],
-            ["bench", "40", "--assert-linear", f"--budget={value}"],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "not a finite number >= 0" in capsys.readouterr().err
-    assert run(capsys, "verify", "--input", square_file, "--tol=1e-6")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "40", "--assert-linear", f"--budget={value}"])
+        assert exc.value.code == 2
+        assert "not a finite number >= 0" in capsys.readouterr().err
     assert run(capsys, "bench", "40", "--assert-linear", "--budget=0")[0] == 1
+    # The certificate tolerance is fixed (extremal.CERT_TOL): no subcommand
+    # takes a tolerance, so none can loosen a certificate.
+    for cmd in (["quad"], ["para"], ["both"], ["anchored", "--dir", "1", "0"], ["verify"], ["svg"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--input", square_file, "--tol=1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol=1e-6" in capsys.readouterr().err
 
 
 def test_svg_structure_and_determinism(capsys, tmp_path, square_file):

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from quadpara import (
@@ -15,6 +17,7 @@ from quadpara import (
     brute_anchored_quad_area,
     brute_largest_quad,
     brute_smallest_para,
+    chord_through,
     combined_extremes,
     contains_point,
     is_antipodal_brute,
@@ -25,10 +28,12 @@ from quadpara import (
     polygon_area,
     quad_area,
     random_convex,
+    regular_ngon,
     smallest_parallelogram,
     verify_conjugate_pair,
 )
 from quadpara.cli import main
+from quadpara import extremal
 from quadpara.extremal import _locate_on_boundary, _vertical_extremes
 
 REL = 1e-12
@@ -95,6 +100,23 @@ def test_verify_detects_oversized_parallelogram(square):
     assert not any(cert.checks.corner_on_side)
     assert not cert.checks.area_ratio
     assert not cert.checks.all_ok
+
+
+def test_verify_detects_polygon_outside_parallelogram(corpus):
+    # Shrunk about its centre, G cuts off the vertices its sides touch; the
+    # containment check must see that, and must accept the valid G whichever
+    # way round its corners run.
+    u = Direction(3, 1)
+    for P in corpus[:25] + [regular_ngon(7, 3.0)]:
+        F, G = anchored_conjugate_pair(P, u)
+        cx = sum(p.x for p in G.corners) / 4.0
+        cy = sum(p.y for p in G.corners) / 4.0
+        shrunk = tuple(Point(cx + 0.9 * (p.x - cx), cy + 0.9 * (p.y - cy)) for p in G.corners)
+        checks = verify_conjugate_pair(F, dataclasses.replace(G, corners=shrunk), u, P).checks
+        assert not checks.polygon_in_para, P.n
+        assert not checks.all_ok, P.n
+        clockwise = dataclasses.replace(G, corners=G.corners[::-1])
+        assert verify_conjugate_pair(F, clockwise, u, P).checks.polygon_in_para, P.n
 
 
 def test_verify_detects_unanchored_diagonal(square):
@@ -292,6 +314,34 @@ def test_anchored_diagonal_is_the_reference_longest_chord(corpus):
             F, _ = anchored_conjugate_pair(P, u)
             ref = longest_chord(P, Direction(*u).canonical())
             assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
+
+
+def test_longest_vertex_chord_repairs_overstated_estimates(corpus, monkeypatch):
+    # Loosened bounds overstate every chord's extent, so the ranking must
+    # measure vertex after vertex before one keeps its place at the top.
+    bounds = extremal._chord_bounds
+    calls = 0
+
+    def loose_bounds(P, d, s, lower):
+        b = bounds(P, d, s, lower)
+        slack = (np.abs(b) + 1.0) * 0.25
+        return b - slack if lower else b + slack
+
+    def counted_chord(*args):
+        nonlocal calls
+        calls += 1
+        return chord_through(*args)
+
+    monkeypatch.setattr(extremal, "_chord_bounds", loose_bounds)
+    monkeypatch.setattr(extremal, "chord_through", counted_chord)
+    queries = 0
+    for P in corpus:
+        for u in [(1, 0), (0, 1), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(0)]:
+            F, _ = anchored_conjugate_pair(P, u)
+            ref = longest_chord(P, Direction(*u).canonical())
+            assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
+            queries += 1
+    assert calls > 2 * queries
 
 
 def _locate_by_scan(P, pt, tol_dist):
