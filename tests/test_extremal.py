@@ -32,8 +32,8 @@ from quadpara import (
     smallest_parallelogram,
     verify_conjugate_pair,
 )
-from quadpara.cli import main
 from quadpara import extremal
+from quadpara.cli import main
 from quadpara.extremal import _locate_on_boundary, _vertical_extremes
 
 REL = 1e-12
