@@ -390,13 +390,18 @@ ANCHORED_FILES = {
     "lattice-1000.txt": ["--kind", "lattice", "--n", "1000", "--seed", "11"],
     "hull-400.txt": ["--kind", "random-hull", "--n", "400", "--seed", "7"],
     "parallel-12.txt": ["--kind", "parallel-edges", "--n", "12", "--seed", "5"],
+    "regular-9.txt": ["--kind", "regular", "--n", "9"],
+    "regular-40.txt": ["--kind", "regular", "--n", "40", "--rotation", "3"],
+    "regular-150.txt": ["--kind", "regular", "--n", "150", "--rotation", "1"],
 }
 
 # SHA-256 of the stdout of `quadpara anchored --input FILE --dir X Y`, run in
 # the directory holding FILE (the report echoes the path).  Recorded with the
 # quadratic implementation that measured the chord through every vertex
 # with chord_through, so corners, vertex_indices and touch_indices must stay
-# byte-identical.  The last direction of each file is one of its edge vectors.
+# byte-identical.  The last direction of each integer file is one of its edge
+# vectors.  The regular polygons have float coordinates; their digests pin the
+# tolerance decisions of the anchored query.
 ANCHORED_GOLDEN = [
     ("lattice-64.txt", (1, 0), "47464d38ac6d518289c208dc951ac04e2d77fc6c8dc8fe4dd83765c096310248"),
     ("lattice-64.txt", (0, 1), "422e0b720d1006192e58dc10f749176c0374a9c7f19b1040733572a8d9a51900"),
@@ -414,6 +419,21 @@ ANCHORED_GOLDEN = [
     ("parallel-12.txt", (1, 0), "07b5fc8aa85da4bc4a4953fa092733100fbce1ee63aa3af978e60f615cc2ab2f"),
     ("parallel-12.txt", (-3, 3), "5db0afaaddcb20e6e2152c0b13bdf4b7080b32cb152c6381c99678de4afeb9de"),
     ("parallel-12.txt", (12, 2), "f72c4b4069bafd9e3905059000a82340c97529e91fc353c04eaa473c8e027ed6"),
+    ("regular-9.txt", (1, 0), "171a2364b49078c06d7696eed1cdb8df3244908735165d25f98751a6502b886c"),
+    ("regular-9.txt", (0, 1), "71f7f5db33ef58f7e437a57e5c27f7d849369e545b92b1f05c8abb4f43b57197"),
+    ("regular-9.txt", (1, 1), "139fe16df7cb519fec325101deebdf3111972f0aabf7e4508f07da0450dd6382"),
+    ("regular-9.txt", (3, -7), "9ad1f867d829437b81351172e3f4df3f60c411b25dac8ce7b6b918b563c13568"),
+    ("regular-9.txt", (0.6, 0.8), "6dcedd954f0cf4fce24729028d8cabbd5353f228fa7402e1e570dabd5df9b636"),
+    ("regular-40.txt", (1, 0), "74535b6d99883705180c1bf32740ce2c18d49de2b44e704b35726ea523b7ba51"),
+    ("regular-40.txt", (0, 1), "49168b9b4a850e58f5b3886c6718ad8d2879de83e7ea7cd342622d3dee78a047"),
+    ("regular-40.txt", (1, 1), "473719af8797d712c3d5d71e0cdb34803a36ae294a07b7b0ee54a54edcb4baa6"),
+    ("regular-40.txt", (3, -7), "caf850dc84dc3789e7f08eff6c166cfad08821572ee099b149e013f504ed2358"),
+    ("regular-40.txt", (0.6, 0.8), "1078c15826579ed49f066b376ce6dc82628e87c050b16dd404b4f216e19e88ab"),
+    ("regular-150.txt", (1, 0), "202087df63a32b040e09a1fb3c53e245e66e43431fc649937d0b0d0223a277f6"),
+    ("regular-150.txt", (0, 1), "fb2b587ef2c49da46e5d878b2f77f3f08c3c62a33ea1496bd0df8bcc78adf759"),
+    ("regular-150.txt", (1, 1), "55cfd6a632b0dda3d03dc31a73b4e7da2b0c438fe16dc2faa473238f4b38328c"),
+    ("regular-150.txt", (3, -7), "8c59313257033518359a4285bd9bf357816ecf90c52dc596094a955fe7a22853"),
+    ("regular-150.txt", (0.6, 0.8), "dc35a25934acc77a73b0f4f6f0afc732e70864c7246e0fd8cf16b3db7813dadf"),
 ]
 
 
