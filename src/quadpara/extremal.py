@@ -37,7 +37,6 @@ from .geometry import (
     ConvexPolygon,
     Degenerate,
     Direction,
-    GeometryError,
     Line,
     Point,
     Segment,
@@ -60,6 +59,12 @@ CERT_TOL = 1e-9
 def _cert_dist_tol(P: ConvexPolygon) -> float:
     """The certificates' distance tolerance: CERT_TOL * (max|coord| + 1)."""
     return CERT_TOL * (P.scale + 1.0)
+
+
+def _build_tol(P: ConvexPolygon) -> float:
+    """The construction's distance tolerance, CERT_TOL * max|coord|: with no
+    absolute floor, the pairs it builds scale exactly with the polygon."""
+    return CERT_TOL * P.scale
 
 
 @dataclass(frozen=True)
@@ -124,65 +129,58 @@ class ExtremesReport:
     predicate_count: int
 
 
-def _supports(P: ConvexPolygon, base, v, eps_dist: float) -> bool:
-    """Whether the line through `base` with direction v has all of P on one
-    side, within a signed-distance slack of eps_dist."""
-    bx, by = _vec(base)
+def _supports(P: ConvexPolygon, loc, v, eps_dist: float) -> bool:
+    """Whether the line with direction v through the boundary point at `loc`
+    has all of P on one side, within a signed-distance slack of eps_dist.
+    By convexity the neighbours decide: at ("vertex", j), p[j - 1] and
+    p[j + 1] must not lie beyond the slack on opposite sides; inside
+    ("edge", k), the line must keep the edge's far end within the slack."""
+    kind, j = loc
     vx, vy = _vec(v)
-    xy = P.coords()
-    cr = vx * (xy[:, 1] - by) - vy * (xy[:, 0] - bx)
     slack = eps_dist * math.hypot(vx, vy)
-    return not (bool((cr > slack).any()) and bool((cr < -slack).any()))
+    if kind == "edge":
+        ex, ey = P.edge_vector(j)
+        return abs(vx * ey - vy * ex) <= slack
+    px, py = P[j]
+    cr = [vx * (q.y - py) - vy * (q.x - px) for q in (P[j - 1], P[j + 1])]
+    return not (max(cr) > slack and min(cr) < -slack)
 
 
-def _locate_on_boundary(P: ConvexPolygon, pt, tol_dist: float):
-    """Classify a boundary point as ("vertex", i) or ("edge", k).
+def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: float):
+    """Locate both ends of seg, the chord through vertex i parallel to u, as
+    ("vertex", j) or ("edge", k).
 
-    The lowest-index vertex within tol_dist wins.  Otherwise the edge is the
-    one of least residual among those the point projects into (parameter in
-    [0, 1] up to 1e-9), the lowest index on ties.
-    """
-    px, py = _vec(pt)
+    Vertex i is the end nearer to itself.  Walking counterclockwise from it,
+    the ring stays strictly right of the chord up to edge k, which the
+    chord's line crosses or whose far end lies on it.  The far end of the
+    chord is the lower-indexed end of edge k within eps_dist, if any."""
+    p = P[i]
+    forward = math.dist(p, seg.a) <= math.dist(p, seg.b)  # the chord runs from p along +u
+    far = seg.b if forward else seg.a
     xy = P.coords()
-    rx = px - xy[:, 0]
-    ry = py - xy[:, 1]
-    # hypot(rx, ry) >= max(|rx|, |ry|): the box keeps every vertex in range.
-    near = np.flatnonzero((np.abs(rx) <= tol_dist) & (np.abs(ry) <= tol_dist))
-    for i in near.tolist():
-        if math.hypot(rx[i], ry[i]) <= tol_dist:
-            return ("vertex", i)
-    ex, ey = P.edges()
-    t = (rx * ex + ry * ey) / (ex * ex + ey * ey)
-    win = np.flatnonzero((t >= -1e-9) & (t <= 1 + 1e-9))
-    if win.size:
-        wx, wy = ex[win], ey[win]
-        res = np.abs(wx * ry[win] - wy * rx[win]) / np.array(
-            [math.hypot(a, b) for a, b in zip(wx.tolist(), wy.tolist())]
-        )
-        j = int(np.argmin(res))
-        if res[j] <= max(tol_dist, 1e-6 * (P.scale + 1.0)):
-            return ("edge", int(win[j]))
-    raise GeometryError(f"point {(px, py)} does not lie on the polygon boundary")
+    cr = u.dx * (xy[:, 1] - p.y) - u.dy * (xy[:, 0] - p.x)
+    right = cr < 0.0 if forward else cr > 0.0
+    k = (i + int(np.argmin(np.roll(right, -i - 1)))) % P.n
+    ends = [j for j in sorted((k, (k + 1) % P.n)) if math.dist(far, P[j]) <= eps_dist]
+    loc = ("vertex", ends[0]) if ends else ("edge", k)
+    return (("vertex", i), loc) if forward else (loc, ("vertex", i))
 
 
-def _side_direction(P: ConvexPolygon, a_pt, c_pt, loc_a, loc_c, u, eps_dist: float):
-    """A direction v such that the lines through both chord endpoints
-    parallel to v support P.  A mid-edge endpoint forces its edge direction;
-    otherwise the incident edges of the two vertices are tried in order.
-    Edges parallel to the chord direction u are passed over: they support P
-    when the chord lies along an edge, but would give a flat parallelogram."""
+def _side_direction(P: ConvexPolygon, loc_a, loc_c, u, eps_dist: float):
+    """A direction v such that the lines parallel to v through both chord
+    endpoints, located as ("vertex", j) or ("edge", k), support P.  A
+    mid-edge endpoint forces its edge direction; otherwise the incident
+    edges of the two vertices are tried in order.  Edges within CERT_TOL of
+    parallel to the chord direction u are passed over while others remain:
+    they support P when the chord lies along an edge, but would give a flat
+    parallelogram."""
     ux, uy = _vec(u)
-    candidates: list[tuple[float, float]] = []
-    for loc in (loc_a, loc_c):
-        kind, idx = loc
-        if kind == "edge":
-            candidates.append(P.edge_vector(idx))
-        else:
-            candidates.append(P.edge_vector((idx - 1) % P.n))
-            candidates.append(P.edge_vector(idx))
-    candidates = [v for v in candidates if v[0] * uy - v[1] * ux != 0.0]
+    ulen = math.hypot(ux, uy)
+    candidates = [P.edge_vector(k) for kind, j in (loc_a, loc_c) for k in ((j,) if kind == "edge" else (j - 1, j))]
+    crossing = [v for v in candidates if v[0] * uy - v[1] * ux != 0.0]
+    candidates = [v for v in crossing if abs(v[0] * uy - v[1] * ux) / (math.hypot(*v) * ulen) > CERT_TOL] or crossing
     for v in candidates:
-        if _supports(P, a_pt, v, eps_dist) and _supports(P, c_pt, v, eps_dist):
+        if _supports(P, loc_a, v, eps_dist) and _supports(P, loc_c, v, eps_dist):
             return v
     return candidates[0]
 
@@ -206,7 +204,7 @@ def _parallelogram(
 def _chord_bounds(P: ConvexPolygon, d: np.ndarray, s: np.ndarray, lower: bool) -> np.ndarray:
     """For the chord along u through each vertex, the parameter bound set by
     the edges with d > 0 (lower) or d < 0 (upper), evaluated only on the
-    edge the chord crosses and its two chain neighbours.
+    edge the chord crosses.
 
     The edges of one sign form a cyclic chain along which the offset s falls
     (d > 0) or rises (d < 0), so one binary search per vertex finds the
@@ -221,30 +219,26 @@ def _chord_bounds(P: ConvexPolygon, d: np.ndarray, s: np.ndarray, lower: bool) -
         chain = np.roll(chain, -int(gap[0]) - 1)  # start at the run's first edge
     sign = -1.0 if lower else 1.0
     hit = np.searchsorted(sign * s[chain], sign * s, side="right") - 1
+    k = chain[np.maximum(hit, 0)]
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
-    tighter = np.maximum if lower else np.minimum
-    bound = None
-    for offset in (-1, 0, 1):
-        k = chain[np.clip(hit + offset, 0, chain.size - 1)]
-        t = _neg_margins(vx, vy, vx[k], vy[k], ex[k], ey[k])
-        t /= d[k]
-        bound = t if bound is None else tighter(bound, t)
-    return bound
+    t = _neg_margins(vx, vy, vx[k], vy[k], ex[k], ey[k])
+    t /= d[k]
+    return t
 
 
-def _longest_vertex_chord(P: ConvexPolygon, u: Direction) -> Segment:
-    """`chord_through(P, q, u)` for the first vertex q whose chord has the
-    greatest extent along u, without measuring every chord in full.
+def _longest_vertex_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
+    """The first vertex i whose chord has the greatest extent along u, with
+    `chord_through(P, P[i], u)`, without measuring every chord in full.
 
-    The windowed bounds of `_chord_bounds` can only overstate a chord's
+    The one-edge bounds of `_chord_bounds` can only overstate a chord's
     extent.  The vertex they rank first is measured in full; when its extent
     falls short, that value replaces the estimate and the ranking repeats.
     A vertex that ranks first with its true extent beats the true extents
     of all others, so the result is the one a loop over every vertex picks,
     ties included.  When the offsets are exact (integer coordinates and
-    direction), the window holds the crossed edge, every estimate is exact
+    direction), the search finds the crossed edge, every estimate is exact
     and one full measurement suffices.
     """
     ux, uy = u.dx, u.dy
@@ -262,7 +256,7 @@ def _longest_vertex_chord(P: ConvexPolygon, u: Direction) -> Segment:
         seg = chord_through(P, P[i], u)
         full = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
         if not full < ext[i]:
-            return seg
+            return i, seg
         ext[i] = full
 
 
@@ -280,14 +274,12 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     which `oracle.longest_chord` does in O(n^2).
     """
     uc = Direction(*_vec(u)).canonical()
-    tol_dist = _cert_dist_tol(P)
+    eps = _build_tol(P)
 
-    best_seg = _longest_vertex_chord(P, uc)
-    a_pt, c_pt = best_seg.a, best_seg.b
-
-    loc_a = _locate_on_boundary(P, a_pt, tol_dist)
-    loc_c = _locate_on_boundary(P, c_pt, tol_dist)
-    v = _side_direction(P, a_pt, c_pt, loc_a, loc_c, uc, tol_dist)
+    i, seg = _longest_vertex_chord(P, uc)
+    a_pt, c_pt = seg
+    loc_a, loc_c = _chord_ends(P, i, seg, uc, eps)
+    v = _side_direction(P, loc_a, loc_c, uc, eps)
 
     b_idx = extreme_vertex(P, (uc.dy, -uc.dx))
     d_idx = extreme_vertex(P, (-uc.dy, uc.dx))
@@ -375,7 +367,7 @@ def combined_extremes(P: ConvexPolygon) -> ExtremesReport:
     qa, qb, qc, qd = P[ma], P[mb], P[mc], P[md]
     max_quad = QuadResult((qa, qb, qc, qd), (ma, mb, mc, md), maxarea)
     u_max = Direction(qc.x - qa.x, qc.y - qa.y)
-    v_max = _side_direction(P, qa, qc, ("vertex", ma), ("vertex", mc), u_max, _cert_dist_tol(P))
+    v_max = _side_direction(P, ("vertex", ma), ("vertex", mc), u_max, _build_tol(P))
     g_max = _parallelogram(qa, qb, qc, qd, u_max, Direction(*v_max), (ma, mb, mc, md))
     quad_cert = verify_conjugate_pair(max_quad, g_max, u_max, P)
 

@@ -34,7 +34,7 @@ from quadpara import (
 )
 from quadpara import extremal
 from quadpara.cli import main
-from quadpara.extremal import _locate_on_boundary, _vertical_extremes
+from quadpara.extremal import _vertical_extremes
 
 REL = 1e-12
 
@@ -71,6 +71,32 @@ def test_anchored_pair_with_chord_along_an_edge(triangle):
         assert F.area == 0.5
         assert G.area == 1.0
         assert verify_conjugate_pair(F, G, Direction(*u), triangle).checks.all_ok
+
+
+@pytest.mark.parametrize("n,rotation,u", [(3, 0, (0, 1)), (4, 0, (1, 1)), (4, 1, (1, 0))])
+def test_anchored_pair_skips_sides_nearly_parallel_to_u(n, rotation, u):
+    # On these float polygons an edge lies within rounding of parallel to u;
+    # taken for the other side pair, it gives a flat or unbounded
+    # parallelogram.
+    P = regular_ngon(n, 1000.0, rotation)
+    F, G = anchored_conjugate_pair(P, u)
+    assert verify_conjugate_pair(F, G, Direction(*u), P).checks.all_ok
+    assert rel_eq(G.area, 2 * F.area, rel=1e-9)
+
+
+def test_anchored_pair_scales_exactly():
+    # Scaling by 2**j rounds nothing here, and every tolerance of the
+    # construction is relative to P.scale, so each decision is the same.
+    polys = [lattice_ngon(64, 1), random_convex(40, 7, 1000), parallel_edge_polygon(6, 3), lattice_ngon(300, 2)]
+    for P in polys:
+        for u in ((1, 0), (3, 7), (-1, 1), (123, -457)):
+            F, G = anchored_conjugate_pair(P, u)
+            for j in (-60, -40, -30, -20, 20, 100):
+                Fj, Gj = anchored_conjugate_pair(ConvexPolygon(P.coords() * 2.0**j), u)
+                scaled = [(math.ldexp(x, j), math.ldexp(y, j)) for x, y in F.corners + G.corners]
+                assert (Fj.vertex_indices, Gj.touch_indices) == (F.vertex_indices, G.touch_indices), (P.n, u, j)
+                assert _bits(Fj.corners + Gj.corners) == _bits(scaled), (P.n, u, j)
+                assert (Fj.area, Gj.area) == (math.ldexp(F.area, 2 * j), math.ldexp(G.area, 2 * j)), (P.n, u, j)
 
 
 def test_anchored_pairs_verify_on_corpus(corpus):
@@ -342,46 +368,6 @@ def test_longest_vertex_chord_repairs_overstated_estimates(corpus, monkeypatch):
             assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
             queries += 1
     assert calls > 2 * queries
-
-
-def _locate_by_scan(P, pt, tol_dist):
-    """The vertex-then-edge scan that `_locate_on_boundary` must reproduce."""
-    px, py = pt
-    for i, q in enumerate(P.vertices):
-        if math.hypot(px - q.x, py - q.y) <= tol_dist:
-            return ("vertex", i)
-    best = None
-    best_res = math.inf
-    for k in range(P.n):
-        q = P.vertices[k]
-        ex, ey = P.edge_vector(k)
-        res = abs(ex * (py - q.y) - ey * (px - q.x)) / math.hypot(ex, ey)
-        t = ((px - q.x) * ex + (py - q.y) * ey) / (ex * ex + ey * ey)
-        if -1e-9 <= t <= 1 + 1e-9 and res < best_res:
-            best_res = res
-            best = k
-    if best is None or best_res > max(tol_dist, 1e-6 * (P.scale + 1.0)):
-        return None
-    return ("edge", best)
-
-
-def test_locate_on_boundary_matches_scan(corpus):
-    for P in corpus + [lattice_ngon(64, 5)]:
-        tol = 1e-9 * (P.scale + 1.0)
-        pts = []
-        for k in range(P.n):
-            p, q = P[k], P[k + 1]
-            for f in (0.0, 0.5, 1 / 3, 1e-12, 1e-6):
-                pts.append((p.x + f * (q.x - p.x), p.y + f * (q.y - p.y)))
-            pts.append((p.x + 0.25 * tol, p.y - 0.25 * tol))
-        pts.append((0.5 * (P[0].x + P[P.n // 2].x), 0.5 * (P[0].y + P[P.n // 2].y)))
-        for pt in pts:
-            want = _locate_by_scan(P, pt, tol)
-            if want is None:
-                with pytest.raises(GeometryError):
-                    _locate_on_boundary(P, pt, tol)
-            else:
-                assert _locate_on_boundary(P, pt, tol) == want, (P.n, pt)
 
 
 # `quadpara gen` arguments of the polygon files behind the digests below.
