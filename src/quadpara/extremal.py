@@ -134,7 +134,7 @@ def _supports(P: ConvexPolygon, loc, v, eps_dist: float) -> bool:
     has all of P on one side, within a signed-distance slack of eps_dist.
     By convexity the neighbours decide: at ("vertex", j), p[j - 1] and
     p[j + 1] must not lie beyond the slack on opposite sides; inside
-    ("edge", k), the line must keep the edge's far end within the slack."""
+    ("edge", k), the line through p[k] must keep p[k + 1] within it."""
     kind, j = loc
     vx, vy = _vec(v)
     slack = eps_dist * math.hypot(vx, vy)
@@ -151,9 +151,10 @@ def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: 
     ("vertex", j) or ("edge", k).
 
     Vertex i is the end nearer to itself.  Walking counterclockwise from it,
-    the ring stays strictly right of the chord up to edge k, which the
-    chord's line crosses or whose far end lies on it.  The far end of the
-    chord is the lower-indexed end of edge k within eps_dist, if any."""
+    the ring stays strictly right of the chord, directed away from vertex
+    i, up to edge k, which the chord's line crosses or whose far end lies
+    on it.  The chord's far end is the lower-indexed end of edge k within
+    eps_dist of it, if any, and otherwise a point inside edge k."""
     p = P[i]
     forward = math.dist(p, seg.a) <= math.dist(p, seg.b)  # the chord runs from p along +u
     far = seg.b if forward else seg.a
@@ -176,9 +177,12 @@ def _side_direction(P: ConvexPolygon, loc_a, loc_c, u, eps_dist: float):
     parallelogram."""
     ux, uy = _vec(u)
     ulen = math.hypot(ux, uy)
-    candidates = [P.edge_vector(k) for kind, j in (loc_a, loc_c) for k in ((j,) if kind == "edge" else (j - 1, j))]
+    candidates: list[tuple[float, float]] = []
+    for kind, j in (loc_a, loc_c):
+        candidates += [P.edge_vector(j)] if kind == "edge" else [P.edge_vector(j - 1), P.edge_vector(j)]
     crossing = [v for v in candidates if v[0] * uy - v[1] * ux != 0.0]
-    candidates = [v for v in crossing if abs(v[0] * uy - v[1] * ux) / (math.hypot(*v) * ulen) > CERT_TOL] or crossing
+    skew = [v for v in crossing if abs(v[0] * uy - v[1] * ux) / (math.hypot(*v) * ulen) > CERT_TOL]
+    candidates = skew or crossing
     for v in candidates:
         if _supports(P, loc_a, v, eps_dist) and _supports(P, loc_c, v, eps_dist):
             return v

@@ -8,7 +8,6 @@ import pytest
 from quadpara import (
     ConvexPolygon,
     Direction,
-    GeometryError,
     ParaResult,
     Point,
     QuadResult,
@@ -382,12 +381,13 @@ ANCHORED_FILES = {
 }
 
 # SHA-256 of the stdout of `quadpara anchored --input FILE --dir X Y`, run in
-# the directory holding FILE (the report echoes the path).  Recorded with the
-# quadratic implementation that measured the chord through every vertex
-# with chord_through, so corners, vertex_indices and touch_indices must stay
-# byte-identical.  The last direction of each integer file is one of its edge
-# vectors.  The regular polygons have float coordinates; their digests pin the
-# tolerance decisions of the anchored query.
+# the directory holding FILE (the report echoes the path).  The integer
+# files' digests were recorded with the quadratic implementation that
+# measured the chord through every vertex with chord_through, so corners,
+# vertex_indices and touch_indices must stay byte-identical; the last
+# direction of each is one of its edge vectors.  The regular polygons have
+# float coordinates, so their digests also pin the query's tolerance
+# decisions: which chord end is a vertex, and which side direction is taken.
 ANCHORED_GOLDEN = [
     ("lattice-64.txt", (1, 0), "47464d38ac6d518289c208dc951ac04e2d77fc6c8dc8fe4dd83765c096310248"),
     ("lattice-64.txt", (0, 1), "422e0b720d1006192e58dc10f749176c0374a9c7f19b1040733572a8d9a51900"),
