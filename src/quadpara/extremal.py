@@ -28,7 +28,7 @@ own determinant expression; where one sign disagrees, the loop runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,6 @@ from .geometry import (
     Segment,
     SweepOverrun,
     _neg_margins,
-    _next,
     _vec,
     chord_through,
     contains_point,
@@ -59,6 +58,21 @@ CERT_TOL = 1e-9
 def _cert_dist_tol(P: ConvexPolygon) -> float:
     """The certificates' distance tolerance: CERT_TOL * (max|coord| + 1)."""
     return CERT_TOL * (P.scale + 1.0)
+
+
+def _dyadic_unit(dx: float, dy: float) -> tuple[float, float]:
+    """(dx, dy) times the power of two that brings its larger component into
+    [0.5, 1).
+
+    A direction is a vector modulo scale; this representative keeps the
+    products and quotients formed from it clear of overflow and underflow.
+    Scaling by a power of two is exact for normal and subnormal components,
+    so u and 2^j u have the same representative.  Out of scope: a smaller
+    component below 2^-1022 times the larger, whose representative is
+    subnormal and may lose its low bits.
+    """
+    e = math.frexp(max(abs(dx), abs(dy)))[1]
+    return math.ldexp(dx, -e), math.ldexp(dy, -e)
 
 
 def _build_tol(P: ConvexPolygon) -> float:
@@ -276,17 +290,22 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     chord offsets are exact, as on integer input (see `_longest_vertex_chord`).
     The result is bit-identical to measuring the chord through every vertex,
     which `oracle.longest_chord` does in O(n^2).
+
+    The pair is computed with u scaled by a power of two (`_dyadic_unit`),
+    so u and 2^j u give the same pair, bit for bit, at every magnitude; only
+    `side_dir_bd` reports the caller's vector, made canonical.
     """
     uc = Direction(*_vec(u)).canonical()
+    un = Direction(*_dyadic_unit(uc.dx, uc.dy))
     eps = _build_tol(P)
 
-    i, seg = _longest_vertex_chord(P, uc)
+    i, seg = _longest_vertex_chord(P, un)
     a_pt, c_pt = seg
-    loc_a, loc_c = _chord_ends(P, i, seg, uc, eps)
-    v = _side_direction(P, loc_a, loc_c, uc, eps)
+    loc_a, loc_c = _chord_ends(P, i, seg, un, eps)
+    v = _side_direction(P, loc_a, loc_c, un, eps)
 
-    b_idx = extreme_vertex(P, (uc.dy, -uc.dx))
-    d_idx = extreme_vertex(P, (-uc.dy, uc.dx))
+    b_idx = extreme_vertex(P, (un.dy, -un.dx))
+    d_idx = extreme_vertex(P, (-un.dy, un.dx))
     b_pt, d_pt = P[b_idx], P[d_idx]
 
     idx_a = loc_a[1] if loc_a[0] == "vertex" else None
@@ -297,8 +316,8 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
         quad_area(a_pt, b_pt, c_pt, d_pt),
     )
 
-    para = _parallelogram(a_pt, b_pt, c_pt, d_pt, uc, Direction(*v), (loc_a[1], b_idx, loc_c[1], d_idx))
-    return quad, para
+    para = _parallelogram(a_pt, b_pt, c_pt, d_pt, un, Direction(*v), (loc_a[1], b_idx, loc_c[1], d_idx))
+    return quad, replace(para, side_dir_bd=uc)
 
 
 def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> ConjugateCertificate:
@@ -307,20 +326,19 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
 
     Angles are compared with CERT_TOL, distances with CERT_TOL * scale and
     areas with CERT_TOL * scale**2, where scale is the polygon's max absolute
-    coordinate plus one.
+    coordinate plus one.  The anchor u and G.side_dir_bd enter scaled by a
+    power of two (`_dyadic_unit`), so their magnitudes move no check.
     """
-    ux, uy = _vec(u)
-    udir = Direction(ux, uy)
+    udir = Direction(*_vec(u))
+    ux, uy = _dyadic_unit(udir.dx, udir.dy)
     dist_tol = _cert_dist_tol(P)
     ulen = math.hypot(ux, uy)
 
     A, B, C, D = F.corners
     anchoring_d = abs((C.x - A.x) * uy - (C.y - A.y) * ux) / ulen <= dist_tol
 
-    sb = G.side_dir_bd
-    anchoring_s = (
-        abs(sb.dx * uy - sb.dy * ux) / (math.hypot(sb.dx, sb.dy) * ulen) <= CERT_TOL
-    )
+    sbx, sby = _dyadic_unit(G.side_dir_bd.dx, G.side_dir_bd.dy)
+    anchoring_s = abs(sbx * uy - sby * ux) / (math.hypot(sbx, sby) * ulen) <= CERT_TOL
 
     g = G.corners
     sides = ((g[0], g[1]), (g[1], g[2]), (g[2], g[3]), (g[3], g[0]))
@@ -333,22 +351,21 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
         else:
             on_side.append(abs(ex * (corner.y - p.y) - ey * (corner.x - p.x)) / elen <= dist_tol)
 
-    quad_in_polygon = all(contains_point(P, corner, dist_tol) for corner in F.corners)
+    quad_in_polygon = contains_point(P, F.corners, dist_tol)
 
-    gx = np.array([p.x for p in g])
-    gy = np.array([p.y for p in g])
-    doubled = float(np.dot(gx, _next(gy)) - np.dot(_next(gx), gy))
+    # G's ring closed by its first corner, one row of x and one of y; its
+    # orientation is the sign of the shoelace sum.
+    ring = g + g[:1]
+    gxy = np.array([[p.x for p in ring], [p.y for p in ring]])
+    doubled = float(np.dot(gxy[0, :4], gxy[1, 1:]) - np.dot(gxy[0, 1:], gxy[1, :4]))
     if doubled < 0.0:
-        gx, gy = gx[::-1], gy[::-1]
+        gxy = gxy[:, ::-1]  # the reversed ring, still from g[0]
+    # Every vertex against G's four sides at once, one side per row.
+    e = gxy[:, 1:] - gxy[:, :4]
+    slack = [dist_tol * math.hypot(ex, ey) for ex, ey in zip(*e.tolist())]
     xy = P.coords()
-    inside = True
-    for k in range(4):
-        ex = gx[(k + 1) % 4] - gx[k]
-        ey = gy[(k + 1) % 4] - gy[k]
-        cr = ex * (xy[:, 1] - gy[k]) - ey * (xy[:, 0] - gx[k])
-        if not bool((cr >= -dist_tol * math.hypot(ex, ey)).all()):
-            inside = False
-            break
+    neg = _neg_margins(xy[:, 0], xy[:, 1], gxy[0, :4, None], gxy[1, :4, None], e[0, :, None], e[1, :, None])
+    inside = bool((neg <= np.array(slack)[:, None]).all())
 
     area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * (P.scale + 1.0)
 

@@ -5,8 +5,12 @@ sign of a 2x2 determinant with no epsilon.  On integer inputs with
 |coordinate| <= 2**20 those determinants are computed exactly, so strict and
 non-strict comparisons of triangle areas over a common base never disagree
 with the true signs; tie cases (parallel edges) therefore branch correctly.
-Tolerances appear only in containment/residual checks, where they are always
-relative to the coordinate scale of the polygon.
+This module keeps no tolerance of its own: `contains_point` compares with
+the tolerance its caller passes.  The package's tolerances are in
+`extremal`: the anchored pair's construction tolerance `_build_tol`,
+CERT_TOL * max|coord|, and the certificates' distance tolerance
+`_cert_dist_tol`, CERT_TOL * (max|coord| + 1), whose `+ 1` makes it an
+absolute tolerance on polygons much smaller than unit scale.
 """
 
 from __future__ import annotations
@@ -340,7 +344,9 @@ def _neg_margins(qx, qy, vx, vy, ex, ey):
 
     `chord_through`, `oracle.longest_chord`, `oracle.brute_smallest_para`
     and `extremal._chord_bounds` all take their margins from here, so their
-    chord parameters agree to the bit.
+    chord parameters agree to the bit; so do both containment checks of a
+    certificate, `contains_point` and `extremal.verify_conjugate_pair`'s
+    polygon-in-parallelogram pass.
     """
     c = qy - vy
     c *= ex
@@ -398,19 +404,30 @@ def line_intersection(l1: Line, l2: Line) -> Point:
 
 def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:
     """True iff x is within signed distance tol of the inner side of every
-    edge line.  tol == 0 is the exact test."""
-    px, py = _vec(x)
+    edge line.  tol == 0 is the exact test.
+
+    x may also be a sequence of points, or an (m, 2) array: the answer is
+    then whether every point passes, from one array pass whose elements are
+    those of m single-point calls.
+    """
+    if isinstance(x, Direction) or len(x) == 2 and np.ndim(x[0]) == 0:
+        px, py = _vec(x)
+    else:
+        q = _pair_array(x)
+        px, py = q[:, :1], q[:, 1:]  # columns against the edges along the last axis
     xy = P.coords()
-    vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
-    cross = ex * (py - vy) - ey * (px - vx)
+    neg = _neg_margins(px, py, xy[:, 0], xy[:, 1], ex, ey)
     if tol == 0.0:
-        return bool((cross >= 0.0).all())
+        return bool((neg <= 0.0).all())
     if tol > 0.0:
-        # An edge with cross >= 0 passes at any length: measure only the
-        # rest, NaN included, so a non-finite x still fails.
-        k = np.flatnonzero(~(cross >= 0.0))
+        # A (point, edge) element with a margin >= 0 passes at any edge
+        # length: measure only the rest, NaN included, so a non-finite x
+        # still fails.  Flat indices: np.nonzero is many times slower on
+        # two axes.
+        k = np.flatnonzero(~(neg <= 0.0))
         if k.size == 0:
             return True
-        ex, ey, cross = ex[k], ey[k], cross[k]
-    return bool((cross >= -tol * np.hypot(ex, ey)).all())
+        edge = k % P.n
+        ex, ey, neg = ex[edge], ey[edge], neg.ravel()[k]
+    return bool((neg <= tol * np.hypot(ex, ey)).all())

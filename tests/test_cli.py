@@ -146,6 +146,21 @@ def test_anchored_direction_identification(capsys, square_file):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("x,y", [("1e308", "1e308"), ("1e-200", "0"), ("1e-320", "0"), ("1e200", "1e200")])
+def test_anchored_direction_of_extreme_magnitude(capsys, tmp_path, x, y):
+    # The pair is built for the direction, not for the vector's magnitude:
+    # no overflow, no underflow, and the certificate holds.
+    assert main(["gen", "--kind", "lattice", "--n", "40", "--seed", "2"]) == 0
+    path = tmp_path / "lattice-40.txt"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    code, out, err = run(capsys, "anchored", "--input", str(path), "--dir", x, y)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["anchor"] == [float(x), float(y)]
+    assert doc["certificate"]["all_ok"]
+    assert doc["area_ratio"] == pytest.approx(2.0, rel=1e-12)
+
+
 def test_anchored_zero_direction(capsys, square_file):
     code, _, err = run(capsys, "anchored", "--input", square_file, "--dir", "0", "0")
     assert code == 2

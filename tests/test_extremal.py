@@ -98,6 +98,28 @@ def test_anchored_pair_scales_exactly():
                 assert (Fj.area, Gj.area) == (math.ldexp(F.area, 2 * j), math.ldexp(G.area, 2 * j)), (P.n, u, j)
 
 
+def test_anchored_pair_ignores_the_direction_magnitude():
+    # A direction is a vector modulo scale: the pair and the certificate for
+    # 2**j u are those for u, bit for bit, for j from -1000 to 1000 and, on
+    # the integer vectors, down to the subnormal 2**-1074 u; only side_dir_bd
+    # is the caller's vector.  The float polygon takes every seventh j.
+    for P, step in ((lattice_ngon(40, 2), 1), (regular_ngon(9, 1000.0, 1), 7)):
+        for u in ((1, 0), (3, -7), (0.6, 0.8), (123, -457)):
+            F, G = anchored_conjugate_pair(P, u)
+            checks = verify_conjugate_pair(F, G, u, P).checks
+            assert checks.all_ok, (P.n, u)
+            lowest = -1000 if isinstance(u[0], float) else -1074
+            for j in range(lowest, 1001, step):
+                uj = (math.ldexp(u[0], j), math.ldexp(u[1], j))
+                Fj, Gj = anchored_conjugate_pair(P, uj)
+                assert (Fj.vertex_indices, Gj.touch_indices) == (F.vertex_indices, G.touch_indices), (P.n, u, j)
+                assert _bits(Fj.corners + Gj.corners) == _bits(F.corners + G.corners), (P.n, u, j)
+                assert (Fj.area, Gj.area, Gj.side_dir_ac) == (F.area, G.area, G.side_dir_ac), (P.n, u, j)
+                sb = Direction(*uj).canonical()
+                assert _bits([(Gj.side_dir_bd.dx, Gj.side_dir_bd.dy)]) == _bits([(sb.dx, sb.dy)]), (P.n, u, j)
+                assert verify_conjugate_pair(Fj, Gj, uj, P).checks == checks, (P.n, u, j)
+
+
 def test_anchored_pairs_verify_on_corpus(corpus):
     rng = SplitMix64(31337)
     for P in corpus[:25]:
@@ -110,6 +132,139 @@ def test_anchored_pairs_verify_on_corpus(corpus):
             assert cert.checks.all_ok, (u, cert.checks)
             assert rel_eq(G.area, 2 * F.area)
             assert rel_eq(F.area, brute_anchored_quad_area(P, u), rel=1e-9)
+
+
+# The certificate as one Python loop per containment, four single-point
+# containment tests for F and one pass per side of G for P: the reference
+# that `verify_conjugate_pair`'s array passes must match, boolean for boolean.
+
+
+def _contains_point_loop(P, x, tol):
+    px, py = x
+    xy = P.coords()
+    ex, ey = P.edges()
+    cross = ex * (py - xy[:, 1]) - ey * (px - xy[:, 0])
+    return bool((cross >= -tol * np.hypot(ex, ey)).all())
+
+
+def verify_conjugate_pair_loop(F, G, u, P):
+    ux, uy = float(u[0]), float(u[1])
+    dist_tol = extremal._cert_dist_tol(P)
+    ulen = math.hypot(ux, uy)
+
+    A, B, C, D = F.corners
+    anchoring_d = abs((C.x - A.x) * uy - (C.y - A.y) * ux) / ulen <= dist_tol
+
+    sb = G.side_dir_bd
+    anchoring_s = (
+        abs(sb.dx * uy - sb.dy * ux) / (math.hypot(sb.dx, sb.dy) * ulen) <= extremal.CERT_TOL
+    )
+
+    g = G.corners
+    sides = ((g[0], g[1]), (g[1], g[2]), (g[2], g[3]), (g[3], g[0]))
+    on_side = []
+    for corner, (p, q) in zip((A, B, C, D), sides):
+        ex, ey = q.x - p.x, q.y - p.y
+        elen = math.hypot(ex, ey)
+        if elen == 0.0:
+            on_side.append(math.hypot(corner.x - p.x, corner.y - p.y) <= dist_tol)
+        else:
+            on_side.append(abs(ex * (corner.y - p.y) - ey * (corner.x - p.x)) / elen <= dist_tol)
+
+    quad_in_polygon = all(_contains_point_loop(P, corner, dist_tol) for corner in F.corners)
+
+    gx = np.array([p.x for p in g])
+    gy = np.array([p.y for p in g])
+    doubled = float(np.dot(gx, np.roll(gy, -1)) - np.dot(np.roll(gx, -1), gy))
+    if doubled < 0.0:
+        gx, gy = gx[::-1], gy[::-1]
+    xy = P.coords()
+    inside = True
+    for k in range(4):
+        ex = gx[(k + 1) % 4] - gx[k]
+        ey = gy[(k + 1) % 4] - gy[k]
+        cr = ex * (xy[:, 1] - gy[k]) - ey * (xy[:, 0] - gx[k])
+        if not bool((cr >= -dist_tol * math.hypot(ex, ey)).all()):
+            inside = False
+            break
+
+    area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * (P.scale + 1.0)
+    return extremal.CertificateChecks(anchoring_d, anchoring_s, tuple(on_side), quad_in_polygon, inside, area_ratio)
+
+
+def _about_centre(G, f):
+    cx = sum(p.x for p in G.corners) / 4.0
+    cy = sum(p.y for p in G.corners) / 4.0
+    return tuple(Point(cx + f * (p.x - cx), cy + f * (p.y - cy)) for p in G.corners)
+
+
+def _side_moved_in(G, k, f):
+    """G with side k moved inward by the fraction f of its neighbours, along
+    them, so that only side k's line moves."""
+    g = list(G.corners)
+    p, q = g[k], g[(k + 1) % 4]
+    before, after = g[k - 1], g[(k + 2) % 4]
+    g[k] = Point(p.x + f * (before.x - p.x), p.y + f * (before.y - p.y))
+    g[(k + 1) % 4] = Point(q.x + f * (after.x - q.x), q.y + f * (after.y - q.y))
+    return tuple(g)
+
+
+def test_certificate_matches_the_loop_reference(corpus):
+    # Base records: both certificates of every corpus polygon, and anchored
+    # pairs for six directions.  Each is checked as built, with G perturbed
+    # (scaled about its centre, reversed, flattened, one side moved in) and
+    # with F's corners pushed 2 tol out of or into P, or made non-finite.
+    # Then one F corner per edge of P is put 2 tol outside that edge alone.
+    polys = list(corpus) + [regular_ngon(n, r, 1) for n in (5, 40) for r in (1.0, 1000.0)]
+    inf, nan = math.inf, math.nan
+    records = 0
+    for P in polys:
+        base = []
+        rep = combined_extremes(P)
+        for cert in (rep.quad_certificate, rep.para_certificate):
+            base.append((cert.quad, cert.para, cert.anchor))
+        for u in ((1, 0), (0, 1), (1, 1), (3, -7), (0.6, 0.8), (123, -457)):
+            base.append((*anchored_conjugate_pair(P, u), Direction(*u)))
+        two_tol = 2.0 * extremal._cert_dist_tol(P)
+        cx = sum(p.x for p in P) / P.n
+        cy = sum(p.y for p in P) / P.n
+        for F, G, u in base:
+            Gs = [G.corners, G.corners[::-1], G.corners[:2] + G.corners[1:3]]
+            Gs += [_about_centre(G, f) for f in (0.9, 1.001, 3.0)]
+            Gs += [_side_moved_in(G, k, 1e-6) for k in range(4)]
+            Fs = [F.corners]
+            for h in (two_tol, -two_tol):
+                out = []
+                for p in F.corners:
+                    r = math.hypot(p.x - cx, p.y - cy)
+                    out.append(Point(p.x + h * (p.x - cx) / r, p.y + h * (p.y - cy) / r))
+                Fs.append(tuple(out))
+            for bad in ((nan, 0.0), (inf, 0.0), (-inf, nan)):
+                Fs.append((Point(*bad),) + F.corners[1:])
+            cases = [(F.corners, g) for g in Gs] + [(f, G.corners) for f in Fs[1:]]
+            for fc, gc in cases:
+                Fx = dataclasses.replace(F, corners=fc)
+                Gx = dataclasses.replace(G, corners=gc)
+                with np.errstate(invalid="ignore"):
+                    want = verify_conjugate_pair_loop(Fx, Gx, (u.dx, u.dy), P)
+                    got = verify_conjugate_pair(Fx, Gx, u, P).checks
+                assert got == want, (P.n, u, fc, gc)
+                records += 1
+        F, G, u = base[0]
+        xy = P.coords()
+        ex, ey = P.edges()
+        for k in range(P.n):
+            elen = math.hypot(ex[k], ey[k])
+            out = Point(float(xy[k, 0] + 0.5 * ex[k] + two_tol * ey[k] / elen),
+                        float(xy[k, 1] + 0.5 * ey[k] - two_tol * ex[k] / elen))
+            corners = list(F.corners)
+            corners[k % 4] = out
+            Fx = dataclasses.replace(F, corners=tuple(corners))
+            got = verify_conjugate_pair(Fx, G, u, P).checks
+            assert got == verify_conjugate_pair_loop(Fx, G, (u.dx, u.dy), P), (P.n, k)
+            assert not got.quad_in_polygon, (P.n, k)
+            records += 1
+    assert records >= 3000
 
 
 def test_verify_detects_oversized_parallelogram(square):

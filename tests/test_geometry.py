@@ -417,6 +417,12 @@ def test_contains_point(square):
     assert not contains_point(square, (1.5, 0.5), 0.0)
     assert contains_point(square, (1 + 1e-12, 0.5), 1e-9)
     assert not contains_point(square, (1 + 1e-6, 0.5), 1e-9)
+    assert contains_point(square, [(0.5, 0.5), (1 + 1e-12, 0.5)], 1e-9)
+    assert not contains_point(square, [(0.5, 0.5), (1 + 1e-6, 0.5)], 1e-9)
+    assert contains_point(square, [], 0.0)  # as all() of no points
+    for bad in ((1.0, 2.0, 3.0), [(1.0, 2.0, 3.0)], [(0.5, 0.5), (0.5,)]):
+        with pytest.raises(ValueError):
+            contains_point(square, bad)
 
 
 def test_contains_point_matches_full_edge_formula(corpus):
@@ -436,14 +442,28 @@ def test_contains_point_matches_full_edge_formula(corpus):
         for h in (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6):
             points.append(mids + h * scale * normal)
             points.append(xy + h * scale * normal)
-        for q in np.concatenate(points).tolist() + non_finite:
+        qs = np.concatenate(points).tolist() + non_finite
+        for q in qs:
             with np.errstate(invalid="ignore"):
                 cross = ex * (q[1] - xy[:, 1]) - ey * (q[0] - xy[:, 0])
                 for tol in (1e-12, 1e-9, 1e-6, 1e-3, 0.0, -1e-9):
                     want = bool((cross >= -tol * scale * np.hypot(ex, ey)).all())
                     assert contains_point(P, q, tol * scale) == want, (P.n, q, tol)
+                    assert contains_point(P, Point(*q), tol * scale) == want, (P.n, q, tol)
+                    assert contains_point(P, np.array(q), tol * scale) == want, (P.n, q, tol)
                     if q in non_finite:
                         assert not want
+        # A sequence of points, or an (m, 2) array, passes iff each point does.
+        batches = [[q] for q in qs[:: max(1, len(qs) // 40)]]
+        batches += [qs[k : k + 4] for k in range(0, len(qs) - 3, 3)]
+        batches += [[q, qs[0], qs[1], qs[2]] for q in non_finite]
+        for batch in batches:
+            with np.errstate(invalid="ignore"):
+                for tol in (1e-12, 1e-9, 1e-6, 1e-3, 0.0, -1e-9):
+                    want = all(contains_point(P, q, tol * scale) for q in batch)
+                    assert contains_point(P, batch, tol * scale) == want, (P.n, batch, tol)
+                    assert contains_point(P, tuple(Point(*q) for q in batch), tol * scale) == want
+                    assert contains_point(P, np.array(batch), tol * scale) == want, (P.n, batch, tol)
 
 
 def test_polygon_indexing_wraps(square):
