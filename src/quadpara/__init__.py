@@ -44,7 +44,6 @@ from .oracle import (
     brute_anchored_quad_area,
     brute_largest_quad,
     brute_smallest_para,
-    is_antipodal_brute,
     longest_chord,
 )
 from .polygen import (

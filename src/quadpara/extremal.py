@@ -35,12 +35,13 @@ import numpy as np
 
 from .geometry import (
     ConvexPolygon,
-    Degenerate,
     Direction,
     Line,
     Point,
     Segment,
     SweepOverrun,
+    _chord_params,
+    _dyadic_unit,
     _neg_margins,
     _vec,
     chord_through,
@@ -49,7 +50,7 @@ from .geometry import (
     line_intersection,
     quad_area,
 )
-from .sweep import _combined_sweep
+from .sweep import _combined_sweep, _direction_keys
 
 CERT_TOL = 1e-9
 """Relative residual tolerance of every conjugate-pair certificate."""
@@ -58,21 +59,6 @@ CERT_TOL = 1e-9
 def _cert_dist_tol(P: ConvexPolygon) -> float:
     """The certificates' distance tolerance: CERT_TOL * (max|coord| + 1)."""
     return CERT_TOL * (P.scale + 1.0)
-
-
-def _dyadic_unit(dx: float, dy: float) -> tuple[float, float]:
-    """(dx, dy) times the power of two that brings its larger component into
-    [0.5, 1).
-
-    A direction is a vector modulo scale; this representative keeps the
-    products and quotients formed from it clear of overflow and underflow.
-    Scaling by a power of two is exact for normal and subnormal components,
-    so u and 2^j u have the same representative.  Out of scope: a smaller
-    component below 2^-1022 times the larger, whose representative is
-    subnormal and may lose its low bits.
-    """
-    e = math.frexp(max(abs(dx), abs(dy)))[1]
-    return math.ldexp(dx, -e), math.ldexp(dy, -e)
 
 
 def _build_tol(P: ConvexPolygon) -> float:
@@ -175,7 +161,7 @@ def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: 
     xy = P.coords()
     cr = u.dx * (xy[:, 1] - p.y) - u.dy * (xy[:, 0] - p.x)
     right = cr < 0.0 if forward else cr > 0.0
-    k = (i + int(np.argmin(np.roll(right, -i - 1)))) % P.n
+    k = (i + int(np.argmin(np.concatenate((right[i + 1 :], right[: i + 1]))))) % P.n
     ends = [j for j in sorted((k, (k + 1) % P.n)) if math.dist(far, P[j]) <= eps_dist]
     loc = ("vertex", ends[0]) if ends else ("edge", k)
     return (("vertex", i), loc) if forward else (loc, ("vertex", i))
@@ -219,63 +205,154 @@ def _parallelogram(
     return ParaResult((g0, g1, g2, g3), u, v, area, touch)
 
 
-def _chord_bounds(P: ConvexPolygon, d: np.ndarray, s: np.ndarray, lower: bool) -> np.ndarray:
-    """For the chord along u through each vertex, the parameter bound set by
-    the edges with d > 0 (lower) or d < 0 (upper), evaluated only on the
-    edge the chord crosses.
+# Unit roundoff of binary64, and the largest conditioning factor kappa (see
+# `_longest_chord`) of an edge that bounds the window's chords.
+_EPS = 2.0**-53
+_KAPPA_MAX = 2.0**20
+# (vertex, edge) elements per batched chord pass; bounds its temporaries.
+_BLOCK = 1 << 14
 
-    The edges of one sign form a cyclic chain along which the offset s falls
-    (d > 0) or rises (d < 0), so one binary search per vertex finds the
-    crossed edge.  Each t uses chord_through's margins; as the bound is
-    taken over a subset of the edges, it is never tighter than the true one.
-    """
-    chain = np.flatnonzero(d > 0.0 if lower else d < 0.0)
-    if chain.size == 0:
-        raise Degenerate("line does not leave the polygon; invalid polygon?")
-    gap = np.flatnonzero(np.diff(chain) != 1)
-    if gap.size:
-        chain = np.roll(chain, -int(gap[0]) - 1)  # start at the run's first edge
-    sign = -1.0 if lower else 1.0
-    hit = np.searchsorted(sign * s[chain], sign * s, side="right") - 1
-    k = chain[np.maximum(hit, 0)]
+
+def _d_edge(P: ConvexPolygon, u: Direction) -> int:
+    """The index j for which the ray along u meets D = P - P on its edge
+    from vertex j - 1 to vertex j: one binary search on D's keys."""
+    D = P.difference_body()
+    key = _direction_keys(np.array([u.dx]), np.array([u.dy]), D.k0)
+    return int(np.searchsorted(D.keys, key[0], side="right"))
+
+
+def _vertex_extents(P: ConvexPolygon, rows: list, edges, ux: float, uy: float) -> np.ndarray:
+    """The extent (b - a) . u of the chord along (ux, uy) through each vertex
+    in `rows`, cut by the edges in `edges` (indices, or slice(None) for all),
+    in `oracle._longest_vertex_chords`' float expressions, in blocks of at
+    most _BLOCK (vertex, edge) elements."""
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
-    t = _neg_margins(vx, vy, vx[k], vy[k], ex[k], ey[k])
-    t /= d[k]
-    return t
+    kx, ky, kdx, kdy = vx[edges], vy[edges], ex[edges], ey[edges]
+    qx, qy = vx[rows], vy[rows]
+    ext = np.empty(len(rows))
+    step = max(1, _BLOCK // len(kx))
+    for s in range(0, len(rows), step):
+        bx, by = qx[s : s + step], qy[s : s + step]
+        t0, t1 = _chord_params(_neg_margins(bx[:, None], by[:, None], kx, ky, kdx, kdy), kdx, kdy, ux, uy)
+        ext[s : s + step] = ((bx + t1 * ux) - (bx + t0 * ux)) * ux + ((by + t1 * uy) - (by + t0 * uy)) * uy
+    return ext
 
 
-def _longest_vertex_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
-    """The first vertex i whose chord has the greatest extent along u, with
-    `chord_through(P, P[i], u)`, without measuring every chord in full.
+def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
+    """The first vertex i, in index order, whose chord along u has the
+    greatest extent (b - a) . u as `oracle._longest_vertex_chords` computes
+    it, with `chord_through(P, P[i], u)`; u is a `_dyadic_unit` vector.
 
-    The one-edge bounds of `_chord_bounds` can only overstate a chord's
-    extent.  The vertex they rank first is measured in full; when its extent
-    falls short, that value replaces the estimate and the ranking repeats.
-    A vertex that ranks first with its true extent beats the true extents
-    of all others, so the result is the one a loop over every vertex picks,
-    ties included.  When the offsets are exact (integer coordinates and
-    direction), the search finds the crossed edge, every estimate is exact
-    and one full measurement suffices.
+    D = P - P proposes: its radial function along u is the longest chord's
+    length (Rogers and Shephard, 1957), so the chord runs from one of the at
+    most four vertices of the pairs (a, c) that end the D edge named by
+    `_d_edge`.  Those vertices and their ring neighbours within r form the
+    window.  Each window chord is first cut only by the window's edges E,
+    less those whose factor kappa = |e|_1 |u|_inf / |d| exceeds _KAPPA_MAX
+    (d = e x u; an edge is kept only when its sign is sure): with fewer
+    edges no chord is shorter, and rounding is monotone, so this extent U
+    bounds the full one from above, with no error term.  The window vertex
+    ranked first by U is measured with `chord_through`; the window vertices
+    whose U can beat its extent or, earlier in index order, tie it are
+    measured against every edge in one batched pass, and the first maximum
+    wins.
+
+    No vertex outside the window can then rank first or tie, by two facts.
+    (1) Let L(s) be |u| times the length of the exact chord at offset
+    s = u x p of P_E, the intersection of E's half-planes: P_E is convex,
+    so L is concave (Brunn-Minkowski), and s is monotone along each chain
+    of P between the two vertices extreme across u.  (2) Rounding: with
+    eps = 2^-53, |U - L| <= A + B L at every vertex, A = 256 eps kappa
+    max|coord| and B = 512 eps kappa, kappa the largest over E (Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 3: bounds for
+    the margins, d, the quotients t and the extent; the chord parameters
+    are at most 4 L in size).  At each end e of a gap between window runs,
+    the gap's first and last edges move s in opposite directions (their
+    signs are sure), so every gap vertex lies beyond s_e or beyond the
+    other end's offset.  If some vertex k of e's run, reached from e over
+    edges of the same sure sign, has U_k > out(U_e) = (U_e + 2A)(1 + 4B),
+    then L(s_k) > L(s_e) with s_k on the window's side of s_e, so L does
+    not rise past s_e, and every gap vertex j beyond it has an extent
+    <= U_j <= out(U_e).  The window stops growing when out(U_e) is also
+    below the winner's extent at every end; otherwise r doubles, up to the
+    whole ring.  A poor proposal costs time but never changes the answer.
+    Underflow is out of scope, as for the rest of the package.
     """
+    n = P.n
     ux, uy = u.dx, u.dy
-    xy = P.coords()
-    vx, vy = xy[:, 0], xy[:, 1]
+    umax = max(abs(ux), abs(uy))
     ex, ey = P.edges()
-    d = ex * uy - ey * ux
-    s = ux * vy - uy * vx
-    t0 = _chord_bounds(P, d, s, lower=True)
-    t1 = _chord_bounds(P, d, s, lower=False)
-    ext = ((vx + t1 * ux) - (vx + t0 * ux)) * ux + ((vy + t1 * uy) - (vy + t0 * uy)) * uy
-    ext = np.maximum(ext, 0.0)  # chord_through shrinks a chord with t0 > t1 to a point
+    D = P.difference_body()
+    j = _d_edge(P, u)
+    ends = [(j - 1) % len(D.keys), j % len(D.keys)]
+    proposed = set(D.a[ends].tolist() + D.c[ends].tolist())
+    r = 2
     while True:
-        i = int(np.argmax(ext))
+        rows = sorted({(p + k) % n for p in proposed for k in range(-r, r + 1)})
+        w = len(rows)
+        edges = np.array(sorted({(i - 1) % n for i in rows}.union(rows)))
+        d = ex[edges] * uy - ey[edges] * ux
+        sure = np.abs(d) - 4.0 * _EPS * (np.abs(ex[edges] * uy) + np.abs(ey[edges] * ux))
+        size = 2.0 * umax * (np.abs(ex[edges]) + np.abs(ey[edges]))
+        good = size <= _KAPPA_MAX * sure
+        kappa = math.inf
+        U = np.full(w, math.inf)
+        if (d[good] > 0.0).any() and (d[good] < 0.0).any():
+            kappa = float((size[good] / sure[good]).max())
+            U = _vertex_extents(P, rows, edges[good], ux, uy)
+        i = rows[int(np.argmax(U))]
         seg = chord_through(P, P[i], u)
-        full = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
-        if not full < ext[i]:
+        best = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
+        # A later vertex must beat that extent; an earlier one wins a tie.
+        reach = [k for k, x in zip(rows, U.tolist()) if x > best or x == best and k <= i]
+        if len(reach) > 1:
+            ext = _vertex_extents(P, reach, slice(None), ux, uy)
+            k = int(np.argmax(ext))
+            if reach[k] != i:
+                i = reach[k]
+                seg = chord_through(P, P[i], u)
+            best = float(ext[k])
+        if w == n:
             return i, seg
-        ext[i] = full
+        # The sure sign of each window vertex's outgoing and incoming edge:
+        # +1 where s rises along it, -1 where it falls, 0 where unsure.
+        sign = np.where(sure > 0.0, -np.sign(d), 0.0)
+        s_out = sign[np.searchsorted(edges, rows)].tolist()
+        s_in = sign[np.searchsorted(edges, [(k - 1) % n for k in rows])].tolist()
+        gap = [rows[(k + 1) % w] != (rows[k] + 1) % n for k in range(w)]
+        A = 256.0 * _EPS * kappa * P.scale
+        B = 512.0 * _EPS * kappa
+        out = ((U + 2.0 * A) * (1.0 + 4.0 * B)).tolist()
+        U = U.tolist()
+        if all(_gap_is_safe(e, gap, s_out, s_in, U, out, best) for e in range(w) if gap[e]):
+            return i, seg
+        r *= 2
+
+
+def _gap_is_safe(e: int, gap: list, s_out: list, s_in: list, U: list, out: list, best: float) -> bool:
+    """Whether no vertex in the gap after window position e can rank first
+    (see `_longest_chord`): the gap's first and last edges move s in
+    opposite sure directions, and out(U) at both of its ends lies below
+    the winner's extent and below U at a witness, a vertex reached from the
+    end, away from the gap, over edges of that end's sure sign."""
+    w = len(gap)
+    e2 = (e + 1) % w
+    rise = s_out[e]
+    if rise == 0.0 or s_in[e2] != -rise:
+        return False
+    k, top = e, -math.inf
+    while not gap[k - 1] and s_in[k] == rise:
+        k -= 1
+        top = max(top, U[k])
+    if not out[e] < min(best, top):
+        return False
+    k, top = e2, -math.inf
+    while not gap[k] and s_out[k] == -rise:
+        k = (k + 1) % w
+        top = max(top, U[k])
+    return out[e2] < min(best, top)
 
 
 def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult]:
@@ -286,10 +363,14 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     parallel to u, the other two corners touch the supporting lines parallel
     to u, and the parallelogram has exactly twice the quadrilateral's area.
 
-    O(n log n) numpy work with no Python loop over the vertices whenever the
-    chord offsets are exact, as on integer input (see `_longest_vertex_chord`).
-    The result is bit-identical to measuring the chord through every vertex,
-    which `oracle.longest_chord` does in O(n^2).
+    The diagonal is chosen from D = P - P, built once per polygon in
+    O(n log n) numpy work and cached (`ConvexPolygon.difference_body`): one
+    binary search proposes it, and a window of a few vertices, measured
+    against its own edges and grown only while it cannot rule out the rest,
+    confirms it (`_longest_chord`).  The diagonal is then measured once with
+    `chord_through`; its far end, b and d take three more O(n) array passes.
+    The result is bit-identical to measuring the chord through every
+    vertex, which `oracle.longest_chord` does in O(n^2).
 
     The pair is computed with u scaled by a power of two (`_dyadic_unit`),
     so u and 2^j u give the same pair, bit for bit, at every magnitude; only
@@ -299,7 +380,7 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     un = Direction(*_dyadic_unit(uc.dx, uc.dy))
     eps = _build_tol(P)
 
-    i, seg = _longest_vertex_chord(P, un)
+    i, seg = _longest_chord(P, un)
     a_pt, c_pt = seg
     loc_a, loc_c = _chord_ends(P, i, seg, un, eps)
     v = _side_direction(P, loc_a, loc_c, un, eps)

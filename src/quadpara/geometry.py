@@ -59,10 +59,27 @@ class Point(NamedTuple):
     y: float
 
 
+def _dyadic_unit(dx: float, dy: float) -> tuple[float, float]:
+    """(dx, dy) times the power of two that brings its larger component into
+    [0.5, 1).
+
+    A direction is a vector modulo scale; this representative keeps the
+    products and quotients formed from it clear of overflow and underflow.
+    Scaling by a power of two is exact for normal and subnormal components,
+    so u and 2^j u have the same representative.  Out of scope: a smaller
+    component below 2^-1022 times the larger, whose representative is
+    subnormal and may lose its low bits.
+    """
+    e = math.frexp(max(abs(dx), abs(dy)))[1]
+    return math.ldexp(dx, -e), math.ldexp(dy, -e)
+
+
 @dataclass(frozen=True, eq=False)
 class Direction:
     """A nonzero vector modulo scaling: u and -u compare equal.
 
+    Equality is the exact parallelism test on the `_dyadic_unit`
+    representatives, so it holds for u and 2^j u at any magnitude.
     Unhashable: equality is parallelism, which no hash of the raw components
     can respect, so Directions cannot be set members or dict keys.
     """
@@ -81,7 +98,9 @@ class Direction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Direction):
             return NotImplemented
-        return self.dx * other.dy - self.dy * other.dx == 0.0
+        ax, ay = _dyadic_unit(self.dx, self.dy)
+        bx, by = _dyadic_unit(other.dx, other.dy)
+        return ax * by - ay * bx == 0.0
 
     def canonical(self) -> "Direction":
         """The representative with dy > 0, or dy == 0 and dx > 0."""
@@ -166,7 +185,7 @@ class ConvexPolygon:
     `canonicalize`), or NotConvex.
     """
 
-    __slots__ = ("n", "_xy", "_edges", "_scale")
+    __slots__ = ("n", "_xy", "_edges", "_scale", "_dbody")
 
     def __init__(self, points: Iterable[Sequence[float]]):
         xy = _pair_array(points)
@@ -202,6 +221,7 @@ class ConvexPolygon:
         self._xy = xy
         self._edges = None
         self._scale = float(np.abs(xy).max())
+        self._dbody = None
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -236,6 +256,17 @@ class ConvexPolygon:
             x, y = self._xy[:, 0], self._xy[:, 1]
             self._edges = (_next(x) - x, _next(y) - y)
         return self._edges
+
+    def difference_body(self):
+        """The difference body P - P as `sweep.DifferenceBody`: its vertices
+        p[c] - p[a] over a full turn, as the index pairs (a, c), with their
+        direction keys; built on first use in O(n log n) numpy work, then
+        cached.  Do not mutate."""
+        if self._dbody is None:
+            from .sweep import _difference_body  # sweep imports this module
+
+            self._dbody = _difference_body(self._xy, *self.edges())
+        return self._dbody
 
     @property
     def scale(self) -> float:
@@ -311,10 +342,14 @@ def extreme_vertex(P: ConvexPolygon, d) -> int:
 
 
 def width(P: ConvexPolygon, u) -> float:
-    """Distance between the two supporting lines of P parallel to u."""
+    """Distance between the two supporting lines of P parallel to u.
+
+    u enters as its `_dyadic_unit` representative, so u and 2^j u give the
+    same width, bit for bit."""
     ux, uy = _vec(u)
     if ux == 0.0 and uy == 0.0:
         raise Degenerate("zero vector is not a direction")
+    ux, uy = _dyadic_unit(ux, uy)
     xy = P.coords()
     proj = xy[:, 0] * (-uy) + xy[:, 1] * ux
     return float(proj.max() - proj.min()) / math.hypot(ux, uy)
@@ -343,9 +378,9 @@ def _neg_margins(qx, qy, vx, vy, ex, ey):
     edge length.  The arguments broadcast; the result is a fresh array.
 
     `chord_through`, `oracle.longest_chord`, `oracle.brute_smallest_para`
-    and `extremal._chord_bounds` all take their margins from here, so their
-    chord parameters agree to the bit; so do both containment checks of a
-    certificate, `contains_point` and `extremal.verify_conjugate_pair`'s
+    and `extremal._vertex_extents` all take their margins from here, so
+    their chord parameters agree to the bit; so do both containment checks
+    of a certificate, `contains_point` and `extremal.verify_conjugate_pair`'s
     polygon-in-parallelogram pass.
     """
     c = qy - vy

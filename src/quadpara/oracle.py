@@ -27,9 +27,9 @@ from .geometry import (
     Point,
     Segment,
     _chord_params,
+    _dyadic_unit,
     _neg_margins,
     _vec,
-    det,
     width,
 )
 
@@ -95,11 +95,13 @@ def longest_chord(P: ConvexPolygon, u) -> Segment:
     is attained at a vertex height, so the longest chord passes through some
     vertex.  Ties keep the lowest vertex index.  `chord_through` for every
     vertex, in O(n^2) array passes over blocks of vertices, makes this the
-    reference for `anchored_conjugate_pair`.
+    reference for `anchored_conjugate_pair`.  u enters as its `_dyadic_unit`
+    representative, so u and 2^j u give the same chord, bit for bit.
     """
     ux, uy = _vec(u)
     if ux == 0.0 and uy == 0.0:
         raise Degenerate("zero vector is not a direction")
+    ux, uy = _dyadic_unit(ux, uy)
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
@@ -114,7 +116,8 @@ def brute_anchored_quad_area(P: ConvexPolygon, u) -> float:
     """Half of longest-chord length times width, both taken parallel to u.
 
     This is the area of the largest quadrilateral whose diagonal is parallel
-    to u, computed without any sweep machinery.
+    to u, computed without any sweep machinery.  Both factors take u as its
+    `_dyadic_unit` representative, so the magnitude of u does not matter.
     """
     return 0.5 * longest_chord(P, u).length() * width(P, u)
 
@@ -197,29 +200,3 @@ def brute_smallest_para(P: ConvexPolygon) -> OraclePara:
                 best_area = area
                 best_edge = e
     return OraclePara(best_edge, best_area)
-
-
-def _in_arc(v, s, e) -> bool:
-    """v lies in the CCW arc from s to e (arc width < half turn)."""
-    return det(s, v) >= 0.0 and det(v, e) >= 0.0
-
-
-def is_antipodal_brute(P: ConvexPolygon, i: int, j: int) -> bool:
-    """Whether vertices i and j admit parallel supporting lines.
-
-    Decided exactly by intersecting the outward-normal cone of vertex i with
-    the negated cone of vertex j; both cones are narrower than a half turn,
-    so arc intersection reduces to determinant signs.
-    """
-    if i == j:
-        raise Degenerate("antipodality needs two distinct vertices")
-    n = P.n
-
-    def normal(k: int) -> tuple[float, float]:
-        ex, ey = P.edge_vector(k)
-        return ey, -ex
-
-    s1, e1 = normal((i - 1) % n), normal(i)
-    nj0, nj1 = normal((j - 1) % n), normal(j)
-    s2, e2 = (-nj0[0], -nj0[1]), (-nj1[0], -nj1[1])
-    return _in_arc(s2, s1, e1) or _in_arc(s1, s2, e2)

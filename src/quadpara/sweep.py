@@ -18,7 +18,7 @@ scalar loop runs on the whole ring.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -322,9 +322,56 @@ def _merge_mask(first: np.ndarray, second: np.ndarray) -> Optional[np.ndarray]:
     run is not sorted."""
     if not (_is_sorted(first) and _is_sorted(second)):
         return None
-    mask = np.zeros(len(first) + len(second), dtype=bool)
-    mask[np.arange(len(first)) + np.searchsorted(second, first, side="left")] = True
-    return mask
+    # A stable sort keeps `first` ahead of `second` on ties, and merges two
+    # sorted runs in linear time.
+    return np.argsort(np.concatenate((first, second)), kind="stable") < len(first)
+
+
+class DifferenceBody(NamedTuple):
+    """The vertices p[c[i]] - p[a[i]] of D = P - P over a full turn, in
+    counterclockwise order, and their direction keys `keys[i]`, non-
+    decreasing from 0, measured from the direction whose absolute key is
+    k0 (see `_direction_keys`).  Each pair (a, c) is antipodal."""
+
+    a: np.ndarray
+    c: np.ndarray
+    keys: np.ndarray
+    k0: float
+
+
+def _difference_body(xy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> DifferenceBody:
+    """D = P - P for the (n, 2) vertex array of a CCW strictly convex ring
+    and its edge vectors: the diagonal merge of `_SweepSteps.propose` over
+    a full turn.
+
+    D's boundary is the Minkowski sum of P and -P: its edges are P's edge
+    vectors e[c], each advancing c, and the reversed edges -e[a], each
+    advancing a, merged by direction from -e[0] (ties to a).  The keys only
+    propose this order and the order of D's vertex directions: a run that
+    rounding leaves unsorted is made non-decreasing by a running maximum,
+    since the anchored query that reads D confirms every decision itself.
+    """
+    n = len(xy)
+    x, y = xy[:, 0], xy[:, 1]
+    k0 = float(_direction_keys(-ex[:1], -ey[:1], 0.0)[0])
+    a_run = _non_decreasing(_direction_keys(-ex, -ey, k0))
+    c_keys = _direction_keys(ex, ey, k0)
+    c0 = int(np.argmin(c_keys))
+    c_run = _non_decreasing(np.concatenate((c_keys[c0:], c_keys[:c0])))
+    is_a = _merge_mask(a_run, c_run)
+    a = np.zeros(2 * n, dtype=np.intp)
+    np.cumsum(is_a[:-1], out=a[1:])
+    c = np.arange(c0, c0 + 2 * n) - a  # c0 + the c-steps taken, below 2n
+    c[c >= n] -= n
+    a[np.searchsorted(a, n) :] = 0  # after the last a-step
+    wx, wy = x[c] - x[a], y[c] - y[a]
+    w0 = float(_direction_keys(wx[:1], wy[:1], 0.0)[0])
+    return DifferenceBody(a, c, _non_decreasing(_direction_keys(wx, wy, w0)), w0)
+
+
+def _non_decreasing(keys: np.ndarray) -> np.ndarray:
+    """keys, or their running maximum where rounding left them unsorted."""
+    return keys if _is_sorted(keys) else np.maximum.accumulate(keys)
 
 
 def _first_false(flags: np.ndarray) -> Optional[int]:

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from quadpara import (
     ConvexPolygon,
+    Degenerate,
     Direction,
+    GeometryError,
     ParaResult,
     Point,
     QuadResult,
@@ -16,10 +20,10 @@ from quadpara import (
     brute_anchored_quad_area,
     brute_largest_quad,
     brute_smallest_para,
-    chord_through,
+    canonicalize,
     combined_extremes,
     contains_point,
-    is_antipodal_brute,
+    det,
     largest_quadrilateral,
     lattice_ngon,
     longest_chord,
@@ -496,32 +500,200 @@ def test_anchored_diagonal_is_the_reference_longest_chord(corpus):
             assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
 
 
-def test_longest_vertex_chord_repairs_overstated_estimates(corpus, monkeypatch):
-    # Loosened bounds overstate every chord's extent, so the ranking must
-    # measure vertex after vertex before one keeps its place at the top.
-    bounds = extremal._chord_bounds
-    calls = 0
+def test_longest_chord_survives_a_moved_proposal(corpus, monkeypatch):
+    # D's proposal only decides where the window starts: moved by one to
+    # three D vertices, or by a quarter turn, the window must grow until no
+    # vertex outside it can rank first, and the chord stays the reference's.
+    d_edge = extremal._d_edge
+    rounds = 0
+    measure = extremal._vertex_extents
 
-    def loose_bounds(P, d, s, lower):
-        b = bounds(P, d, s, lower)
-        slack = (np.abs(b) + 1.0) * 0.25
-        return b - slack if lower else b + slack
+    def counted(P, rows, edges, ux, uy):
+        nonlocal rounds
+        rounds += not isinstance(edges, slice)
+        return measure(P, rows, edges, ux, uy)
 
-    def counted_chord(*args):
-        nonlocal calls
-        calls += 1
-        return chord_through(*args)
-
-    monkeypatch.setattr(extremal, "_chord_bounds", loose_bounds)
-    monkeypatch.setattr(extremal, "chord_through", counted_chord)
+    monkeypatch.setattr(extremal, "_vertex_extents", counted)
+    polys = list(corpus[::3]) + [regular_ngon(n, 1000.0, 1) for n in (40, 151)]
+    polys += [lattice_ngon(300, 3), parallel_edge_polygon(9, 41)]
     queries = 0
-    for P in corpus:
-        for u in [(1, 0), (0, 1), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(0)]:
+    for P in polys:
+        quarter = P.n // 2
+        for shift in (-3, -2, -1, 1, 2, 3, quarter):
+            monkeypatch.setattr(extremal, "_d_edge", lambda P, u, shift=shift: d_edge(P, u) + shift)
+            for u in [(1, 0), (0, 1), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(0)]:
+                F, _ = anchored_conjugate_pair(P, u)
+                ref = longest_chord(P, Direction(*u).canonical())
+                assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u, shift)
+                queries += 1
+    assert rounds > queries  # some windows had to grow
+
+
+def test_longest_chord_survives_a_proposal_moved_along_one_chain(corpus):
+    # With only a (or only c) moved, one window sits on a slope beside the
+    # longest chord and the other near its far end: that window's end must
+    # not be taken for a peak merely because the other window ranks higher.
+    polys = [P for P in corpus if P.n >= 20] + [lattice_ngon(300, 3), regular_ngon(151, 1000.0, 1)]
+    for P in polys:
+        D = P.difference_body()
+        for field in ("a", "c"):
+            for shift in (-5, -3, 3, 5):
+                Q = ConvexPolygon(P.coords())
+                Q._dbody = D._replace(**{field: (getattr(D, field) + shift) % P.n})
+                for u in [(1, 0), (0, 1), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(0)]:
+                    F, _ = anchored_conjugate_pair(Q, u)
+                    ref = longest_chord(P, Direction(*u).canonical())
+                    assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u, field, shift)
+
+
+def test_longest_chord_holds_with_loosened_bounds(corpus, monkeypatch):
+    # Any bound at least the oracle's extent must give the same chord.  The
+    # lattice polygons are centrally symmetric, so a and a + n/2 always tie:
+    # with the later one's bound raised, it is ranked first, and the earlier
+    # one, whose bound equals the winner's extent, must still be measured.
+    measure = extremal._vertex_extents
+
+    def loosened(P, rows, edges, ux, uy):
+        ext = measure(P, rows, edges, ux, uy)
+        if isinstance(edges, slice):
+            return ext
+        return np.where(np.asarray(rows) >= P.n // 2, ext * (1.0 + 2.0**-20) + 1e-9, ext)
+
+    monkeypatch.setattr(extremal, "_vertex_extents", loosened)
+    polys = [lattice_ngon(n, 5 * n) for n in (16, 40, 64, 300)] + list(corpus[::5])
+    for P in polys:
+        for u in [(1, 0), (0, 1), (3, 7), (-5, 2), P.edge_vector(1)]:
             F, _ = anchored_conjugate_pair(P, u)
             ref = longest_chord(P, Direction(*u).canonical())
             assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
-            queries += 1
-    assert calls > 2 * queries
+
+
+def _in_arc(v, s, e) -> bool:
+    """v lies in the CCW arc from s to e (arc width < half turn)."""
+    return det(s, v) >= 0.0 and det(v, e) >= 0.0
+
+
+def is_antipodal_brute(P: ConvexPolygon, i: int, j: int) -> bool:
+    """Whether vertices i and j admit parallel supporting lines.
+
+    Decided exactly by intersecting the outward-normal cone of vertex i with
+    the negated cone of vertex j; both cones are narrower than a half turn,
+    so arc intersection reduces to determinant signs.
+    """
+    if i == j:
+        raise Degenerate("antipodality needs two distinct vertices")
+    n = P.n
+
+    def normal(k: int) -> tuple[float, float]:
+        ex, ey = P.edge_vector(k)
+        return ey, -ex
+
+    s1, e1 = normal((i - 1) % n), normal(i)
+    nj0, nj1 = normal((j - 1) % n), normal(j)
+    s2, e2 = (-nj0[0], -nj0[1]), (-nj1[0], -nj1[1])
+    return _in_arc(s2, s1, e1) or _in_arc(s1, s2, e2)
+
+
+def test_is_antipodal_brute(square):
+    assert is_antipodal_brute(square, 0, 2)
+    assert is_antipodal_brute(square, 0, 1)  # vertical supporting lines
+    pent = regular_ngon(5, 100.0)
+    assert not is_antipodal_brute(pent, 0, 1)
+    assert is_antipodal_brute(pent, 0, 2)
+
+
+def test_difference_body_vertices_are_the_antipodal_pairs(corpus):
+    # D = P - P over a full turn: a convex CCW ring of 2n points p[c] - p[a]
+    # in which a and c each advance n times.  (a, c) is antipodal iff
+    # p[c] - p[a] lies on D's boundary, and then it is one of the listed
+    # vertices, except where two antiparallel edges of P make one straight
+    # edge of D: the merge (ties to a) lists one of its two middle points.
+    polys = list(corpus) + [lattice_ngon(n, 7 * n) for n in (16, 50, 97)]
+    polys += [parallel_edge_polygon(m, m + 40) for m in (3, 9, 20)]
+    for P in polys:
+        D = P.difference_body()
+        n, xy = P.n, P.coords()
+        assert len(D.a) == len(D.c) == 2 * n
+        assert (np.diff(D.a) % n <= 1).all() and (np.diff(D.c) % n <= 1).all()
+        assert ((np.diff(D.a) % n) + (np.diff(D.c) % n) == 1).all()
+        w = xy[D.c] - xy[D.a]  # exact: integer coordinates
+        e = np.roll(w, -1, axis=0) - w
+        assert (e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1) >= 0.0).all(), P.n
+        listed = set(zip(D.a.tolist(), D.c.tolist()))
+        ex, ey = P.edges()
+        antiparallel = ((ex[:, None] * ey - ey[:, None] * ex == 0.0) & (ex[:, None] * ex + ey[:, None] * ey < 0.0)).any()
+        for a in range(n):
+            for c in range(n):
+                if a == c:
+                    continue
+                q = xy[c] - xy[a] - w
+                cross = e[:, 0] * q[:, 1] - e[:, 1] * q[:, 0]
+                on_boundary = bool((cross >= 0.0).all() and (cross == 0.0).any())
+                assert is_antipodal_brute(P, a, c) == on_boundary, (P.n, a, c)
+                if (a, c) in listed:
+                    assert on_boundary, (P.n, a, c)
+                elif on_boundary:
+                    assert antiparallel, (P.n, a, c)
+
+
+def test_difference_body_is_lazy_and_cached(corpus):
+    P = ConvexPolygon(corpus[5].coords())
+    combined_extremes(P)
+    assert P._dbody is None
+    anchored_conjugate_pair(P, (1, 2))
+    assert P.difference_body() is P.difference_body()
+
+
+@st.composite
+def anchored_polygons(draw):
+    """Lattice polygons, random hulls and float regular polygons, also
+    rotated, scaled and translated, whose rounded coordinates make
+    near-ties."""
+    kind = draw(st.sampled_from(["lattice", "hull", "regular", "parallel"]))
+    n = draw(st.integers(3, 90))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "lattice":
+        P = lattice_ngon(n, seed)
+    elif kind == "hull":
+        P = random_convex(n, seed, draw(st.sampled_from([10, 1000, 1 << 20])))
+    elif kind == "regular":
+        P = regular_ngon(n, draw(st.sampled_from([1.0, 1000.0])), seed % 7)
+    else:
+        P = parallel_edge_polygon(max(2, n // 2), seed)
+    move = draw(st.sampled_from(["none", "rotate", "scale", "translate"]))
+    xy = P.coords()
+    if move == "rotate":
+        turn = draw(st.floats(0.0, 2.0 * math.pi))
+        c, s = math.cos(turn), math.sin(turn)
+        xy = np.column_stack((c * xy[:, 0] - s * xy[:, 1], s * xy[:, 0] + c * xy[:, 1]))
+    elif move == "scale":
+        xy = xy * draw(st.sampled_from([1e-3, 0.37, 7.3, 1e5]))
+    elif move == "translate":
+        xy = xy + np.array(draw(st.tuples(*[st.floats(-1e6, 1e6)] * 2)))
+    try:
+        return ConvexPolygon(canonicalize(xy))
+    except GeometryError:
+        assume(False)
+
+
+# Components are zero or at least 1e-6 in size: a smaller component below
+# 2^-1022 times the larger is out of scope (see `_dyadic_unit`).
+COMPONENT = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+FLOAT_DIRECTION = st.tuples(COMPONENT, COMPONENT).filter(lambda u: u != (0.0, 0.0))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(anchored_polygons(), FLOAT_DIRECTION, st.integers(0, 2**31), st.integers(0, 2**31))
+def test_anchored_diagonal_matches_the_reference_on_float_hulls(P, u, edge, vertex):
+    # Random float directions, edge vectors, and the directions of D's own
+    # vertices p[c] - p[a], along which the chord ends at two vertices.
+    D = P.difference_body()
+    a, c = int(D.a[vertex % len(D.a)]), int(D.c[vertex % len(D.c)])
+    w = (P[c].x - P[a].x, P[c].y - P[a].y)
+    for v in (u, P.edge_vector(edge % P.n), w):
+        F, _ = anchored_conjugate_pair(P, v)
+        ref = longest_chord(P, Direction(*v).canonical())
+        assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P, v)
 
 
 # `quadpara gen` arguments of the polygon files behind the digests below.

@@ -306,6 +306,19 @@ def test_direction_identifies_opposites():
         Direction(0, 0)
 
 
+def test_direction_equality_ignores_the_magnitude():
+    # The products of the raw components overflow to inf - inf = NaN, or
+    # underflow to zero; those of the _dyadic_unit representatives do not.
+    assert Direction(1e200, 1e200) == Direction(2e200, 2e200)
+    assert Direction(1e-200, 0) != Direction(1e-200, 1e-300)
+    for u in ((1, 0), (3, -7), (0.6, 0.8), (123, -457)):
+        turned = Direction(u[0] - 1e-9 * u[1], u[1] + 1e-9 * u[0])
+        for j in range(-1000, 1001):
+            v = Direction(math.ldexp(u[0], j), math.ldexp(u[1], j))
+            assert v == Direction(*u) == Direction(-v.dx, -v.dy), (u, j)
+            assert v != turned and v != Direction(-u[1], u[0]), (u, j)
+
+
 def test_direction_is_unhashable():
     # equality is parallelism, which a hash of the raw components would break
     assert Direction(1, 0) == Direction(2, 0)

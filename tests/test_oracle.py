@@ -15,7 +15,6 @@ from quadpara import (
     brute_smallest_para,
     canonicalize,
     chord_through,
-    is_antipodal_brute,
     lattice_ngon,
     longest_chord,
     parallel_edge_polygon,
@@ -232,6 +231,25 @@ def test_brute_anchored_direction_invariance(corpus):
         )
 
 
+def test_references_ignore_the_direction_magnitude():
+    # width, longest_chord and brute_anchored_quad_area compute with u's
+    # _dyadic_unit representative: 2^j u gives u's output, bit for bit, and
+    # vectors near overflow or subnormal raise no RuntimeWarning (an error
+    # under this suite's configuration).
+    P = lattice_ngon(40, 2)
+
+    def outputs(u):
+        return width(P, u).hex(), repr(longest_chord(P, u)), brute_anchored_quad_area(P, u).hex()
+
+    for u in ((1, 0), (3, -7), (0.6, 0.8), (123, -457)):
+        want = outputs(u)
+        for j in range(-1000, 1001):
+            assert outputs((math.ldexp(u[0], j), math.ldexp(u[1], j))) == want, (u, j)
+    huge = math.ldexp(1e308, -1000)
+    assert outputs((1e308, 1e308)) == outputs((huge, huge))
+    assert outputs((1e-320, 0)) == outputs((math.ldexp(1e-320, 1074), 0))
+
+
 def test_brute_largest_quad(square, triangle, hexagon):
     oq = brute_largest_quad(square)
     assert oq.area == 1 and oq.vertex_indices == (0, 1, 2, 3)
@@ -282,14 +300,6 @@ def test_anchored_never_exceeds_largest(corpus):
             if u == (0, 0):
                 continue
             assert brute_anchored_quad_area(P, u) <= best * (1 + 1e-12)
-
-
-def test_is_antipodal_brute(square):
-    assert is_antipodal_brute(square, 0, 2)
-    assert is_antipodal_brute(square, 0, 1)  # vertical supporting lines
-    pent = regular_ngon(5, 100.0)
-    assert not is_antipodal_brute(pent, 0, 1)
-    assert is_antipodal_brute(pent, 0, 2)
 
 
 def test_para_oracle_anchor_edge_is_flush(corpus):
