@@ -42,6 +42,7 @@ from .geometry import (
     SweepOverrun,
     _chord_params,
     _dyadic_unit,
+    _later_in_ccw,
     _neg_margins,
     _vec,
     chord_through,
@@ -146,7 +147,7 @@ def _supports(P: ConvexPolygon, loc, v, eps_dist: float) -> bool:
     return not (max(cr) > slack and min(cr) < -slack)
 
 
-def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: float):
+def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: float, far_vertex: int):
     """Locate both ends of seg, the chord through vertex i parallel to u, as
     ("vertex", j) or ("edge", k).
 
@@ -154,17 +155,86 @@ def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: 
     the ring stays strictly right of the chord, directed away from vertex
     i, up to edge k, which the chord's line crosses or whose far end lies
     on it.  The chord's far end is the lower-indexed end of edge k within
-    eps_dist of it, if any, and otherwise a point inside edge k."""
+    eps_dist of it, if any, and otherwise a point inside edge k.
+
+    The walk reads two windows of the ring: the r vertices after i, and
+    those within r of `far_vertex`, proposed for the far end.  The cross
+    product cr of u with p - p[i] is linear, so from i to the crossing,
+    where every vertex is right of the chord, it falls and then rises; a
+    vertex between the windows is at least as far right as the nearer
+    window end.  With |cr' - cr| <= delta = 8 eps max|coord| (|ux| + |uy|)
+    (two differences, two products and a difference), ends further right
+    than 2 delta leave every vertex between them strictly right, as a pass
+    over the whole ring finds it.  r doubles until that holds and the far
+    window reaches a vertex that is not strictly right."""
+    n = P.n
     p = P[i]
     forward = math.dist(p, seg.a) <= math.dist(p, seg.b)  # the chord runs from p along +u
     far = seg.b if forward else seg.a
     xy = P.coords()
-    cr = u.dx * (xy[:, 1] - p.y) - u.dy * (xy[:, 0] - p.x)
-    right = cr < 0.0 if forward else cr > 0.0
-    k = (i + int(np.argmin(np.concatenate((right[i + 1 :], right[: i + 1]))))) % P.n
-    ends = [j for j in sorted((k, (k + 1) % P.n)) if math.dist(far, P[j]) <= eps_dist]
+    delta = 8.0 * _EPS * P.scale * (abs(u.dx) + abs(u.dy))
+    t_far = (far_vertex - i) % n
+    r = 2
+    while 3 * r + 1 < n:
+        ts = sorted({*range(1, r + 1), *range(max(1, t_far - r), min(n, t_far + r) + 1)})
+        cr = [u.dx * (y - p.y) - u.dy * (x - p.x) for x, y in xy[[(i + t) % n for t in ts]].tolist()]
+        t = _first_not_right(ts, cr if forward else [-c for c in cr], delta)
+        if t is not None:
+            break
+        r *= 2
+    else:  # the windows cover the ring
+        cr = u.dx * (xy[:, 1] - p.y) - u.dy * (xy[:, 0] - p.x)
+        right = cr < 0.0 if forward else cr > 0.0
+        t = int(np.argmin(np.concatenate((right[i + 1 :], right[: i + 1])))) + 1
+    k = (i + t - 1) % n
+    ends = [j for j in sorted((k, (k + 1) % n)) if math.dist(far, P[j]) <= eps_dist]
     loc = ("vertex", ends[0]) if ends else ("edge", k)
     return (("vertex", i), loc) if forward else (loc, ("vertex", i))
+
+
+def _first_not_right(ts: list, side: list, delta: float) -> Optional[int]:
+    """The first step t in `ts` whose vertex is not strictly right of the
+    chord (side, which is cr negated for a backward chord, not below 0), or
+    None when a gap between the windows is not surely right (see
+    `_chord_ends`)."""
+    prev, prev_side = 0, 0.0
+    for t, c in zip(ts, side):
+        if t > prev + 1 and not max(prev_side, c) + 2.0 * delta < 0.0:
+            return None
+        if not c < 0.0:
+            return t
+        prev, prev_side = t, c
+    return None
+
+
+def _extreme_near(P: ConvexPolygon, start: int, d: tuple[float, float]) -> int:
+    """`extreme_vertex(P, d)`, read from the ring within r of `start`.
+
+    The exact dot product h = p . d rises along an edge e with e . d > 0
+    and falls where e . d < 0, each over one run of the ring.  When the edge
+    leaving the window surely falls and the one entering it surely rises,
+    every vertex outside lies below the larger window end; with
+    |h' - h| <= delta = 4 eps max|coord| (|dx| + |dy|), ends 2 delta below
+    the window's computed maximum leave every maximizer inside, and the
+    window's maximizers give `extreme_vertex`'s answer by its own tie rule.
+    r doubles until that holds, up to the whole ring."""
+    dx, dy = d
+    n = P.n
+    delta = 4.0 * _EPS * P.scale * (abs(dx) + abs(dy))
+    r = 2
+    while 2 * r + 1 < n:
+        rows = [(start + k) % n for k in range(-r, r + 1)]
+        h = [x * dx + y * dy for x, y in P.coords()[rows].tolist()]  # extreme_vertex's expression
+        top = max(h)
+        # The edges entering and leaving the window, and whether h surely
+        # rises along the first and falls along the second.
+        (ix, iy), (ox, oy) = P.edge_vector(rows[0] - 1), P.edge_vector(rows[-1])
+        rises = ix * dx + iy * dy > 4.0 * _EPS * (abs(ix * dx) + abs(iy * dy))
+        falls = ox * dx + oy * dy < -4.0 * _EPS * (abs(ox * dx) + abs(oy * dy))
+        if rises and falls and max(h[0], h[-1]) + 2.0 * delta < top:
+            return _later_in_ccw(np.array(sorted(k for k, v in zip(rows, h) if v == top)), n)
+        r *= 2
+    return extreme_vertex(P, d)
 
 
 def _side_direction(P: ConvexPolygon, loc_a, loc_c, u, eps_dist: float):
@@ -213,12 +283,19 @@ _KAPPA_MAX = 2.0**20
 _BLOCK = 1 << 14
 
 
-def _d_edge(P: ConvexPolygon, u: Direction) -> int:
-    """The index j for which the ray along u meets D = P - P on its edge
-    from vertex j - 1 to vertex j: one binary search on D's keys."""
+def _d_search(P: ConvexPolygon, u: Direction) -> tuple[int, int]:
+    """Two binary searches of u's key on D = P - P: the index j for which
+    the ray along u meets D on its edge from vertex j - 1 to vertex j, and
+    the index of D's vertex p[c] - p[a] whose outgoing edge is the first
+    past u, at which c is proposed for b and a for d (see
+    `anchored_conjugate_pair`)."""
     D = P.difference_body()
-    key = _direction_keys(np.array([u.dx]), np.array([u.dy]), D.k0)
-    return int(np.searchsorted(D.keys, key[0], side="right"))
+    key = float(_direction_keys(np.array([u.dx]), np.array([u.dy]), 0.0)[0])
+
+    def search(keys: np.ndarray, k0: float) -> int:
+        return int(np.searchsorted(keys, key - k0 + (4.0 if key < k0 else 0.0), side="right"))
+
+    return search(D.keys, D.k0), search(D.step_keys, D.s0)
 
 
 def _vertex_extents(P: ConvexPolygon, rows: list, edges, ux: float, uy: float) -> np.ndarray:
@@ -240,16 +317,17 @@ def _vertex_extents(P: ConvexPolygon, rows: list, edges, ux: float, uy: float) -
     return ext
 
 
-def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
+def _longest_chord(P: ConvexPolygon, u: Direction, j: int) -> tuple[int, Segment, int]:
     """The first vertex i, in index order, whose chord along u has the
     greatest extent (b - a) . u as `oracle._longest_vertex_chords` computes
-    it, with `chord_through(P, P[i], u)`; u is a `_dyadic_unit` vector.
+    it, with `chord_through(P, P[i], u)` and a vertex proposed for its far
+    end; u is a `_dyadic_unit` vector.
 
     D = P - P proposes: its radial function along u is the longest chord's
     length (Rogers and Shephard, 1957), so the chord runs from one of the at
-    most four vertices of the pairs (a, c) that end the D edge named by
-    `_d_edge`.  Those vertices and their ring neighbours within r form the
-    window.  Each window chord is first cut only by the window's edges E,
+    most four vertices of the pairs (a, c) that end D's edge from vertex
+    j - 1 to vertex j (`_d_search`), and ends near the pair's other member.
+    Those vertices and their ring neighbours within r form the window.  Each window chord is first cut only by the window's edges E,
     less those whose factor kappa = |e|_1 |u|_inf / |d| exceeds _KAPPA_MAX
     (d = e x u; an edge is kept only when its sign is sure): with fewer
     edges no chord is shorter, and rounding is monotone, so this extent U
@@ -285,7 +363,6 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     umax = max(abs(ux), abs(uy))
     ex, ey = P.edges()
     D = P.difference_body()
-    j = _d_edge(P, u)
     ends = [(j - 1) % len(D.keys), j % len(D.keys)]
     proposed = set(D.a[ends].tolist() + D.c[ends].tolist())
     r = 2
@@ -314,8 +391,9 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
                 i = reach[k]
                 seg = chord_through(P, P[i], u)
             best = float(ext[k])
+        far = int(D.a[ends[1]] if i in D.c[ends].tolist() else D.c[ends[1]])
         if w == n:
-            return i, seg
+            return i, seg, far
         # The sure sign of each window vertex's outgoing and incoming edge:
         # +1 where s rises along it, -1 where it falls, 0 where unsure.
         sign = np.where(sure > 0.0, -np.sign(d), 0.0)
@@ -327,7 +405,7 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
         out = ((U + 2.0 * A) * (1.0 + 4.0 * B)).tolist()
         U = U.tolist()
         if all(_gap_is_safe(e, gap, s_out, s_in, U, out, best) for e in range(w) if gap[e]):
-            return i, seg
+            return i, seg, far
         r *= 2
 
 
@@ -363,14 +441,16 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     parallel to u, the other two corners touch the supporting lines parallel
     to u, and the parallelogram has exactly twice the quadrilateral's area.
 
-    The diagonal is chosen from D = P - P, built once per polygon in
-    O(n log n) numpy work and cached (`ConvexPolygon.difference_body`): one
-    binary search proposes it, and a window of a few vertices, measured
-    against its own edges and grown only while it cannot rule out the rest,
-    confirms it (`_longest_chord`).  The diagonal is then measured once with
-    `chord_through`; its far end, b and d take three more O(n) array passes.
-    The result is bit-identical to measuring the chord through every
-    vertex, which `oracle.longest_chord` does in O(n^2).
+    The pair is read off D = P - P, built once per polygon in O(n log n)
+    numpy work and cached (`ConvexPolygon.difference_body`).  Two binary
+    searches on D's keys propose the diagonal's vertices and b and d; small
+    windows of the ring around each proposal, grown only while they cannot
+    rule out the rest, confirm them (`_longest_chord`, `_chord_ends`,
+    `_extreme_near`).  The diagonal is then measured once with
+    `chord_through`, the one O(n) pass left.  The result is bit-identical
+    to measuring the chord through every vertex, which
+    `oracle.longest_chord` does in O(n^2), and to `extreme_vertex` for b
+    and d.
 
     The pair is computed with u scaled by a power of two (`_dyadic_unit`),
     so u and 2^j u give the same pair, bit for bit, at every magnitude; only
@@ -380,13 +460,16 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     un = Direction(*_dyadic_unit(uc.dx, uc.dy))
     eps = _build_tol(P)
 
-    i, seg = _longest_chord(P, un)
+    j, p = _d_search(P, un)
+    i, seg, far = _longest_chord(P, un, j)
     a_pt, c_pt = seg
-    loc_a, loc_c = _chord_ends(P, i, seg, un, eps)
+    loc_a, loc_c = _chord_ends(P, i, seg, un, eps, far)
     v = _side_direction(P, loc_a, loc_c, un, eps)
 
-    b_idx = extreme_vertex(P, (un.dy, -un.dx))
-    d_idx = extreme_vertex(P, (-un.dy, un.dx))
+    D = P.difference_body()
+    p %= len(D.a)
+    b_idx = _extreme_near(P, int(D.c[p]), (un.dy, -un.dx))
+    d_idx = _extreme_near(P, int(D.a[p]), (-un.dy, un.dx))
     b_pt, d_pt = P[b_idx], P[d_idx]
 
     idx_a = loc_a[1] if loc_a[0] == "vertex" else None

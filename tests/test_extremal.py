@@ -24,6 +24,7 @@ from quadpara import (
     combined_extremes,
     contains_point,
     det,
+    extreme_vertex,
     largest_quadrilateral,
     lattice_ngon,
     longest_chord,
@@ -38,6 +39,7 @@ from quadpara import (
 from quadpara import extremal
 from quadpara.cli import main
 from quadpara.extremal import _vertical_extremes
+from quadpara.geometry import _dyadic_unit
 
 REL = 1e-12
 
@@ -501,10 +503,11 @@ def test_anchored_diagonal_is_the_reference_longest_chord(corpus):
 
 
 def test_longest_chord_survives_a_moved_proposal(corpus, monkeypatch):
-    # D's proposal only decides where the window starts: moved by one to
-    # three D vertices, or by a quarter turn, the window must grow until no
-    # vertex outside it can rank first, and the chord stays the reference's.
-    d_edge = extremal._d_edge
+    # D's proposals only decide where the windows start: moved by one to
+    # three D vertices, or by a quarter turn, the chord's window must grow
+    # until no vertex outside it can rank first, and the pair stays the
+    # reference's: the diagonal, and b and d as extreme_vertex finds them.
+    d_search = extremal._d_search
     rounds = 0
     measure = extremal._vertex_extents
 
@@ -520,11 +523,12 @@ def test_longest_chord_survives_a_moved_proposal(corpus, monkeypatch):
     for P in polys:
         quarter = P.n // 2
         for shift in (-3, -2, -1, 1, 2, 3, quarter):
-            monkeypatch.setattr(extremal, "_d_edge", lambda P, u, shift=shift: d_edge(P, u) + shift)
+            monkeypatch.setattr(extremal, "_d_search", lambda P, u, s=shift: tuple(k + s for k in d_search(P, u)))
             for u in [(1, 0), (0, 1), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(0)]:
                 F, _ = anchored_conjugate_pair(P, u)
                 ref = longest_chord(P, Direction(*u).canonical())
                 assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u, shift)
+                assert F.vertex_indices[1::2] == _support_reference(P, u), (P.n, u, shift)
                 queries += 1
     assert rounds > queries  # some windows had to grow
 
@@ -566,6 +570,59 @@ def test_longest_chord_holds_with_loosened_bounds(corpus, monkeypatch):
             F, _ = anchored_conjugate_pair(P, u)
             ref = longest_chord(P, Direction(*u).canonical())
             assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
+
+
+def _support_reference(P, u):
+    """b and d of the pair anchored to u, by two passes over every vertex."""
+    uc = Direction(*u).canonical()
+    ux, uy = _dyadic_unit(uc.dx, uc.dy)
+    return extreme_vertex(P, (uy, -ux)), extreme_vertex(P, (-uy, ux))
+
+
+def _chord_ends_scan(P, i, seg, u, eps_dist):
+    """`extremal._chord_ends` with one sign pass over the whole ring, as it
+    was before its windows: the reference they must reproduce."""
+    p = P[i]
+    forward = math.dist(p, seg.a) <= math.dist(p, seg.b)
+    far = seg.b if forward else seg.a
+    xy = P.coords()
+    cr = u.dx * (xy[:, 1] - p.y) - u.dy * (xy[:, 0] - p.x)
+    right = cr < 0.0 if forward else cr > 0.0
+    k = (i + int(np.argmin(np.roll(right, -i - 1)))) % P.n
+    ends = [j for j in sorted((k, (k + 1) % P.n)) if math.dist(far, P[j]) <= eps_dist]
+    loc = ("vertex", ends[0]) if ends else ("edge", k)
+    return (("vertex", i), loc) if forward else (loc, ("vertex", i))
+
+
+def _reference_polygons(corpus):
+    polys = list(corpus) + [regular_ngon(n, r, 1) for n in (9, 40, 151) for r in (1.0, 1000.0)]
+    return polys + [lattice_ngon(300, 3), parallel_edge_polygon(9, 41), parallel_edge_polygon(40, 3)]
+
+
+def test_chord_ends_match_the_full_sign_pass(corpus):
+    # The far end read from two windows, from D's proposal and from poorer
+    # ones, is the one a sign pass over every vertex finds.
+    for P in _reference_polygons(corpus):
+        eps = extremal._build_tol(P)
+        for u in [(1, 0), (0, 1), (1, 1), (3, -7), (0.6, 0.8), P.edge_vector(0), P.edge_vector(P.n // 2)]:
+            uc = Direction(*u).canonical()
+            un = Direction(*_dyadic_unit(uc.dx, uc.dy))
+            i, seg, far = extremal._longest_chord(P, un, extremal._d_search(P, un)[0])
+            want = _chord_ends_scan(P, i, seg, un, eps)
+            for q in (far, far + 1, far + 3, far - 3, i, i + P.n // 3, i - P.n // 3):
+                assert extremal._chord_ends(P, i, seg, un, eps, q % P.n) == want, (P.n, u, q)
+
+
+def test_extreme_near_matches_extreme_vertex(corpus):
+    # From any start the window finds extreme_vertex's vertex, its tie rule
+    # included: the directions normal to edges have two maximizers.
+    for P in _reference_polygons(corpus):
+        dirs = [(1.0, 0.0), (0.0, -1.0), (3.0, 7.0), (-0.6, 0.8)]
+        dirs += [(-ey, ex) for ex, ey in (P.edge_vector(k) for k in range(0, P.n, max(1, P.n // 5)))]
+        for d in dirs:
+            want = extreme_vertex(P, d)
+            for start in range(0, P.n, max(1, P.n // 7)):
+                assert extremal._extreme_near(P, start, d) == want, (P.n, d, start)
 
 
 def _in_arc(v, s, e) -> bool:
