@@ -42,7 +42,6 @@ from .geometry import (
     SweepOverrun,
     _chord_params,
     _dyadic_unit,
-    _later_in_ccw,
     _neg_margins,
     _vec,
     chord_through,
@@ -147,7 +146,7 @@ def _supports(P: ConvexPolygon, loc, v, eps_dist: float) -> bool:
     return not (max(cr) > slack and min(cr) < -slack)
 
 
-def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: float, far_vertex: int):
+def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: float):
     """Locate both ends of seg, the chord through vertex i parallel to u, as
     ("vertex", j) or ("edge", k).
 
@@ -155,86 +154,17 @@ def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: 
     the ring stays strictly right of the chord, directed away from vertex
     i, up to edge k, which the chord's line crosses or whose far end lies
     on it.  The chord's far end is the lower-indexed end of edge k within
-    eps_dist of it, if any, and otherwise a point inside edge k.
-
-    The walk reads two windows of the ring: the r vertices after i, and
-    those within r of `far_vertex`, proposed for the far end.  The cross
-    product cr of u with p - p[i] is linear, so from i to the crossing,
-    where every vertex is right of the chord, it falls and then rises; a
-    vertex between the windows is at least as far right as the nearer
-    window end.  With |cr' - cr| <= delta = 8 eps max|coord| (|ux| + |uy|)
-    (two differences, two products and a difference), ends further right
-    than 2 delta leave every vertex between them strictly right, as a pass
-    over the whole ring finds it.  r doubles until that holds and the far
-    window reaches a vertex that is not strictly right."""
-    n = P.n
+    eps_dist of it, if any, and otherwise a point inside edge k."""
     p = P[i]
     forward = math.dist(p, seg.a) <= math.dist(p, seg.b)  # the chord runs from p along +u
     far = seg.b if forward else seg.a
     xy = P.coords()
-    delta = 8.0 * _EPS * P.scale * (abs(u.dx) + abs(u.dy))
-    t_far = (far_vertex - i) % n
-    r = 2
-    while 3 * r + 1 < n:
-        ts = sorted({*range(1, r + 1), *range(max(1, t_far - r), min(n, t_far + r) + 1)})
-        cr = [u.dx * (y - p.y) - u.dy * (x - p.x) for x, y in xy[[(i + t) % n for t in ts]].tolist()]
-        t = _first_not_right(ts, cr if forward else [-c for c in cr], delta)
-        if t is not None:
-            break
-        r *= 2
-    else:  # the windows cover the ring
-        cr = u.dx * (xy[:, 1] - p.y) - u.dy * (xy[:, 0] - p.x)
-        right = cr < 0.0 if forward else cr > 0.0
-        t = int(np.argmin(np.concatenate((right[i + 1 :], right[: i + 1])))) + 1
-    k = (i + t - 1) % n
-    ends = [j for j in sorted((k, (k + 1) % n)) if math.dist(far, P[j]) <= eps_dist]
+    cr = u.dx * (xy[:, 1] - p.y) - u.dy * (xy[:, 0] - p.x)
+    right = cr < 0.0 if forward else cr > 0.0
+    k = (i + int(np.argmin(np.concatenate((right[i + 1 :], right[: i + 1]))))) % P.n
+    ends = [j for j in sorted((k, (k + 1) % P.n)) if math.dist(far, P[j]) <= eps_dist]
     loc = ("vertex", ends[0]) if ends else ("edge", k)
     return (("vertex", i), loc) if forward else (loc, ("vertex", i))
-
-
-def _first_not_right(ts: list, side: list, delta: float) -> Optional[int]:
-    """The first step t in `ts` whose vertex is not strictly right of the
-    chord (side, which is cr negated for a backward chord, not below 0), or
-    None when a gap between the windows is not surely right (see
-    `_chord_ends`)."""
-    prev, prev_side = 0, 0.0
-    for t, c in zip(ts, side):
-        if t > prev + 1 and not max(prev_side, c) + 2.0 * delta < 0.0:
-            return None
-        if not c < 0.0:
-            return t
-        prev, prev_side = t, c
-    return None
-
-
-def _extreme_near(P: ConvexPolygon, start: int, d: tuple[float, float]) -> int:
-    """`extreme_vertex(P, d)`, read from the ring within r of `start`.
-
-    The exact dot product h = p . d rises along an edge e with e . d > 0
-    and falls where e . d < 0, each over one run of the ring.  When the edge
-    leaving the window surely falls and the one entering it surely rises,
-    every vertex outside lies below the larger window end; with
-    |h' - h| <= delta = 4 eps max|coord| (|dx| + |dy|), ends 2 delta below
-    the window's computed maximum leave every maximizer inside, and the
-    window's maximizers give `extreme_vertex`'s answer by its own tie rule.
-    r doubles until that holds, up to the whole ring."""
-    dx, dy = d
-    n = P.n
-    delta = 4.0 * _EPS * P.scale * (abs(dx) + abs(dy))
-    r = 2
-    while 2 * r + 1 < n:
-        rows = [(start + k) % n for k in range(-r, r + 1)]
-        h = [x * dx + y * dy for x, y in P.coords()[rows].tolist()]  # extreme_vertex's expression
-        top = max(h)
-        # The edges entering and leaving the window, and whether h surely
-        # rises along the first and falls along the second.
-        (ix, iy), (ox, oy) = P.edge_vector(rows[0] - 1), P.edge_vector(rows[-1])
-        rises = ix * dx + iy * dy > 4.0 * _EPS * (abs(ix * dx) + abs(iy * dy))
-        falls = ox * dx + oy * dy < -4.0 * _EPS * (abs(ox * dx) + abs(oy * dy))
-        if rises and falls and max(h[0], h[-1]) + 2.0 * delta < top:
-            return _later_in_ccw(np.array(sorted(k for k, v in zip(rows, h) if v == top)), n)
-        r *= 2
-    return extreme_vertex(P, d)
 
 
 def _side_direction(P: ConvexPolygon, loc_a, loc_c, u, eps_dist: float):
@@ -275,59 +205,90 @@ def _parallelogram(
     return ParaResult((g0, g1, g2, g3), u, v, area, touch)
 
 
-# Unit roundoff of binary64, and the largest conditioning factor kappa (see
-# `_longest_chord`) of an edge that bounds the window's chords.
+# Unit roundoff of binary64, the largest conditioning factor kappa (see
+# `_longest_chord`) of an edge that bounds the window's chords, and the
+# largest window that is grown before `_ranked_chord` takes over.
 _EPS = 2.0**-53
 _KAPPA_MAX = 2.0**20
+_WINDOW_MAX = 64
 # (vertex, edge) elements per batched chord pass; bounds its temporaries.
 _BLOCK = 1 << 14
 
 
-def _d_search(P: ConvexPolygon, u: Direction) -> tuple[int, int]:
-    """Two binary searches of u's key on D = P - P: the index j for which
-    the ray along u meets D on its edge from vertex j - 1 to vertex j, and
-    the index of D's vertex p[c] - p[a] whose outgoing edge is the first
-    past u, at which c is proposed for b and a for d (see
-    `anchored_conjugate_pair`)."""
+def _d_edge(P: ConvexPolygon, u: Direction) -> int:
+    """The index j for which the ray along u meets D = P - P on its edge
+    from vertex j - 1 to vertex j: one binary search on D's keys."""
     D = P.difference_body()
-    key = float(_direction_keys(np.array([u.dx]), np.array([u.dy]), 0.0)[0])
-
-    def search(keys: np.ndarray, k0: float) -> int:
-        return int(np.searchsorted(keys, key - k0 + (4.0 if key < k0 else 0.0), side="right"))
-
-    return search(D.keys, D.k0), search(D.step_keys, D.s0)
+    key = _direction_keys(np.array([u.dx]), np.array([u.dy]), D.k0)
+    return int(np.searchsorted(D.keys, key[0], side="right"))
 
 
-def _vertex_extents(P: ConvexPolygon, rows: list, edges, ux: float, uy: float) -> np.ndarray:
+def _vertex_extents(P: ConvexPolygon, rows, edges, ux: float, uy: float) -> np.ndarray:
     """The extent (b - a) . u of the chord along (ux, uy) through each vertex
-    in `rows`, cut by the edges in `edges` (indices, or slice(None) for all),
-    in `oracle._longest_vertex_chords`' float expressions, in blocks of at
-    most _BLOCK (vertex, edge) elements."""
+    in `rows`, cut by the edges in `edges`: indices shared by every row,
+    slice(None) for all, or one row of indices per vertex.  The float
+    expressions are `oracle._longest_vertex_chords`', in blocks of at most
+    _BLOCK (vertex, edge) elements."""
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
-    kx, ky, kdx, kdy = vx[edges], vy[edges], ex[edges], ey[edges]
+    own = np.ndim(edges) == 2
     qx, qy = vx[rows], vy[rows]
-    ext = np.empty(len(rows))
-    step = max(1, _BLOCK // len(kx))
-    for s in range(0, len(rows), step):
+    ext = np.empty(len(qx))
+    step = max(1, _BLOCK // (P.n if isinstance(edges, slice) else np.shape(edges)[-1]))
+    for s in range(0, len(qx), step):
+        k = edges[s : s + step] if own else edges
         bx, by = qx[s : s + step], qy[s : s + step]
-        t0, t1 = _chord_params(_neg_margins(bx[:, None], by[:, None], kx, ky, kdx, kdy), kdx, kdy, ux, uy)
+        t0, t1 = _chord_params(_neg_margins(bx[:, None], by[:, None], vx[k], vy[k], ex[k], ey[k]), ex[k], ey[k], ux, uy)
         ext[s : s + step] = ((bx + t1 * ux) - (bx + t0 * ux)) * ux + ((by + t1 * uy) - (by + t0 * uy)) * uy
     return ext
 
 
-def _longest_chord(P: ConvexPolygon, u: Direction, j: int) -> tuple[int, Segment, int]:
+def _ranked_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
+    """`_longest_chord`'s answer from a bound on every vertex's chord: the
+    route for windows that the rounding bound cannot certify.
+
+    The edges with d = e x u > 0 form one run of the ring, along which the
+    offset s = u x p falls, and those with d < 0 another, along which it
+    rises; a binary search on s finds the edge of each run that a vertex's
+    chord crosses.  Cut by those two edges alone, the chord is never shorter
+    (rounding is monotone), so each extent is an upper bound, exact when the
+    search found the crossed edges.  The vertex ranked first is measured
+    with `chord_through`; when its extent falls short, it replaces the
+    bound and the ranking repeats.  A vertex ranked first with its measured
+    extent beats, or ties later in index order, every other extent."""
+    ux, uy = u.dx, u.dy
+    xy = P.coords()
+    ex, ey = P.edges()
+    d = ex * uy - ey * ux
+    s = ux * xy[:, 1] - uy * xy[:, 0]
+    cut = []
+    for sign in (-1.0, 1.0):  # the run with d > 0, then d < 0
+        run = np.flatnonzero(sign * d < 0.0)
+        gap = np.flatnonzero(np.diff(run) != 1)
+        if gap.size:
+            run = np.roll(run, -int(gap[0]) - 1)  # from the run's first edge
+        cut.append(run[np.maximum(np.searchsorted(sign * s[run], sign * s, side="right") - 1, 0)])
+    ext = _vertex_extents(P, slice(None), np.column_stack(cut), ux, uy)
+    while True:
+        i = int(np.argmax(ext))
+        seg = chord_through(P, P[i], u)
+        full = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
+        if not full < ext[i]:
+            return i, seg
+        ext[i] = full
+
+
+def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     """The first vertex i, in index order, whose chord along u has the
     greatest extent (b - a) . u as `oracle._longest_vertex_chords` computes
-    it, with `chord_through(P, P[i], u)` and a vertex proposed for its far
-    end; u is a `_dyadic_unit` vector.
+    it, with `chord_through(P, P[i], u)`; u is a `_dyadic_unit` vector.
 
     D = P - P proposes: its radial function along u is the longest chord's
     length (Rogers and Shephard, 1957), so the chord runs from one of the at
-    most four vertices of the pairs (a, c) that end D's edge from vertex
-    j - 1 to vertex j (`_d_search`), and ends near the pair's other member.
-    Those vertices and their ring neighbours within r form the window.  Each window chord is first cut only by the window's edges E,
+    most four vertices of the pairs (a, c) that end the D edge named by
+    `_d_edge`.  Those vertices and their ring neighbours within r form the
+    window.  Each window chord is first cut only by the window's edges E,
     less those whose factor kappa = |e|_1 |u|_inf / |d| exceeds _KAPPA_MAX
     (d = e x u; an edge is kept only when its sign is sure): with fewer
     edges no chord is shorter, and rounding is monotone, so this extent U
@@ -354,8 +315,11 @@ def _longest_chord(P: ConvexPolygon, u: Direction, j: int) -> tuple[int, Segment
     then L(s_k) > L(s_e) with s_k on the window's side of s_e, so L does
     not rise past s_e, and every gap vertex j beyond it has an extent
     <= U_j <= out(U_e).  The window stops growing when out(U_e) is also
-    below the winner's extent at every end; otherwise r doubles, up to the
-    whole ring.  A poor proposal costs time but never changes the answer.
+    below the winner's extent at every end (a window covering the ring has
+    no gap); otherwise r doubles.  `_ranked_chord` answers instead once the
+    window passes _WINDOW_MAX vertices, or when it keeps no edge of one sign
+    of d, as where every edge near the chord's ends lies within about 1e-6
+    rad of u.  A poor proposal costs time but never changes the answer.
     Underflow is out of scope, as for the rest of the package.
     """
     n = P.n
@@ -363,6 +327,7 @@ def _longest_chord(P: ConvexPolygon, u: Direction, j: int) -> tuple[int, Segment
     umax = max(abs(ux), abs(uy))
     ex, ey = P.edges()
     D = P.difference_body()
+    j = _d_edge(P, u)
     ends = [(j - 1) % len(D.keys), j % len(D.keys)]
     proposed = set(D.a[ends].tolist() + D.c[ends].tolist())
     r = 2
@@ -374,11 +339,10 @@ def _longest_chord(P: ConvexPolygon, u: Direction, j: int) -> tuple[int, Segment
         sure = np.abs(d) - 4.0 * _EPS * (np.abs(ex[edges] * uy) + np.abs(ey[edges] * ux))
         size = 2.0 * umax * (np.abs(ex[edges]) + np.abs(ey[edges]))
         good = size <= _KAPPA_MAX * sure
-        kappa = math.inf
-        U = np.full(w, math.inf)
-        if (d[good] > 0.0).any() and (d[good] < 0.0).any():
-            kappa = float((size[good] / sure[good]).max())
-            U = _vertex_extents(P, rows, edges[good], ux, uy)
+        if w > _WINDOW_MAX or not ((d[good] > 0.0).any() and (d[good] < 0.0).any()):
+            return _ranked_chord(P, u)
+        kappa = float((size[good] / sure[good]).max())
+        U = _vertex_extents(P, rows, edges[good], ux, uy)
         i = rows[int(np.argmax(U))]
         seg = chord_through(P, P[i], u)
         best = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
@@ -391,9 +355,6 @@ def _longest_chord(P: ConvexPolygon, u: Direction, j: int) -> tuple[int, Segment
                 i = reach[k]
                 seg = chord_through(P, P[i], u)
             best = float(ext[k])
-        far = int(D.a[ends[1]] if i in D.c[ends].tolist() else D.c[ends[1]])
-        if w == n:
-            return i, seg, far
         # The sure sign of each window vertex's outgoing and incoming edge:
         # +1 where s rises along it, -1 where it falls, 0 where unsure.
         sign = np.where(sure > 0.0, -np.sign(d), 0.0)
@@ -405,7 +366,7 @@ def _longest_chord(P: ConvexPolygon, u: Direction, j: int) -> tuple[int, Segment
         out = ((U + 2.0 * A) * (1.0 + 4.0 * B)).tolist()
         U = U.tolist()
         if all(_gap_is_safe(e, gap, s_out, s_in, U, out, best) for e in range(w) if gap[e]):
-            return i, seg, far
+            return i, seg
         r *= 2
 
 
@@ -441,16 +402,16 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     parallel to u, the other two corners touch the supporting lines parallel
     to u, and the parallelogram has exactly twice the quadrilateral's area.
 
-    The pair is read off D = P - P, built once per polygon in O(n log n)
-    numpy work and cached (`ConvexPolygon.difference_body`).  Two binary
-    searches on D's keys propose the diagonal's vertices and b and d; small
-    windows of the ring around each proposal, grown only while they cannot
-    rule out the rest, confirm them (`_longest_chord`, `_chord_ends`,
-    `_extreme_near`).  The diagonal is then measured once with
-    `chord_through`, the one O(n) pass left.  The result is bit-identical
-    to measuring the chord through every vertex, which
-    `oracle.longest_chord` does in O(n^2), and to `extreme_vertex` for b
-    and d.
+    The diagonal is chosen from D = P - P, built once per polygon in
+    O(n log n) numpy work and cached (`ConvexPolygon.difference_body`): one
+    binary search proposes it, and a window of a few vertices, measured
+    against its own edges and grown only while it cannot rule out the rest,
+    confirms it (`_longest_chord`); where rounding leaves a window
+    unconfirmed, a ranking of every vertex by a one-edge bound decides, in
+    O(n log n) (`_ranked_chord`).  The diagonal is then measured once with
+    `chord_through`; its far end, b and d take three more O(n) array passes.
+    The result is bit-identical to measuring the chord through every
+    vertex, which `oracle.longest_chord` does in O(n^2).
 
     The pair is computed with u scaled by a power of two (`_dyadic_unit`),
     so u and 2^j u give the same pair, bit for bit, at every magnitude; only
@@ -460,16 +421,13 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     un = Direction(*_dyadic_unit(uc.dx, uc.dy))
     eps = _build_tol(P)
 
-    j, p = _d_search(P, un)
-    i, seg, far = _longest_chord(P, un, j)
+    i, seg = _longest_chord(P, un)
     a_pt, c_pt = seg
-    loc_a, loc_c = _chord_ends(P, i, seg, un, eps, far)
+    loc_a, loc_c = _chord_ends(P, i, seg, un, eps)
     v = _side_direction(P, loc_a, loc_c, un, eps)
 
-    D = P.difference_body()
-    p %= len(D.a)
-    b_idx = _extreme_near(P, int(D.c[p]), (un.dy, -un.dx))
-    d_idx = _extreme_near(P, int(D.a[p]), (-un.dy, un.dx))
+    b_idx = extreme_vertex(P, (un.dy, -un.dx))
+    d_idx = extreme_vertex(P, (-un.dy, un.dx))
     b_pt, d_pt = P[b_idx], P[d_idx]
 
     idx_a = loc_a[1] if loc_a[0] == "vertex" else None

@@ -330,17 +330,13 @@ def extreme_vertex(P: ConvexPolygon, d) -> int:
         raise Degenerate("zero vector is not a direction")
     xy = P.coords()
     dots = xy[:, 0] * dx + xy[:, 1] * dy
-    return _later_in_ccw(np.flatnonzero(dots == dots.max()), P.n)
-
-
-def _later_in_ccw(idx: np.ndarray, n: int) -> int:
-    """`extreme_vertex`'s pick among the ascending indices idx of the
-    maximizers: the later in CCW order of two neighbours."""
+    best = dots.max()
+    idx = np.flatnonzero(dots == best)
     if len(idx) == 1:
         return int(idx[0])
     members = set(int(i) for i in idx)
     for i in members:
-        if (i - 1) % n in members:
+        if (i - 1) % P.n in members:
             return i
     return int(idx[-1])
 

@@ -331,15 +331,12 @@ class DifferenceBody(NamedTuple):
     """The vertices p[c[i]] - p[a[i]] of D = P - P over a full turn, in
     counterclockwise order, and their direction keys `keys[i]`, non-
     decreasing from 0, measured from the direction whose absolute key is
-    k0 (see `_direction_keys`); `step_keys[i]`, from s0, is the key of the
-    edge from vertex i to vertex i + 1.  Each pair (a, c) is antipodal."""
+    k0 (see `_direction_keys`).  Each pair (a, c) is antipodal."""
 
     a: np.ndarray
     c: np.ndarray
     keys: np.ndarray
     k0: float
-    step_keys: np.ndarray
-    s0: float
 
 
 def _difference_body(xy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> DifferenceBody:
@@ -369,10 +366,7 @@ def _difference_body(xy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> Differen
     a[np.searchsorted(a, n) :] = 0  # after the last a-step
     wx, wy = x[c] - x[a], y[c] - y[a]
     w0 = float(_direction_keys(wx[:1], wy[:1], 0.0)[0])
-    steps = np.empty(2 * n)
-    steps[is_a] = a_run
-    steps[~is_a] = c_run
-    return DifferenceBody(a, c, _non_decreasing(_direction_keys(wx, wy, w0)), w0, steps, k0)
+    return DifferenceBody(a, c, _non_decreasing(_direction_keys(wx, wy, w0)), w0)
 
 
 def _non_decreasing(keys: np.ndarray) -> np.ndarray:
