@@ -19,7 +19,6 @@ from .geometry import (
     canonicalize,
     chord_through,
     contains_point,
-    det,
     extreme_vertex,
     line_intersection,
     polygon_area,

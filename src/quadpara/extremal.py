@@ -41,6 +41,7 @@ from .geometry import (
     Segment,
     SweepOverrun,
     _chord_params,
+    _chord_span,
     _dyadic_unit,
     _neg_margins,
     _vec,
@@ -56,14 +57,10 @@ CERT_TOL = 1e-9
 """Relative residual tolerance of every conjugate-pair certificate."""
 
 
-def _cert_dist_tol(P: ConvexPolygon) -> float:
-    """The certificates' distance tolerance: CERT_TOL * (max|coord| + 1)."""
-    return CERT_TOL * (P.scale + 1.0)
-
-
-def _build_tol(P: ConvexPolygon) -> float:
-    """The construction's distance tolerance, CERT_TOL * max|coord|: with no
-    absolute floor, the pairs it builds scale exactly with the polygon."""
+def _dist_tol(P: ConvexPolygon) -> float:
+    """The distance tolerance of the constructions and the certificates,
+    CERT_TOL * max|coord|: with no absolute floor, the pairs built and the
+    checks made scale exactly with the polygon."""
     return CERT_TOL * P.scale
 
 
@@ -205,14 +202,10 @@ def _parallelogram(
     return ParaResult((g0, g1, g2, g3), u, v, area, touch)
 
 
-# Unit roundoff of binary64, the largest conditioning factor kappa (see
-# `_longest_chord`) of an edge that bounds the window's chords, and the
-# largest window that is grown before `_ranked_chord` takes over.
+# Unit roundoff of binary64, and the largest conditioning factor kappa (see
+# `_longest_chord`) of an edge that bounds the window's chords.
 _EPS = 2.0**-53
 _KAPPA_MAX = 2.0**20
-_WINDOW_MAX = 64
-# (vertex, edge) elements per batched chord pass; bounds its temporaries.
-_BLOCK = 1 << 14
 
 
 def _d_edge(P: ConvexPolygon, u: Direction) -> int:
@@ -223,57 +216,65 @@ def _d_edge(P: ConvexPolygon, u: Direction) -> int:
     return int(np.searchsorted(D.keys, key[0], side="right"))
 
 
+def _extent(a, b, ux: float, uy: float):
+    """(b - a) . u for the chord from a to b; the ends are (x, y) pairs of
+    floats, or of arrays for many chords at once."""
+    return (b[0] - a[0]) * ux + (b[1] - a[1]) * uy
+
+
 def _vertex_extents(P: ConvexPolygon, rows, edges, ux: float, uy: float) -> np.ndarray:
-    """The extent (b - a) . u of the chord along (ux, uy) through each vertex
-    in `rows`, cut by the edges in `edges`: indices shared by every row,
-    slice(None) for all, or one row of indices per vertex.  The float
-    expressions are `oracle._longest_vertex_chords`', in blocks of at most
-    _BLOCK (vertex, edge) elements."""
+    """The extent of the chord along (ux, uy) through each vertex in `rows`,
+    cut by the edges in `edges` alone, with `chord_through`'s float
+    expressions."""
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
-    own = np.ndim(edges) == 2
-    qx, qy = vx[rows], vy[rows]
-    ext = np.empty(len(qx))
-    step = max(1, _BLOCK // (P.n if isinstance(edges, slice) else np.shape(edges)[-1]))
-    for s in range(0, len(qx), step):
-        k = edges[s : s + step] if own else edges
-        bx, by = qx[s : s + step], qy[s : s + step]
-        t0, t1 = _chord_params(_neg_margins(bx[:, None], by[:, None], vx[k], vy[k], ex[k], ey[k]), ex[k], ey[k], ux, uy)
-        ext[s : s + step] = ((bx + t1 * ux) - (bx + t0 * ux)) * ux + ((by + t1 * uy) - (by + t0 * uy)) * uy
-    return ext
+    bx, by = vx[rows], vy[rows]
+    ex, ey = ex[edges], ey[edges]
+    t0, t1 = _chord_params(_neg_margins(bx[:, None], by[:, None], vx[edges], vy[edges], ex, ey), ex, ey, ux, uy)
+    return _extent((bx + t0 * ux, by + t0 * uy), (bx + t1 * ux, by + t1 * uy), ux, uy)
 
 
-def _ranked_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
-    """`_longest_chord`'s answer from a bound on every vertex's chord: the
-    route for windows that the rounding bound cannot certify.
+def _one_edge_bounds(P: ConvexPolygon, ux: float, uy: float) -> np.ndarray:
+    """An upper bound on the extent of every vertex's chord along (ux, uy),
+    exact where the binary searches below find the edges it crosses.
 
     The edges with d = e x u > 0 form one run of the ring, along which the
     offset s = u x p falls, and those with d < 0 another, along which it
     rises; a binary search on s finds the edge of each run that a vertex's
-    chord crosses.  Cut by those two edges alone, the chord is never shorter
-    (rounding is monotone), so each extent is an upper bound, exact when the
-    search found the crossed edges.  The vertex ranked first is measured
-    with `chord_through`; when its extent falls short, it replaces the
-    bound and the ranking repeats.  A vertex ranked first with its measured
-    extent beats, or ties later in index order, every other extent."""
-    ux, uy = u.dx, u.dy
+    chord crosses.  Cut by those two edges alone, elementwise, the chord is
+    never shorter: each parameter is `_chord_params`' quotient for that
+    edge, and rounding is monotone."""
     xy = P.coords()
+    vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
     d = ex * uy - ey * ux
-    s = ux * xy[:, 1] - uy * xy[:, 0]
-    cut = []
+    s = ux * vy - uy * vx
+    t = []
     for sign in (-1.0, 1.0):  # the run with d > 0, then d < 0
         run = np.flatnonzero(sign * d < 0.0)
         gap = np.flatnonzero(np.diff(run) != 1)
         if gap.size:
             run = np.roll(run, -int(gap[0]) - 1)  # from the run's first edge
-        cut.append(run[np.maximum(np.searchsorted(sign * s[run], sign * s, side="right") - 1, 0)])
-    ext = _vertex_extents(P, slice(None), np.column_stack(cut), ux, uy)
+        k = run[np.maximum(np.searchsorted(sign * s[run], sign * s, side="right") - 1, 0)]
+        t.append(_neg_margins(vx, vy, vx[k], vy[k], ex[k], ey[k]) / d[k] + 0.0)
+    t0, t1 = _chord_span(*t)
+    return _extent((vx + t0 * ux, vy + t0 * uy), (vx + t1 * ux, vy + t1 * uy), ux, uy)
+
+
+def _ranked_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
+    """`_longest_chord`'s answer from `_one_edge_bounds`: the route for
+    windows that the rounding bound cannot certify, in O(n log n).
+
+    The vertex ranked first is measured with `chord_through`; when its
+    extent falls short, it replaces the bound and the ranking repeats.  A
+    vertex ranked first with its measured extent beats, or ties later in
+    index order, every other extent."""
+    ext = _one_edge_bounds(P, u.dx, u.dy)
     while True:
         i = int(np.argmax(ext))
         seg = chord_through(P, P[i], u)
-        full = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
+        full = _extent(*seg, u.dx, u.dy)
         if not full < ext[i]:
             return i, seg
         ext[i] = full
@@ -287,16 +288,15 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     D = P - P proposes: its radial function along u is the longest chord's
     length (Rogers and Shephard, 1957), so the chord runs from one of the at
     most four vertices of the pairs (a, c) that end the D edge named by
-    `_d_edge`.  Those vertices and their ring neighbours within r form the
+    `_d_edge`.  Those vertices and their ring neighbours within 2 form the
     window.  Each window chord is first cut only by the window's edges E,
     less those whose factor kappa = |e|_1 |u|_inf / |d| exceeds _KAPPA_MAX
     (d = e x u; an edge is kept only when its sign is sure): with fewer
     edges no chord is shorter, and rounding is monotone, so this extent U
     bounds the full one from above, with no error term.  The window vertex
-    ranked first by U is measured with `chord_through`; the window vertices
-    whose U can beat its extent or, earlier in index order, tie it are
-    measured against every edge in one batched pass, and the first maximum
-    wins.
+    ranked first by U is measured with `chord_through`, then, in index
+    order, each window vertex whose U can beat its extent or, earlier in
+    index order, tie it; the first maximum wins.
 
     No vertex outside the window can then rank first or tie, by two facts.
     (1) Let L(s) be |u| times the length of the exact chord at offset
@@ -314,13 +314,13 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     edges of the same sure sign, has U_k > out(U_e) = (U_e + 2A)(1 + 4B),
     then L(s_k) > L(s_e) with s_k on the window's side of s_e, so L does
     not rise past s_e, and every gap vertex j beyond it has an extent
-    <= U_j <= out(U_e).  The window stops growing when out(U_e) is also
+    <= U_j <= out(U_e).  The window's answer stands when out(U_e) is also
     below the winner's extent at every end (a window covering the ring has
-    no gap); otherwise r doubles.  `_ranked_chord` answers instead once the
-    window passes _WINDOW_MAX vertices, or when it keeps no edge of one sign
-    of d, as where every edge near the chord's ends lies within about 1e-6
-    rad of u.  A poor proposal costs time but never changes the answer.
-    Underflow is out of scope, as for the rest of the package.
+    no gap).  Otherwise `_ranked_chord` answers, as it does when the window
+    keeps no edge of one sign of d, as where every edge near the chord's
+    ends lies within about 1e-6 rad of u.  A poor proposal costs time but
+    never changes the answer.  Underflow is out of scope, as for the rest
+    of the package.
     """
     n = P.n
     ux, uy = u.dx, u.dy
@@ -330,44 +330,40 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     j = _d_edge(P, u)
     ends = [(j - 1) % len(D.keys), j % len(D.keys)]
     proposed = set(D.a[ends].tolist() + D.c[ends].tolist())
-    r = 2
-    while True:
-        rows = sorted({(p + k) % n for p in proposed for k in range(-r, r + 1)})
-        w = len(rows)
-        edges = np.array(sorted({(i - 1) % n for i in rows}.union(rows)))
-        d = ex[edges] * uy - ey[edges] * ux
-        sure = np.abs(d) - 4.0 * _EPS * (np.abs(ex[edges] * uy) + np.abs(ey[edges] * ux))
-        size = 2.0 * umax * (np.abs(ex[edges]) + np.abs(ey[edges]))
-        good = size <= _KAPPA_MAX * sure
-        if w > _WINDOW_MAX or not ((d[good] > 0.0).any() and (d[good] < 0.0).any()):
-            return _ranked_chord(P, u)
-        kappa = float((size[good] / sure[good]).max())
-        U = _vertex_extents(P, rows, edges[good], ux, uy)
-        i = rows[int(np.argmax(U))]
-        seg = chord_through(P, P[i], u)
-        best = (seg.b.x - seg.a.x) * ux + (seg.b.y - seg.a.y) * uy
-        # A later vertex must beat that extent; an earlier one wins a tie.
-        reach = [k for k, x in zip(rows, U.tolist()) if x > best or x == best and k <= i]
-        if len(reach) > 1:
-            ext = _vertex_extents(P, reach, slice(None), ux, uy)
-            k = int(np.argmax(ext))
-            if reach[k] != i:
-                i = reach[k]
-                seg = chord_through(P, P[i], u)
-            best = float(ext[k])
-        # The sure sign of each window vertex's outgoing and incoming edge:
-        # +1 where s rises along it, -1 where it falls, 0 where unsure.
-        sign = np.where(sure > 0.0, -np.sign(d), 0.0)
-        s_out = sign[np.searchsorted(edges, rows)].tolist()
-        s_in = sign[np.searchsorted(edges, [(k - 1) % n for k in rows])].tolist()
-        gap = [rows[(k + 1) % w] != (rows[k] + 1) % n for k in range(w)]
-        A = 256.0 * _EPS * kappa * P.scale
-        B = 512.0 * _EPS * kappa
-        out = ((U + 2.0 * A) * (1.0 + 4.0 * B)).tolist()
-        U = U.tolist()
-        if all(_gap_is_safe(e, gap, s_out, s_in, U, out, best) for e in range(w) if gap[e]):
-            return i, seg
-        r *= 2
+    rows = sorted({(p + k) % n for p in proposed for k in range(-2, 3)})
+    w = len(rows)
+    edges = np.array(sorted({(i - 1) % n for i in rows}.union(rows)))
+    d = ex[edges] * uy - ey[edges] * ux
+    sure = np.abs(d) - 4.0 * _EPS * (np.abs(ex[edges] * uy) + np.abs(ey[edges] * ux))
+    size = 2.0 * umax * (np.abs(ex[edges]) + np.abs(ey[edges]))
+    good = size <= _KAPPA_MAX * sure
+    if not ((d[good] > 0.0).any() and (d[good] < 0.0).any()):
+        return _ranked_chord(P, u)
+    kappa = float((size[good] / sure[good]).max())
+    U = _vertex_extents(P, rows, edges[good], ux, uy)
+    i = rows[int(np.argmax(U))]
+    seg = chord_through(P, P[i], u)
+    best = _extent(*seg, ux, uy)
+    # A later vertex must beat that extent; an earlier one wins a tie.
+    for k, x in zip(rows, U.tolist()):
+        if k != i and (x > best or x == best and k < i):
+            chord = chord_through(P, P[k], u)
+            full = _extent(*chord, ux, uy)
+            if full > best or full == best and k < i:
+                i, seg, best = k, chord, full
+    # The sure sign of each window vertex's outgoing and incoming edge:
+    # +1 where s rises along it, -1 where it falls, 0 where unsure.
+    sign = np.where(sure > 0.0, -np.sign(d), 0.0)
+    s_out = sign[np.searchsorted(edges, rows)].tolist()
+    s_in = sign[np.searchsorted(edges, [(k - 1) % n for k in rows])].tolist()
+    gap = [rows[(k + 1) % w] != (rows[k] + 1) % n for k in range(w)]
+    A = 256.0 * _EPS * kappa * P.scale
+    B = 512.0 * _EPS * kappa
+    out = ((U + 2.0 * A) * (1.0 + 4.0 * B)).tolist()
+    U = U.tolist()
+    if all(_gap_is_safe(e, gap, s_out, s_in, U, out, best) for e in range(w) if gap[e]):
+        return i, seg
+    return _ranked_chord(P, u)
 
 
 def _gap_is_safe(e: int, gap: list, s_out: list, s_in: list, U: list, out: list, best: float) -> bool:
@@ -405,10 +401,9 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     The diagonal is chosen from D = P - P, built once per polygon in
     O(n log n) numpy work and cached (`ConvexPolygon.difference_body`): one
     binary search proposes it, and a window of a few vertices, measured
-    against its own edges and grown only while it cannot rule out the rest,
-    confirms it (`_longest_chord`); where rounding leaves a window
-    unconfirmed, a ranking of every vertex by a one-edge bound decides, in
-    O(n log n) (`_ranked_chord`).  The diagonal is then measured once with
+    against its own edges, confirms it (`_longest_chord`); where rounding
+    leaves the window unconfirmed, a ranking of every vertex by a one-edge
+    bound decides, in O(n log n) (`_ranked_chord`).  The diagonal is then measured once with
     `chord_through`; its far end, b and d take three more O(n) array passes.
     The result is bit-identical to measuring the chord through every
     vertex, which `oracle.longest_chord` does in O(n^2).
@@ -419,7 +414,7 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     """
     uc = Direction(*_vec(u)).canonical()
     un = Direction(*_dyadic_unit(uc.dx, uc.dy))
-    eps = _build_tol(P)
+    eps = _dist_tol(P)
 
     i, seg = _longest_chord(P, un)
     a_pt, c_pt = seg
@@ -448,12 +443,13 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
 
     Angles are compared with CERT_TOL, distances with CERT_TOL * scale and
     areas with CERT_TOL * scale**2, where scale is the polygon's max absolute
-    coordinate plus one.  The anchor u and G.side_dir_bd enter scaled by a
+    coordinate (`_dist_tol`); with no absolute floor, the checks on P scaled
+    by 2^j are those on P.  The anchor u and G.side_dir_bd enter scaled by a
     power of two (`_dyadic_unit`), so their magnitudes move no check.
     """
     udir = Direction(*_vec(u))
     ux, uy = _dyadic_unit(udir.dx, udir.dy)
-    dist_tol = _cert_dist_tol(P)
+    dist_tol = _dist_tol(P)
     ulen = math.hypot(ux, uy)
 
     A, B, C, D = F.corners
@@ -489,7 +485,7 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
     neg = _neg_margins(xy[:, 0], xy[:, 1], gxy[0, :4, None], gxy[1, :4, None], e[0, :, None], e[1, :, None])
     inside = bool((neg <= np.array(slack)[:, None]).all())
 
-    area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * (P.scale + 1.0)
+    area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * P.scale
 
     checks = CertificateChecks(
         anchoring_d=anchoring_d,
@@ -510,7 +506,7 @@ def combined_extremes(P: ConvexPolygon) -> ExtremesReport:
     qa, qb, qc, qd = P[ma], P[mb], P[mc], P[md]
     max_quad = QuadResult((qa, qb, qc, qd), (ma, mb, mc, md), maxarea)
     u_max = Direction(qc.x - qa.x, qc.y - qa.y)
-    v_max = _side_direction(P, ("vertex", ma), ("vertex", mc), u_max, _build_tol(P))
+    v_max = _side_direction(P, ("vertex", ma), ("vertex", mc), u_max, _dist_tol(P))
     g_max = _parallelogram(qa, qb, qc, qd, u_max, Direction(*v_max), (ma, mb, mc, md))
     quad_cert = verify_conjugate_pair(max_quad, g_max, u_max, P)
 

@@ -6,11 +6,10 @@ sign of a 2x2 determinant with no epsilon.  On integer inputs with
 non-strict comparisons of triangle areas over a common base never disagree
 with the true signs; tie cases (parallel edges) therefore branch correctly.
 This module keeps no tolerance of its own: `contains_point` compares with
-the tolerance its caller passes.  The package's tolerances are in
-`extremal`: the anchored pair's construction tolerance `_build_tol`,
-CERT_TOL * max|coord|, and the certificates' distance tolerance
-`_cert_dist_tol`, CERT_TOL * (max|coord| + 1), whose `+ 1` makes it an
-absolute tolerance on polygons much smaller than unit scale.
+the tolerance its caller passes.  The package's one distance tolerance is
+`extremal._dist_tol`, CERT_TOL * max|coord|, which both the anchored pair's
+construction and every certificate use; it has no absolute floor, so it
+scales with the polygon.
 """
 
 from __future__ import annotations
@@ -128,13 +127,6 @@ def _vec(v) -> tuple[float, float]:
         return v.dx, v.dy
     x, y = v
     return float(x), float(y)
-
-
-def det(u, v) -> float:
-    """x1*y2 - x2*y1; positive iff v lies counterclockwise from u."""
-    x1, y1 = _vec(u)
-    x2, y2 = _vec(v)
-    return x1 * y2 - x2 * y1
 
 
 def quad_area(a, b, c, d) -> float:
@@ -408,6 +400,13 @@ def _chord_params(neg_c, ex, ey, ux, uy):
     # pick between -0.0 and +0.0 by memory layout, not by value.
     t0 = np.maximum.reduce(t, axis=-1, where=d > 0.0, initial=-math.inf) + 0.0
     t1 = np.minimum.reduce(t, axis=-1, where=d < 0.0, initial=math.inf) + 0.0
+    return _chord_span(t0, t1)
+
+
+def _chord_span(t0, t1):
+    """The chord parameters (t0, t1), elementwise, with a tangency's rounding
+    collapsed: where t0 > t1, both become their midpoint.  Raises Degenerate
+    if a parameter is not finite."""
     if not np.isfinite((t0, t1)).all():
         raise Degenerate("line does not leave the polygon; invalid polygon?")
     tangent = t0 > t1

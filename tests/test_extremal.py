@@ -23,7 +23,6 @@ from quadpara import (
     canonicalize,
     combined_extremes,
     contains_point,
-    det,
     largest_quadrilateral,
     lattice_ngon,
     longest_chord,
@@ -38,6 +37,7 @@ from quadpara import (
 from quadpara import extremal
 from quadpara.cli import main
 from quadpara.extremal import _vertical_extremes
+from quadpara.geometry import _dyadic_unit
 
 REL = 1e-12
 
@@ -89,13 +89,18 @@ def test_anchored_pair_skips_sides_nearly_parallel_to_u(n, rotation, u):
 
 def test_anchored_pair_scales_exactly():
     # Scaling by 2**j rounds nothing here, and every tolerance of the
-    # construction is relative to P.scale, so each decision is the same.
+    # construction and of the certificate is relative to P.scale, so each
+    # decision and each check is the same.
     polys = [lattice_ngon(64, 1), random_convex(40, 7, 1000), parallel_edge_polygon(6, 3), lattice_ngon(300, 2)]
     for P in polys:
         for u in ((1, 0), (3, 7), (-1, 1), (123, -457)):
             F, G = anchored_conjugate_pair(P, u)
+            checks = verify_conjugate_pair(F, G, u, P).checks
+            assert checks.all_ok, (P.n, u)
             for j in (-60, -40, -30, -20, 20, 100):
-                Fj, Gj = anchored_conjugate_pair(ConvexPolygon(P.coords() * 2.0**j), u)
+                Pj = ConvexPolygon(P.coords() * 2.0**j)
+                Fj, Gj = anchored_conjugate_pair(Pj, u)
+                assert verify_conjugate_pair(Fj, Gj, u, Pj).checks == checks, (P.n, u, j)
                 scaled = [(math.ldexp(x, j), math.ldexp(y, j)) for x, y in F.corners + G.corners]
                 assert (Fj.vertex_indices, Gj.touch_indices) == (F.vertex_indices, G.touch_indices), (P.n, u, j)
                 assert _bits(Fj.corners + Gj.corners) == _bits(scaled), (P.n, u, j)
@@ -153,7 +158,7 @@ def _contains_point_loop(P, x, tol):
 
 def verify_conjugate_pair_loop(F, G, u, P):
     ux, uy = float(u[0]), float(u[1])
-    dist_tol = extremal._cert_dist_tol(P)
+    dist_tol = extremal._dist_tol(P)
     ulen = math.hypot(ux, uy)
 
     A, B, C, D = F.corners
@@ -192,7 +197,7 @@ def verify_conjugate_pair_loop(F, G, u, P):
             inside = False
             break
 
-    area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * (P.scale + 1.0)
+    area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * P.scale
     return extremal.CertificateChecks(anchoring_d, anchoring_s, tuple(on_side), quad_in_polygon, inside, area_ratio)
 
 
@@ -229,7 +234,7 @@ def test_certificate_matches_the_loop_reference(corpus):
             base.append((cert.quad, cert.para, cert.anchor))
         for u in ((1, 0), (0, 1), (1, 1), (3, -7), (0.6, 0.8), (123, -457)):
             base.append((*anchored_conjugate_pair(P, u), Direction(*u)))
-        two_tol = 2.0 * extremal._cert_dist_tol(P)
+        two_tol = 2.0 * extremal._dist_tol(P)
         cx = sum(p.x for p in P) / P.n
         cy = sum(p.y for p in P) / P.n
         for F, G, u in base:
@@ -284,6 +289,19 @@ def test_verify_detects_oversized_parallelogram(square):
     assert not any(cert.checks.corner_on_side)
     assert not cert.checks.area_ratio
     assert not cert.checks.all_ok
+
+
+def test_verify_detects_oversized_parallelogram_on_a_tiny_polygon():
+    # With an absolute floor in the distance tolerance, a polygon whose
+    # coordinates are far below 1 passed a parallelogram of nine times the
+    # area; relative to max|coord|, it fails as on the unscaled polygon.
+    P = ConvexPolygon(lattice_ngon(64, 3).coords() * 2.0**-40)
+    F, G = anchored_conjugate_pair(P, (1, 0))
+    assert verify_conjugate_pair(F, G, Direction(1, 0), P).checks.all_ok
+    big = dataclasses.replace(G, corners=_about_centre(G, 3.0), area=9 * G.area)
+    checks = verify_conjugate_pair(F, big, Direction(1, 0), P).checks
+    assert not checks.area_ratio
+    assert not checks.all_ok
 
 
 def test_verify_detects_polygon_outside_parallelogram(corpus):
@@ -501,21 +519,20 @@ def test_anchored_diagonal_is_the_reference_longest_chord(corpus):
 
 
 def test_longest_chord_survives_a_moved_proposal(corpus, monkeypatch):
-    # D's proposal only decides where the window starts: moved by one to
-    # three D vertices, or by a quarter turn, the window must grow until no
-    # vertex outside it can rank first, and the chord stays the reference's.
-    # No cap on the window: its certificate alone must stop it.
-    monkeypatch.setattr(extremal, "_WINDOW_MAX", math.inf)
+    # D's proposal only decides where the window sits: moved by one to
+    # three D vertices, or by a quarter turn, the window must either rule
+    # out every vertex outside it or hand the query to the ranking, and the
+    # chord stays the reference's.
     d_edge = extremal._d_edge
-    rounds = 0
-    measure = extremal._vertex_extents
+    ranked = 0
+    rank = extremal._ranked_chord
 
-    def counted(P, rows, edges, ux, uy):
-        nonlocal rounds
-        rounds += not isinstance(edges, slice)
-        return measure(P, rows, edges, ux, uy)
+    def counted(P, u):
+        nonlocal ranked
+        ranked += 1
+        return rank(P, u)
 
-    monkeypatch.setattr(extremal, "_vertex_extents", counted)
+    monkeypatch.setattr(extremal, "_ranked_chord", counted)
     polys = list(corpus[::3]) + [regular_ngon(n, 1000.0, 1) for n in (40, 151)]
     polys += [lattice_ngon(300, 3), parallel_edge_polygon(9, 41)]
     queries = 0
@@ -528,14 +545,13 @@ def test_longest_chord_survives_a_moved_proposal(corpus, monkeypatch):
                 ref = longest_chord(P, Direction(*u).canonical())
                 assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u, shift)
                 queries += 1
-    assert rounds > queries  # some windows had to grow
+    assert 0 < ranked < queries  # some windows were certified, some not
 
 
 def test_longest_chord_survives_a_proposal_moved_along_one_chain(corpus, monkeypatch):
     # With only a (or only c) moved, one window sits on a slope beside the
     # longest chord and the other near its far end: that window's end must
     # not be taken for a peak merely because the other window ranks higher.
-    monkeypatch.setattr(extremal, "_WINDOW_MAX", math.inf)
     polys = [P for P in corpus if P.n >= 20] + [lattice_ngon(300, 3), regular_ngon(151, 1000.0, 1)]
     for P in polys:
         D = P.difference_body()
@@ -558,12 +574,9 @@ def test_longest_chord_holds_with_loosened_bounds(corpus, monkeypatch):
 
     def loosened(P, rows, edges, ux, uy):
         ext = measure(P, rows, edges, ux, uy)
-        if isinstance(edges, slice):
-            return ext
         return np.where(np.asarray(rows) >= P.n // 2, ext * (1.0 + 2.0**-20) + 1e-9, ext)
 
     monkeypatch.setattr(extremal, "_vertex_extents", loosened)
-    monkeypatch.setattr(extremal, "_WINDOW_MAX", math.inf)
     polys = [lattice_ngon(n, 5 * n) for n in (16, 40, 64, 300)] + list(corpus[::5])
     for P in polys:
         for u in [(1, 0), (0, 1), (3, 7), (-5, 2), P.edge_vector(1)]:
@@ -576,44 +589,67 @@ def _squashed_ngon(n: int, factor: float) -> ConvexPolygon:
     return ConvexPolygon(canonicalize(regular_ngon(n).coords() * np.array([1.0, factor])))
 
 
-def test_ranked_chord_is_the_reference_longest_chord(corpus, monkeypatch):
-    # With no window allowed, every query takes the ranking by one-edge
-    # bounds; float polygons make those bounds miss the crossed edge.
-    monkeypatch.setattr(extremal, "_WINDOW_MAX", 0)
+def test_ranked_chord_is_the_reference_longest_chord(corpus):
+    # The ranking by one-edge bounds alone; float polygons make those
+    # bounds miss the crossed edge.
     polys = list(corpus[::2]) + [lattice_ngon(300, 3), parallel_edge_polygon(9, 41)]
     polys += [regular_ngon(151, 1000.0, 1), _squashed_ngon(200, 1e-9), _squashed_ngon(64, 1e-6)]
     for P in polys:
         for u in [(1, 0), (0, 1), (1.0, 1e-12), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(2)]:
-            F, _ = anchored_conjugate_pair(P, u)
-            ref = longest_chord(P, Direction(*u).canonical())
-            assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
+            uc = Direction(*u).canonical()
+            _, seg = extremal._ranked_chord(P, Direction(*_dyadic_unit(uc.dx, uc.dy)))
+            assert _bits(seg) == _bits(longest_chord(P, uc)), (P.n, u)
+
+
+def test_one_edge_bounds_hold_the_full_extents():
+    # Each vertex's chord cut by the two edges the binary searches find is
+    # at least as long as `chord_through`'s, the chord the oracle measures.
+    turn = 0.3
+    c, s = math.cos(turn), math.sin(turn)
+    x, y = lattice_ngon(200, 9).coords().T
+    rotated = ConvexPolygon(canonicalize(np.column_stack((c * x - s * y, s * x + c * y))))
+    polys = [_squashed_ngon(512, 1e-9), _squashed_ngon(64, 1e-6), regular_ngon(151, 1000.0, 1), rotated]
+    polys += [random_convex(n, seed, 1000) for n, seed in ((40, 7), (300, 11))]
+    for P in polys:
+        for u in [(1, 0), (0, 1), (1.0, 1e-12), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(2)]:
+            uc = Direction(*u).canonical()
+            ux, uy = _dyadic_unit(uc.dx, uc.dy)
+            bounds = extremal._one_edge_bounds(P, ux, uy)
+            full = [extremal._extent(*extremal.chord_through(P, p, (ux, uy)), ux, uy) for p in P]
+            assert (bounds >= np.array(full)).all(), (P.n, u)
 
 
 def test_chord_search_stays_linear_where_no_edge_bounds_the_window(monkeypatch):
     # Along the long axis of a regular 4096-gon squashed by 1e-9, every
     # edge near the chord's ends has kappa > _KAPPA_MAX, so no window can be
-    # certified; the (vertex, edge) pairs measured must stay O(n), not the
-    # 2 n^2 of a window grown to the whole ring.
+    # certified and the ranking answers; the (vertex, edge) pairs measured
+    # must stay O(n), not the n^2 of measuring every vertex's chord.
     measured = 0
-    measure = extremal._vertex_extents
+    measure, through = extremal._vertex_extents, extremal.chord_through
 
     def counted(P, rows, edges, ux, uy):
         nonlocal measured
-        measured += len(P.coords()[rows]) * (P.n if isinstance(edges, slice) else np.shape(edges)[-1])
+        measured += len(rows) * len(edges)
         return measure(P, rows, edges, ux, uy)
 
+    def counted_chord(P, q, u):
+        nonlocal measured
+        measured += P.n
+        return through(P, q, u)
+
     monkeypatch.setattr(extremal, "_vertex_extents", counted)
+    monkeypatch.setattr(extremal, "chord_through", counted_chord)
     P = _squashed_ngon(4096, 1e-9)
     for u in [(1, 0), (1.0, 1e-12)]:
         F, _ = anchored_conjugate_pair(P, u)
         ref = longest_chord(P, Direction(*u).canonical())
         assert _bits((F.corners[0], F.corners[2])) == _bits(ref), u
-    assert measured <= 2 * 4 * extremal._WINDOW_MAX * P.n
+    assert measured <= 8 * P.n
 
 
 def _in_arc(v, s, e) -> bool:
     """v lies in the CCW arc from s to e (arc width < half turn)."""
-    return det(s, v) >= 0.0 and det(v, e) >= 0.0
+    return s[0] * v[1] - v[0] * s[1] >= 0.0 and v[0] * e[1] - e[0] * v[1] >= 0.0
 
 
 def is_antipodal_brute(P: ConvexPolygon, i: int, j: int) -> bool:

@@ -17,7 +17,6 @@ from quadpara import (
     canonicalize,
     chord_through,
     contains_point,
-    det,
     extreme_vertex,
     lattice_ngon,
     line_intersection,
@@ -41,17 +40,6 @@ def shoelace(points):
         x2, y2 = points[(i + 1) % n]
         s += x1 * y2 - x2 * y1
     return 0.5 * s
-
-
-def test_det_examples():
-    assert det((1, 0), (0, 1)) == 1
-    assert det((2, 3), (2, 3)) == 0
-    assert det((2, 0), (1, 3)) == 6
-
-
-@given(vec, vec)
-def test_det_antisymmetric(u, v):
-    assert det(u, v) == -det(v, u)
 
 
 def test_quad_area_examples():
@@ -375,7 +363,7 @@ def test_chord_through_endpoints_on_polygon_and_line(corpus):
         tol = 1e-9 * (P.scale + 1)
         for e in (seg.a, seg.b):
             assert contains_point(P, e, tol)
-            assert abs(det((e.x - q.x, e.y - q.y), u)) <= tol * math.hypot(*u)
+            assert abs((e.x - q.x) * u[1] - (e.y - q.y) * u[0]) <= tol * math.hypot(*u)
 
 
 def chord_params(P, qx, qy, ux, uy):
