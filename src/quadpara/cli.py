@@ -5,8 +5,8 @@ Reports go to standard output as JSON with sorted keys; floats use Python's
 shortest round-trip repr, so output is byte-identical across runs.  Wall
 times are diagnostics and go to standard error only.
 
-Exit codes: 0 success; 1 verification or benchmark assertion failure;
-2 parse/validation error; 3 internal sweep overrun.
+Exit codes: 0 success; 1 verification, printed certificate or benchmark
+assertion failure; 2 parse/validation error; 3 internal sweep overrun.
 """
 
 from __future__ import annotations
@@ -208,6 +208,14 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _certified(*certs) -> int:
+    """0 when every certificate of a printed figure holds, else 1."""
+    if all(cert.checks.all_ok for cert in certs):
+        return 0
+    print("error: a certificate of the printed result failed", file=sys.stderr)
+    return 1
+
+
 def _run_extremes(args, keys: tuple[str, ...]) -> int:
     P = load_polygon(args.input)
     t0 = time.perf_counter()
@@ -217,7 +225,8 @@ def _run_extremes(args, keys: tuple[str, ...]) -> int:
     doc = {k: v for k, v in doc.items() if k in keys}
     _emit(doc)
     print(f"time_ms={elapsed:.3f}", file=sys.stderr)
-    return 0
+    certs = {"max_quad": rep.quad_certificate, "min_para": rep.para_certificate}
+    return _certified(*(cert for k, cert in certs.items() if k in keys))
 
 
 def cmd_quad(args) -> int:
@@ -250,7 +259,7 @@ def cmd_anchored(args) -> int:
             "certificate": _checks_dict(cert),
         }
     )
-    return 0
+    return _certified(cert)
 
 
 def cmd_verify(args) -> int:

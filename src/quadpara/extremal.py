@@ -210,10 +210,11 @@ _KAPPA_MAX = 2.0**20
 
 def _d_edge(P: ConvexPolygon, u: Direction) -> int:
     """The index j for which the ray along u meets D = P - P on its edge
-    from vertex j - 1 to vertex j: one binary search on D's keys."""
+    from vertex j - 1 to vertex j, mod n: one binary search on the keys of
+    D's half turn, or on -u's key past it, where the pairs are swapped."""
     D = P.difference_body()
-    key = _direction_keys(np.array([u.dx]), np.array([u.dy]), D.k0)
-    return int(np.searchsorted(D.keys, key[0], side="right"))
+    key = _direction_keys(np.array([u.dx, -u.dx]), np.array([u.dy, -u.dy]), D.k0)
+    return int(np.searchsorted(D.keys, key[0] if key[0] < 2.0 else key[1], side="right"))
 
 
 def _extent(a, b, ux: float, uy: float):
@@ -288,15 +289,16 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     D = P - P proposes: its radial function along u is the longest chord's
     length (Rogers and Shephard, 1957), so the chord runs from one of the at
     most four vertices of the pairs (a, c) that end the D edge named by
-    `_d_edge`.  Those vertices and their ring neighbours within 2 form the
-    window.  Each window chord is first cut only by the window's edges E,
-    less those whose factor kappa = |e|_1 |u|_inf / |d| exceeds _KAPPA_MAX
-    (d = e x u; an edge is kept only when its sign is sure): with fewer
-    edges no chord is shorter, and rounding is monotone, so this extent U
-    bounds the full one from above, with no error term.  The window vertex
-    ranked first by U is measured with `chord_through`, then, in index
-    order, each window vertex whose U can beat its extent or, earlier in
-    index order, tie it; the first maximum wins.
+    `_d_edge` (the same along -u: D is centrally symmetric).  Those vertices
+    and their ring neighbours within 2 form the window.  Each window chord
+    is first cut only by the window's edges E, less those whose factor
+    kappa = |e|_1 |u|_inf / |d| exceeds _KAPPA_MAX (d = e x u; an edge is
+    kept only when its sign is sure): with fewer edges no chord is shorter,
+    and rounding is monotone, so this extent U bounds the full one from
+    above, with no error term.  The window vertex ranked first by U is
+    measured with `chord_through`, then, in index order, each window vertex
+    whose U can beat its extent or, earlier in index order, tie it; the
+    first maximum wins.
 
     No vertex outside the window can then rank first or tie, by two facts.
     (1) Let L(s) be |u| times the length of the exact chord at offset

@@ -251,7 +251,7 @@ class ConvexPolygon:
 
     def difference_body(self):
         """The difference body P - P as `sweep.DifferenceBody`: its vertices
-        p[c] - p[a] over a full turn, as the index pairs (a, c), with their
+        p[c] - p[a] over a half turn, as the index pairs (a, c), with their
         direction keys; built on first use in O(n log n) numpy work, then
         cached.  Do not mutate."""
         if self._dbody is None:

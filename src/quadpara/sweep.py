@@ -306,32 +306,46 @@ def _direction_keys(dx: np.ndarray, dy: np.ndarray, k0: float) -> np.ndarray:
     return key
 
 
-def _is_sorted(keys: np.ndarray) -> bool:
-    return bool((keys[1:] >= keys[:-1]).all())
-
-
-def _rising_prefix(keys: np.ndarray) -> np.ndarray:
-    """The keys up to their first descent (or NaN)."""
-    drop = np.flatnonzero(~(keys[1:] >= keys[:-1]))
-    return keys[: drop[0] + 1] if drop.size else keys
-
-
-def _merge_mask(first: np.ndarray, second: np.ndarray) -> Optional[np.ndarray]:
+def _merge_mask(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """For the merge of two non-decreasing key runs with ties going to
-    `first`, the mask of merged positions taken from `first`; None when a
-    run is not sorted."""
-    if not (_is_sorted(first) and _is_sorted(second)):
-        return None
+    `first`, the mask of merged positions taken from `first`."""
     # A stable sort keeps `first` ahead of `second` on ties, and merges two
     # sorted runs in linear time.
     return np.argsort(np.concatenate((first, second)), kind="stable") < len(first)
 
 
+def _diagonal_merge(ex: np.ndarray, ey: np.ndarray):
+    """The sweep's diagonal events for the edge vectors of a CCW strictly
+    convex ring, or None when the loop's search for c0 would not settle.
+
+    Returns (c0, k0, is_a, keys, rev_keys): from the state (0, c0), event
+    k + 1 advances a when is_a[k], else c, in the merge of the edges
+    0..c0-1 with the reversed edges c0..n-1 by their keys (`keys`,
+    `rev_keys`), measured from the direction whose absolute key is k0,
+    ties to a.  Runs that rounding leaves unsorted are made non-decreasing:
+    the keys only propose, and each reader confirms what it uses.
+    """
+    i = _first_false(float(ex[0]) * ey[1:] - float(ey[0]) * ex[1:] > 0.0)
+    if i is None:
+        return None
+    c0 = i + 1
+    k0 = float(_direction_keys(ex[:1], ey[:1], 0.0)[0])
+    keys = _direction_keys(ex, ey, k0)
+    # Keys of reversed edges come from the negated vectors themselves, so
+    # that exactly parallel vectors tie.
+    rev_keys = _direction_keys(-ex, -ey, k0)
+    # keys[0] is 0.0, the least key, and ties go to a: the first proposed
+    # diagonal event advances a, as the loop's always does.
+    is_a = _merge_mask(_non_decreasing(keys[:c0]), _non_decreasing(rev_keys[c0:]))
+    return c0, k0, is_a, keys, rev_keys
+
+
 class DifferenceBody(NamedTuple):
-    """The vertices p[c[i]] - p[a[i]] of D = P - P over a full turn, in
+    """The vertices p[c[i]] - p[a[i]] of D = P - P over a half turn, in
     counterclockwise order, and their direction keys `keys[i]`, non-
     decreasing from 0, measured from the direction whose absolute key is
-    k0 (see `_direction_keys`).  Each pair (a, c) is antipodal."""
+    k0 (see `_direction_keys`).  Each pair (a, c) is antipodal; D is
+    centrally symmetric, and over the other half turn its pairs are (c, a)."""
 
     a: np.ndarray
     c: np.ndarray
@@ -340,38 +354,24 @@ class DifferenceBody(NamedTuple):
 
 
 def _difference_body(xy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> DifferenceBody:
-    """D = P - P for the (n, 2) vertex array of a CCW strictly convex ring
-    and its edge vectors: the diagonal merge of `_SweepSteps.propose` over
-    a full turn.
-
-    D's boundary is the Minkowski sum of P and -P: its edges are P's edge
-    vectors e[c], each advancing c, and the reversed edges -e[a], each
-    advancing a, merged by direction from -e[0] (ties to a).  The keys only
-    propose this order and the order of D's vertex directions: a run that
-    rounding leaves unsorted is made non-decreasing by a running maximum,
-    since the anchored query that reads D confirms every decision itself.
-    """
+    """D = P - P over a half turn, for the (n, 2) vertex array of a CCW
+    strictly convex ring and its edge vectors.  D's edges are P's edges
+    e[c], each advancing c, and the reversed edges -e[a], each advancing a:
+    the sweep's diagonal merge (`_diagonal_merge`) turned by a half turn, so
+    its states 0..n-1 are D's vertices.  Their keys only propose, as the
+    merge's do: the anchored query that reads D confirms every decision."""
     n = len(xy)
-    x, y = xy[:, 0], xy[:, 1]
-    k0 = float(_direction_keys(-ex[:1], -ey[:1], 0.0)[0])
-    a_run = _non_decreasing(_direction_keys(-ex, -ey, k0))
-    c_keys = _direction_keys(ex, ey, k0)
-    c0 = int(np.argmin(c_keys))
-    c_run = _non_decreasing(np.concatenate((c_keys[c0:], c_keys[:c0])))
-    is_a = _merge_mask(a_run, c_run)
-    a = np.zeros(2 * n, dtype=np.intp)
-    np.cumsum(is_a[:-1], out=a[1:])
-    c = np.arange(c0, c0 + 2 * n) - a  # c0 + the c-steps taken, below 2n
-    c[c >= n] -= n
-    a[np.searchsorted(a, n) :] = 0  # after the last a-step
-    wx, wy = x[c] - x[a], y[c] - y[a]
+    c0, _, is_a, _, _ = _diagonal_merge(ex, ey)  # settles on a ConvexPolygon
+    a = np.concatenate(([0], np.cumsum(is_a[:-1])))
+    c = (np.arange(c0, c0 + n) - a) % n  # c0 + the c-steps taken
+    wx, wy = xy[c, 0] - xy[a, 0], xy[c, 1] - xy[a, 1]
     w0 = float(_direction_keys(wx[:1], wy[:1], 0.0)[0])
     return DifferenceBody(a, c, _non_decreasing(_direction_keys(wx, wy, w0)), w0)
 
 
 def _non_decreasing(keys: np.ndarray) -> np.ndarray:
     """keys, or their running maximum where rounding left them unsorted."""
-    return keys if _is_sorted(keys) else np.maximum.accumulate(keys)
+    return keys if (keys[1:] >= keys[:-1]).all() else np.maximum.accumulate(keys)
 
 
 def _first_false(flags: np.ndarray) -> Optional[int]:
@@ -407,19 +407,16 @@ class _SweepSteps:
     def propose(cls, xy: np.ndarray) -> Optional["_SweepSteps"]:
         """The loop's three initial searches, then the proposed orders; None
         when a search would not settle within one period or the search for
-        d0 would wrap past vertex n-1, when a run is not sorted by key, or
-        when the support state after the last event lies beyond the proposed
-        support runs."""
+        d0 would wrap past vertex n-1, or when the support state after the
+        last event lies beyond the proposed support runs."""
         x = np.concatenate((xy[:, 0], xy[:1, 0]))  # x[n] is x[0]
         y = np.concatenate((xy[:, 1], xy[:1, 1]))
         ex = x[1:] - x[:-1]
         ey = y[1:] - y[:-1]
 
-        e0x, e0y = float(ex[0]), float(ey[0])
-        i = _first_false(e0x * ey[1:] - e0y * ex[1:] > 0.0)
-        if i is None:
+        if (merged := _diagonal_merge(ex, ey)) is None:
             return None
-        c0 = i + 1
+        c0, k0, is_a, keys, rev_keys = merged
         rx = float(x[0] - x[c0])
         ry = float(y[0] - y[c0])
         b0 = _first_false(rx * ey - ry * ex > 0.0)
@@ -431,27 +428,17 @@ class _SweepSteps:
             return None
         d0 = c0 + i
 
-        k0 = float(_direction_keys(ex[:1], ey[:1], 0.0)[0])
-        keys = _direction_keys(ex, ey, k0)
-        # Keys of reversed edges come from the negated vectors themselves,
-        # so that exactly parallel vectors tie.
-        rev_keys = _direction_keys(-ex, -ey, k0)
-        # keys[0] is 0.0, the least key, and ties go to a: the first proposed
-        # diagonal event advances a, as the loop's always does.
-        is_a = _merge_mask(keys[:c0], rev_keys[c0:])
-        if is_a is None:
-            return None
-        # From b0 and d0 the runs would wrap past a full turn.
-        b_run = _rising_prefix(keys[b0:])
-        d_run = _rising_prefix(np.concatenate((rev_keys[d0:], rev_keys[:d0])))
+        # The d run ends at c0, where its keys would wrap past a full turn.
+        b_run = _non_decreasing(keys[b0:])
+        d_run = _non_decreasing(np.concatenate((rev_keys[d0:], rev_keys[:c0])))
         is_b = _merge_mask(b_run, d_run)
         bd_keys = np.empty(len(is_b))
         bd_keys[is_b] = b_run
         bd_keys[~is_b] = d_run
-        del keys, rev_keys, b_run, d_run  # freed before the per-event arrays exist
+        del merged, keys, rev_keys, b_run, d_run  # freed before the per-event arrays exist
 
         steps = cls(x, y, ex, ey, c0, b0, d0, is_a, is_b, bd_keys, k0)
-        if not _is_sorted(steps.ac_keys) or steps.bd_events >= len(bd_keys):
+        if not (steps.ac_keys[1:] >= steps.ac_keys[:-1]).all() or steps.bd_events >= len(bd_keys):
             return None
         return steps
 

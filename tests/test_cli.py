@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quadpara import cli
+from quadpara import cli, lattice_ngon
 from quadpara.cli import InputError, main
 
 SQUARE = "0 0\n1 0\n1 1\n0 1\n"
@@ -217,6 +217,33 @@ def test_overflowing_ring_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "both", "--input", str(p))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {p}: coordinates too large")
+
+
+def test_failing_certificate_of_a_printed_figure_exits_1(capsys, tmp_path):
+    # Scaled far down, the sweep's parallelogram numerator underflows and the
+    # printed min_para area is 0.0, which its certificate refutes; further
+    # down, the anchored pair's areas are subnormal and its certificate
+    # fails.  Each command still prints its report.
+    xy = lattice_ngon(64, 3).coords()
+    for scale, cmd, code_want in (
+        (1e-85, "quad", 0),
+        (1e-85, "para", 1),
+        (1e-85, "both", 1),
+        (1e-160, "anchored", 1),
+    ):
+        p = tmp_path / f"tiny-{scale!r}.txt"
+        p.write_text("".join(f"{x * scale!r} {y * scale!r}\n" for x, y in xy.tolist()))
+        argv = ["--dir", "1", "0"] if cmd == "anchored" else []
+        code, out, err = run(capsys, cmd, "--input", str(p), *argv)
+        assert code == code_want, cmd
+        doc = json.loads(out)
+        if cmd == "para":
+            assert doc["min_para"]["area"] == 0.0
+        if cmd == "both":
+            assert doc["certificates"]["quad"]["all_ok"] and not doc["certificates"]["para"]["all_ok"]
+        if cmd == "anchored":
+            assert not doc["certificate"]["all_ok"]
+        assert ("certificate" in err) == (code == 1), cmd
 
 
 def test_verify_clean_exit(capsys, triangle_file):

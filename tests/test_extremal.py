@@ -512,6 +512,13 @@ def test_anchored_diagonal_is_the_reference_longest_chord(corpus):
     for P in polys:
         dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (-1, 0)]
         dirs += [P.edge_vector(k) for k in range(P.n)]
+        # The seam of D's half turn, which starts along p[c0] - p[0], and
+        # edge 0, which starts the sweep's frame: on them and just beside.
+        D = P.difference_body()
+        w = (P[D.c[0]].x - P[D.a[0]].x, P[D.c[0]].y - P[D.a[0]].y)
+        for x, y in (w, (-w[0], -w[1]), P.edge_vector(0)):
+            for t in (0.0, 1e-15, -1e-15, 1e-9, -1e-9):
+                dirs.append((x * math.cos(t) - y * math.sin(t), x * math.sin(t) + y * math.cos(t)))
         for u in dirs:
             F, _ = anchored_conjugate_pair(P, u)
             ref = longest_chord(P, Direction(*u).canonical())
@@ -546,6 +553,26 @@ def test_longest_chord_survives_a_moved_proposal(corpus, monkeypatch):
                 assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u, shift)
                 queries += 1
     assert 0 < ranked < queries  # some windows were certified, some not
+
+
+def test_half_turn_proposal_certifies_on_lattice_polygons(monkeypatch):
+    # D lists one half turn; a direction on the other half is looked up as
+    # its negation.  On lattice polygons the window around the proposal
+    # certifies every query, on both halves, and the ranking never runs.
+    def no_ranking(P, u):
+        raise AssertionError("the ranking ran")
+
+    monkeypatch.setattr(extremal, "_ranked_chord", no_ranking)
+    rng = SplitMix64(5)
+    halves = set()
+    for seed in range(4):
+        P = lattice_ngon(1024, seed)
+        k0 = P.difference_body().k0
+        for _ in range(16):
+            u = (float(rng.randint(-1000, 1000)), float(rng.randint(1, 1000)))  # canonical
+            anchored_conjugate_pair(P, u)
+            halves.add(bool(extremal._direction_keys(np.array([u[0]]), np.array([u[1]]), k0)[0] >= 2.0))
+    assert halves == {False, True}
 
 
 def test_longest_chord_survives_a_proposal_moved_along_one_chain(corpus, monkeypatch):
@@ -682,23 +709,27 @@ def test_is_antipodal_brute(square):
 
 
 def test_difference_body_vertices_are_the_antipodal_pairs(corpus):
-    # D = P - P over a full turn: a convex CCW ring of 2n points p[c] - p[a]
-    # in which a and c each advance n times.  (a, c) is antipodal iff
-    # p[c] - p[a] lies on D's boundary, and then it is one of the listed
-    # vertices, except where two antiparallel edges of P make one straight
-    # edge of D: the merge (ties to a) lists one of its two middle points.
+    # D = P - P over a half turn, n pairs (a, c); the other half turn is the
+    # same pairs as (c, a).  Over the full turn: a convex CCW ring of 2n
+    # points p[c] - p[a] in which a and c each advance n times.  (a, c) is
+    # antipodal iff p[c] - p[a] lies on D's boundary, and then it is listed
+    # as (a, c) or (c, a), except where two antiparallel edges of P make one
+    # straight edge of D: the merge (ties to a) lists one of its two middle
+    # points.
     polys = list(corpus) + [lattice_ngon(n, 7 * n) for n in (16, 50, 97)]
     polys += [parallel_edge_polygon(m, m + 40) for m in (3, 9, 20)]
     for P in polys:
         D = P.difference_body()
         n, xy = P.n, P.coords()
-        assert len(D.a) == len(D.c) == 2 * n
-        assert (np.diff(D.a) % n <= 1).all() and (np.diff(D.c) % n <= 1).all()
-        assert ((np.diff(D.a) % n) + (np.diff(D.c) % n) == 1).all()
-        w = xy[D.c] - xy[D.a]  # exact: integer coordinates
+        assert len(D.a) == len(D.c) == n
+        A, C = np.concatenate((D.a, D.c)), np.concatenate((D.c, D.a))
+        step_a, step_c = np.diff(A, append=A[0]) % n, np.diff(C, append=C[0]) % n
+        assert (step_a <= 1).all() and (step_c <= 1).all()
+        assert (step_a + step_c == 1).all()
+        w = xy[C] - xy[A]  # exact: integer coordinates
         e = np.roll(w, -1, axis=0) - w
         assert (e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1) >= 0.0).all(), P.n
-        listed = set(zip(D.a.tolist(), D.c.tolist()))
+        listed = set(zip(A.tolist(), C.tolist()))
         ex, ey = P.edges()
         antiparallel = ((ex[:, None] * ey - ey[:, None] * ex == 0.0) & (ex[:, None] * ex + ey[:, None] * ey < 0.0)).any()
         for a in range(n):

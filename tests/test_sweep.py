@@ -188,6 +188,20 @@ def test_top_level_one_step_out_of_order_is_refuted(monkeypatch, moved, nth):
             assert _vector_sweep(P.coords()) is None, P.n
 
 
+def test_difference_body_is_the_sweeps_diagonal_states(corpus):
+    # One merge: D's half turn lists the sweep's proposed diagonal states
+    # 0..n-1, also where rounding leaves a key run unsorted.
+    polys = list(corpus) + [lattice_ngon(2000, 5), regular_ngon(2000, 1000.0)]
+    float_copies = [moved(lattice_ngon(2000, 5), turn, 1.0 / 3.0) for turn in (0.0, 0.7)]
+    for xy in [P.coords() for P in polys] + float_copies:
+        n = len(xy)
+        steps = sweep._SweepSteps.propose(xy)
+        D = ConvexPolygon(xy).difference_body()
+        a = steps.ca[:n]
+        assert D.a.tolist() == a.tolist(), n
+        assert D.c.tolist() == ((steps.c0 + np.arange(n) - a) % n).tolist(), n
+
+
 def test_overrun_raised_alike_on_both_paths():
     # A ring that winds twice: the loop exceeds its event budget.
     xy = lattice_ngon(_VECTOR_MIN_N, 3).coords()
