@@ -279,9 +279,13 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
     xy = _pair_array(points)
     if not np.isfinite(xy).all():
         raise NonFinite("vertex coordinates must be finite")
+    x, y = xy[:, 0], xy[:, 1]
     keep = np.ones(len(xy), dtype=bool)
-    keep[1:] = (xy[1:] != xy[:-1]).any(axis=1)
-    xy = xy[keep]
+    keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    # Copy only when something is dropped: _pair_array's array is fresh, so
+    # the result never shares memory with the caller's.
+    if not keep.all():
+        xy = xy[keep]
     if len(xy) > 1 and xy[0].tolist() == xy[-1].tolist():
         xy = xy[:-1]
     m = len(xy)
@@ -298,17 +302,20 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
     # Reversing the ring negates every turn exactly, so the zero turns are
     # found before the orientation is fixed.
     turn = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-    out = xy[turn != 0.0]
+    keep = turn != 0.0
+    out = xy if keep.all() else xy[keep]
     if len(out) < 3:
         raise Degenerate("fewer than 3 extreme points remain")
     return out[::-1] if area2 < 0.0 else out
 
 
 def polygon_area(P: ConvexPolygon) -> float:
-    """Positive area of the polygon (shoelace)."""
+    """Positive area of the polygon (shoelace): the per-edge cross terms,
+    summed pairwise.  Two dot products would cancel in their difference,
+    and BLAS sums them in an order that depends on its thread count."""
     xy = P.coords()
     x, y = xy[:, 0], xy[:, 1]
-    return 0.5 * float(np.dot(x, _next(y)) - np.dot(_next(x), y))
+    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
 def extreme_vertex(P: ConvexPolygon, d) -> int:

@@ -8,11 +8,11 @@ parallelogram candidate is measured.
 
 It has two implementations with one result.  `_scalar_sweep` is a Python
 loop, one step per event, and is the reference.  From `_VECTOR_MIN_N`
-vertices on, `_vector_sweep` computes the same steps with numpy: float
-pseudo-angle keys only propose the order of the events, and every decision
-is still the sign of the loop's own determinant expression, evaluated on
-the proposed states.  Where one sign disagrees with the proposal, the
-scalar loop runs on the whole ring.
+vertices on, `_vector_sweep` computes the same steps with numpy: stable
+merges of float pseudo-angle keys only propose the order of the events, and
+every decision is still the sign of the loop's own determinant expression,
+evaluated on the proposed states.  Where one sign disagrees with the
+proposal, the scalar loop runs on the whole ring.
 """
 
 from __future__ import annotations
@@ -253,11 +253,11 @@ def _vector_sweep(xy: np.ndarray):
     c0..n-1 (ties to a), the support events merge the edges from b0 with
     the reversed edges from d0 (ties to b), and the top level merges the
     chord directions u_ac with the support directions u_bd (ties to the
-    support events).  Pseudo-angle keys and `searchsorted` only propose
-    these orders.  Every branch predicate that the loop would evaluate on
-    the proposed states is then evaluated with the loop's own float
-    expressions; when each one agrees, the loop takes the same steps (by
-    induction on the steps), and the candidates, evaluated with its
+    support events).  Stable merges of pseudo-angle keys (`_merge_mask`)
+    only propose these orders.  Every branch predicate that the loop would
+    evaluate on the proposed states is then evaluated with the loop's own
+    float expressions; when each one agrees, the loop takes the same steps
+    (by induction on the steps), and the candidates, evaluated with its
     expressions and picked by its first-strict-extremum rule, are its
     candidates.
     """
@@ -267,10 +267,11 @@ def _vector_sweep(xy: np.ndarray):
         steps = _SweepSteps.propose(xy)
         if steps is None:
             return None
-        best_quad = _diagonal_events(steps)
+        bd_before, ac_before = steps.top_level()
+        best_quad = _diagonal_events(steps, bd_before)
         if best_quad is None:
             return None
-        best_para = _support_events(steps)
+        best_para = _support_events(steps, ac_before)
         if best_para is None:
             return None
     maxarea, max_state = best_quad
@@ -442,6 +443,20 @@ class _SweepSteps:
             return None
         return steps
 
+    def top_level(self):
+        """The top-level merge of the proposed orders, ties to the support
+        events: for each diagonal event k, the number of support events
+        before it, and for each of the first bd_events support events, the
+        number of diagonal events before it."""
+        is_bd = _merge_mask(self.bd_keys[: self.bd_events], self.ac_keys)
+        # An event's merged position minus its rank in its own run counts
+        # the events of the other run ahead of it.
+        bd_before = np.flatnonzero(~is_bd)
+        bd_before -= np.arange(self.n)
+        ac_before = np.flatnonzero(is_bd)
+        ac_before -= np.arange(self.bd_events)
+        return bd_before, ac_before
+
     def diagonal(self, k: np.ndarray):
         """Raw a and c after k diagonal events, whether the next one advances
         a, and the loop's u_ac in that state."""
@@ -486,16 +501,16 @@ class _SweepSteps:
         return (fx + t * ex, fy + t * ey)
 
 
-def _diagonal_events(steps: _SweepSteps):
+def _diagonal_events(steps: _SweepSteps, bd_before: np.ndarray):
     """Confirm the top-level and diagonal predicates at every diagonal
     event, and find the first largest quadrilateral among the states after
-    them: (maxarea, max_state), or None."""
+    them: (maxarea, max_state), or None.  bd_before[k] is the number of
+    support events proposed before diagonal event k."""
     x, y, n = steps.x, steps.y, steps.n
     maxarea, max_state = 0.0, None
     for k in _blocks(n):
         a, c, fa, uax, uay = steps.diagonal(k)
-        j = np.searchsorted(steps.bd_keys, steps.ac_keys[k], side="right")
-        b, d, _, ubx, uby = steps.support(j)
+        b, d, _, ubx, uby = steps.support(bd_before[k])
         if (ubx * uay - uby * uax >= 0.0).any():
             return None
         # State 0's choice is the loop's initial one, made without a predicate.
@@ -513,12 +528,13 @@ def _diagonal_events(steps: _SweepSteps):
     return None if max_state is None else (maxarea, max_state)
 
 
-def _support_events(steps: _SweepSteps):
+def _support_events(steps: _SweepSteps, ac_before: np.ndarray):
     """Confirm the top-level and support predicates at every support event
     and the support choice after the last one, and find the first smallest
     flush parallelogram: (minarea, min_state), or None.  None also when a
     flush side is parallel to the sliding edge (the loop's `den == 0`
-    branch), which the loop answers."""
+    branch), which the loop answers.  ac_before[j] is the number of
+    diagonal events proposed before support event j."""
     x, y, n = steps.x, steps.y, steps.n
     last = np.array([steps.bd_events])
     if not steps.support_agrees(*steps.support(last)[:3]).all():
@@ -528,8 +544,7 @@ def _support_events(steps: _SweepSteps):
         b, d, fb, ubx, uby = steps.support(j)
         if not steps.support_agrees(b, d, fb).all():
             return None
-        k = np.searchsorted(steps.ac_keys, steps.bd_keys[j], side="left")
-        a, c, fa, uax, uay = steps.diagonal(k)
+        a, c, fa, uax, uay = steps.diagonal(ac_before[j])
         if not (ubx * uay - uby * uax >= 0.0).all():
             return None
         f = np.where(fa, a, c)

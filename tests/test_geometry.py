@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ def test_polygon_area_equals_triangle_fan():
     )
     assert polygon_area(P) == pytest.approx(fan, rel=1e-12)
     assert polygon_area(P) > 0
+
+
+def test_polygon_area_is_the_exact_area_rounded():
+    # Two dot products cancel: their difference gave 6753982720112.0 here.
+    P = lattice_ngon(40000, 1)
+    x, y = [[Fraction(v) for v in col] for col in P.coords().T.tolist()]
+    twice = sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(P.n))
+    assert polygon_area(P) == float(twice / 2) == 6753982720472.0
 
 
 def test_convex_polygon_fixes_orientation():
@@ -251,6 +260,26 @@ def test_canonicalize_matches_loop(corpus):
             assert ConvexPolygon(canonicalize(ring)).vertices == tuple(
                 Point(*p) for p in want[1]
             )
+
+
+def test_canonicalize_never_aliases_an_array_input():
+    # canonicalize copies only when it drops a point; the result must still
+    # be its own array, also when nothing is dropped.
+    sq = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    rings = [
+        sq,  # no drops
+        sq[::-1],  # clockwise
+        [(0, 0), (0, 0), (2, 0), (2, 2), (2, 2), (0, 2)],  # duplicates
+        sq + [(0, 0)],  # a closing repeat
+        [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2), (0, 1)],  # collinear points
+        [(p.x, p.y) for p in lattice_ngon(300, 2).vertices],
+    ]
+    for ring in rings:
+        want = canonicalize_outcome(loop_canonicalize, ring)
+        for arr in (np.array(ring, dtype=np.float64), np.array(ring, dtype=np.float64, order="F")):
+            out = canonicalize(arr)
+            assert ("ok", out.tolist()) == want, ring
+            assert not np.shares_memory(out, arr), ring
 
 
 def test_input_contract():

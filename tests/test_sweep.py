@@ -188,6 +188,27 @@ def test_top_level_one_step_out_of_order_is_refuted(monkeypatch, moved, nth):
             assert _vector_sweep(P.coords()) is None, P.n
 
 
+def test_top_level_merge_counts_equal_their_binary_searches(corpus):
+    # The top-level merge, ties to the support events, read as counts: for
+    # each diagonal event the support events before it, and for each
+    # support event the diagonal events before it.
+    polys = list(corpus)
+    for k in range(4):
+        polys += [lattice_ngon(_VECTOR_MIN_N + 37 * k, k), parallel_edge_polygon(_VECTOR_MIN_N // 2 + 37 * k, k)]
+    float_copies = [moved(P, turn, scale) for P in polys[-8:] for turn, scale in ((0.0, 1.0 / 3.0), (0.7, 1.0))]
+    checked = 0
+    for xy in [P.coords() for P in polys] + float_copies:
+        steps = sweep._SweepSteps.propose(xy)
+        if steps is None:
+            continue
+        bd_before, ac_before = steps.top_level()
+        ac, bd = steps.ac_keys, steps.bd_keys
+        assert bd_before.tolist() == np.searchsorted(bd, ac, side="right").tolist(), len(xy)
+        assert ac_before.tolist() == np.searchsorted(ac, bd[: steps.bd_events], side="left").tolist(), len(xy)
+        checked += len(xy) >= _VECTOR_MIN_N
+    assert checked >= 12
+
+
 def test_difference_body_is_the_sweeps_diagonal_states(corpus):
     # One merge: D's half turn lists the sweep's proposed diagonal states
     # 0..n-1, also where rounding leaves a key run unsorted.
