@@ -5,8 +5,9 @@ Reports go to standard output as JSON with sorted keys; floats use Python's
 shortest round-trip repr, so output is byte-identical across runs.  Wall
 times are diagnostics and go to standard error only.
 
-Exit codes: 0 success; 1 verification, printed certificate or benchmark
-assertion failure; 2 parse/validation error; 3 internal sweep overrun.
+Exit codes: 0 success; 1 verification failure, a failing certificate of a
+printed or drawn figure, or benchmark assertion failure; 2 parse/validation
+error; 3 internal sweep overrun.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .extremal import (
 )
 from .geometry import (
     ConvexPolygon,
+    DegenerateSample,
     Direction,
     GeometryError,
     SweepOverrun,
@@ -339,7 +341,7 @@ def cmd_gen(args) -> int:
     )
     try:
         P = generate(spec)
-    except ValueError as exc:
+    except (ValueError, DegenerateSample) as exc:
         raise InputError(str(exc)) from None
     sys.stdout.write(
         f"# quadpara gen kind={spec.kind} n={spec.n} seed={spec.seed}"
@@ -451,7 +453,7 @@ def cmd_svg(args) -> int:
             raise InputError(f"{args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(svg)
-    return 0
+    return _certified(rep.quad_certificate, rep.para_certificate)
 
 
 def _nonnegative_float(text: str) -> float:

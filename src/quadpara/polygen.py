@@ -161,7 +161,9 @@ def parallel_edge_polygon(m: int, seed: int) -> ConvexPolygon:
     rng = SplitMix64(seed)
     bound = m + 3
     dirs: dict[tuple[int, int], int] = {}
-    for _ in range(4000):
+    # The loop stops at m directions, so a larger cap changes no polygon
+    # that a smaller one finds.
+    for _ in range(4000 + 4 * m):
         if len(dirs) == m:
             break
         dx = rng.randint(-bound, bound)

@@ -8,11 +8,12 @@ parallelogram candidate is measured.
 
 It has two implementations with one result.  `_scalar_sweep` is a Python
 loop, one step per event, and is the reference.  From `_VECTOR_MIN_N`
-vertices on, `_vector_sweep` computes the same steps with numpy: stable
-merges of float pseudo-angle keys only propose the order of the events, and
-every decision is still the sign of the loop's own determinant expression,
-evaluated on the proposed states.  Where one sign disagrees with the
-proposal, the scalar loop runs on the whole ring.
+vertices on, `_vector_sweep` computes the same steps with numpy: both kinds
+of event lie on one walk of the ring's antipodal pairs, stable merges of
+float pseudo-angle keys only propose the order of the walk and of the
+events, and every decision is still the sign of the loop's own determinant
+expression, evaluated on the proposed states.  Where one sign disagrees
+with the proposal, the scalar loop runs on the whole ring.
 """
 
 from __future__ import annotations
@@ -248,13 +249,14 @@ def _vector_sweep(xy: np.ndarray):
     that wraps past vertex n-1, and a flush side parallel to the sliding
     edge.
 
-    The sweep is three merges of runs already sorted by direction: the
-    diagonal events merge the edges 0..c0-1 with the reversed edges
-    c0..n-1 (ties to a), the support events merge the edges from b0 with
-    the reversed edges from d0 (ties to b), and the top level merges the
-    chord directions u_ac with the support directions u_bd (ties to the
-    support events).  Stable merges of pseudo-angle keys (`_merge_mask`)
-    only propose these orders.  Every branch predicate that the loop would
+    The sweep is two merges of runs already sorted by direction.  The walk
+    of the antipodal pairs (`_antipodal_walk`) gives the diagonal events'
+    (a, c) as its states 0..n-1 and, as the loop chooses between b and d
+    by its predicate between a and c, the support events' (b, d) as its
+    states from s = b0 + d0 - c0 on.  The top level merges the chord
+    directions u_ac with the support directions u_bd (ties to the support
+    events).  Stable merges of pseudo-angle keys (`_merge_mask`) only
+    propose these orders.  Every branch predicate that the loop would
     evaluate on the proposed states is then evaluated with the loop's own
     float expressions; when each one agrees, the loop takes the same steps
     (by induction on the steps), and the candidates, evaluated with its
@@ -265,7 +267,7 @@ def _vector_sweep(xy: np.ndarray):
     # the array expressions must do the same.  No division by zero is made.
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _SweepSteps.propose(xy)
-        if steps is None:
+        if steps is None or not steps.choices_agree():
             return None
         bd_before, ac_before = steps.top_level()
         best_quad = _diagonal_events(steps, bd_before)
@@ -276,9 +278,9 @@ def _vector_sweep(xy: np.ndarray):
             return None
     maxarea, max_state = best_quad
     minarea, min_state = best_para
-    # The loop's count: its three searches and first support choice, then 3
-    # per diagonal event and 5 per support event.
-    ndet = steps.b0 + steps.d0 + 3 + 3 * steps.n + 5 * steps.bd_events
+    # The loop's count: its three searches and first support choice
+    # (b0 + d0 + 3), then 3 per diagonal event and 5 per support event.
+    ndet = steps.s + steps.c0 + 3 + 3 * steps.n + 5 * steps.bd_events
     return maxarea, max_state, minarea, min_state, ndet
 
 
@@ -315,38 +317,44 @@ def _merge_mask(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.argsort(np.concatenate((first, second)), kind="stable") < len(first)
 
 
-def _diagonal_merge(ex: np.ndarray, ey: np.ndarray):
-    """The sweep's diagonal events for the edge vectors of a CCW strictly
-    convex ring, or None when the loop's search for c0 would not settle.
+def _antipodal_walk(ex: np.ndarray, ey: np.ndarray):
+    """The walk of the antipodal pairs of a CCW strictly convex ring over a
+    full turn, for its edge vectors, or None when the loop's search for c0
+    would not settle.
 
-    Returns (c0, k0, is_a, keys, rev_keys): from the state (0, c0), event
-    k + 1 advances a when is_a[k], else c, in the merge of the edges
-    0..c0-1 with the reversed edges c0..n-1 by their keys (`keys`,
-    `rev_keys`), measured from the direction whose absolute key is k0,
-    ties to a.  Runs that rounding leaves unsorted are made non-decreasing:
-    the keys only propose, and each reader confirms what it uses.
+    Returns (c0, k0, is_a, keys): from the state (0, c0), event t + 1
+    advances a when is_a[t], else c, and keys[t] is the key of its edge, in
+    the merge of the edges 0..n-1 with the reversed edges c0..n-1, 0..c0-1
+    by their keys from the direction whose absolute key is k0, ties to a.
+    Runs that rounding leaves unsorted are made non-decreasing: the keys
+    only propose, and each reader confirms what it uses.
     """
     i = _first_false(float(ex[0]) * ey[1:] - float(ey[0]) * ex[1:] > 0.0)
     if i is None:
         return None
     c0 = i + 1
     k0 = float(_direction_keys(ex[:1], ey[:1], 0.0)[0])
-    keys = _direction_keys(ex, ey, k0)
+    a_run = _non_decreasing(_direction_keys(ex, ey, k0))
     # Keys of reversed edges come from the negated vectors themselves, so
     # that exactly parallel vectors tie.
-    rev_keys = _direction_keys(-ex, -ey, k0)
-    # keys[0] is 0.0, the least key, and ties go to a: the first proposed
-    # diagonal event advances a, as the loop's always does.
-    is_a = _merge_mask(_non_decreasing(keys[:c0]), _non_decreasing(rev_keys[c0:]))
-    return c0, k0, is_a, keys, rev_keys
+    rev = _direction_keys(-ex, -ey, k0)
+    c_run = _non_decreasing(np.concatenate((rev[c0:], rev[:c0])))
+    # a_run[0] is 0.0, the least key, and ties go to a: the first proposed
+    # event advances a, as the loop's first diagonal event always does.
+    is_a = _merge_mask(a_run, c_run)
+    keys = np.empty(len(is_a))
+    np.place(keys, is_a, a_run)
+    np.place(keys, ~is_a, c_run)
+    return c0, k0, is_a, keys
 
 
 class DifferenceBody(NamedTuple):
     """The vertices p[c[i]] - p[a[i]] of D = P - P over a half turn, in
     counterclockwise order, and their direction keys `keys[i]`, non-
     decreasing from 0, measured from the direction whose absolute key is
-    k0 (see `_direction_keys`).  Each pair (a, c) is antipodal; D is
-    centrally symmetric, and over the other half turn its pairs are (c, a)."""
+    k0 (see `_direction_keys`).  Each pair (a, c) is antipodal: it is state
+    i of the sweep's walk (`_antipodal_walk`).  D is centrally symmetric,
+    and over the other half turn its pairs are (c, a)."""
 
     a: np.ndarray
     c: np.ndarray
@@ -358,12 +366,12 @@ def _difference_body(xy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> Differen
     """D = P - P over a half turn, for the (n, 2) vertex array of a CCW
     strictly convex ring and its edge vectors.  D's edges are P's edges
     e[c], each advancing c, and the reversed edges -e[a], each advancing a:
-    the sweep's diagonal merge (`_diagonal_merge`) turned by a half turn, so
-    its states 0..n-1 are D's vertices.  Their keys only propose, as the
-    merge's do: the anchored query that reads D confirms every decision."""
+    the sweep's walk turned by a half turn, so the walk's states 0..n-1 are
+    D's vertices.  Their keys only propose, as the walk's do: the anchored
+    query that reads D confirms every decision."""
     n = len(xy)
-    c0, _, is_a, _, _ = _diagonal_merge(ex, ey)  # settles on a ConvexPolygon
-    a = np.concatenate(([0], np.cumsum(is_a[:-1])))
+    c0, _, is_a, _ = _antipodal_walk(ex, ey)  # settles on a ConvexPolygon
+    a = np.concatenate(([0], np.cumsum(is_a[: n - 1])))
     c = (np.arange(c0, c0 + n) - a) % n  # c0 + the c-steps taken
     wx, wy = xy[c, 0] - xy[a, 0], xy[c, 1] - xy[a, 1]
     w0 = float(_direction_keys(wx[:1], wy[:1], 0.0)[0])
@@ -381,67 +389,88 @@ def _first_false(flags: np.ndarray) -> Optional[int]:
 
 
 class _SweepSteps:
-    """The loop's states along a proposed event order.
+    """The loop's states along the proposed walk.
 
-    Diagonal event k + 1 advances a when is_a[k], else c; after k diagonal
-    events a has advanced ca[k] times.  Support event j + 1 advances b when
-    is_b[j], else d; after j support events b has advanced cb[j] times.
-    ac_keys[k] and bd_keys[j] are the keys of the directions u_ac and u_bd
-    of those events, and the top level puts bd_events support events before
-    the last diagonal event.
+    Walk event t + 1 advances a when is_a[t], else c; after t events a has
+    advanced ca[t] times.  The walk's states 0..n-1 are the diagonal
+    events' (a, c) and its state s + j is the (b, d) of support event j.
+    ux, uy and ac_keys are the loop's u_ac in the diagonal states and its
+    keys, bd_keys[j] is the key of u_bd in support state j, and the top
+    level puts bd_events support events before the last diagonal event.
     """
 
-    def __init__(self, x, y, ex, ey, c0, b0, d0, is_a, is_b, bd_keys, k0):
-        self.x, self.y, self.ex, self.ey = x, y, ex, ey
-        self.n = len(ex)
-        self.c0, self.b0, self.d0 = c0, b0, d0
-        self.is_a, self.is_b, self.bd_keys = is_a, is_b, bd_keys
-        self.ca = np.concatenate(([0], np.cumsum(is_a)))
-        self.cb = np.concatenate(([0], np.cumsum(is_b)))
-        self.ac_keys = np.empty(self.n)
+    def __init__(self, x, y, c0, s, is_a, ca, bd_keys, k0):
+        self.x, self.y = x, y
+        self.n = len(is_a) // 2
+        self.c0, self.s = c0, s
+        self.is_a, self.ca, self.bd_keys = is_a, ca, bd_keys
+        self.ux, self.uy = np.empty(self.n), np.empty(self.n)
         for k in _blocks(self.n):
-            *_, ux, uy = self.diagonal(k)
-            self.ac_keys[k] = _direction_keys(ux, uy, k0)
+            a, c, fa = self.state(k)
+            hi = np.where(fa, c, c + 1)
+            lo = np.where(fa, a + 1, a)
+            self.ux[k] = x[hi] - x[lo]
+            self.uy[k] = y[hi] - y[lo]
+        self.ac_keys = _direction_keys(self.ux, self.uy, k0)
         self.bd_events = int(np.searchsorted(bd_keys, self.ac_keys[-1], side="right"))
 
     @classmethod
     def propose(cls, xy: np.ndarray) -> Optional["_SweepSteps"]:
         """The loop's three initial searches, then the proposed orders; None
         when a search would not settle within one period or the search for
-        d0 would wrap past vertex n-1, or when the support state after the
-        last event lies beyond the proposed support runs."""
-        x = np.concatenate((xy[:, 0], xy[:1, 0]))  # x[n] is x[0]
-        y = np.concatenate((xy[:, 1], xy[:1, 1]))
-        ex = x[1:] - x[:-1]
-        ey = y[1:] - y[:-1]
+        d0 would wrap past vertex n-1, when the walk does not pass through
+        the loop's states (c0, n) and (b0, d0), or when the support state
+        after the last event lies beyond the walk."""
+        # Two periods and x[2n] = x[0]: a state's raw indices need no modulo.
+        x = np.concatenate((xy[:, 0], xy[:, 0], xy[:1, 0]))
+        y = np.concatenate((xy[:, 1], xy[:, 1], xy[:1, 1]))
+        n = len(xy)
+        ex = x[1 : n + 1] - x[:n]
+        ey = y[1 : n + 1] - y[:n]
 
-        if (merged := _diagonal_merge(ex, ey)) is None:
+        if (walk := _antipodal_walk(ex, ey)) is None:
             return None
-        c0, k0, is_a, keys, rev_keys = merged
+        c0, k0, is_a, keys = walk
         rx = float(x[0] - x[c0])
         ry = float(y[0] - y[c0])
         b0 = _first_false(rx * ey - ry * ex > 0.0)
         if b0 is None:
             return None
-        past_d = -rx * ey + ry * ex > 0.0
-        i = _first_false(past_d[c0:])
+        i = _first_false((-rx * ey + ry * ex > 0.0)[c0:])
         if i is None:
             return None
-        d0 = c0 + i
+        s = b0 + i  # b0 + d0 - c0
+        ca = np.concatenate(([0], np.cumsum(is_a, dtype=np.int32)), dtype=np.int32)
+        # The loop's diagonal events end at (c0, n), its support events start at (b0, d0).
+        if ca[n] != c0 or ca[s] != b0:
+            return None
 
-        # The d run ends at c0, where its keys would wrap past a full turn.
-        b_run = _non_decreasing(keys[b0:])
-        d_run = _non_decreasing(np.concatenate((rev_keys[d0:], rev_keys[:c0])))
-        is_b = _merge_mask(b_run, d_run)
-        bd_keys = np.empty(len(is_b))
-        bd_keys[is_b] = b_run
-        bd_keys[~is_b] = d_run
-        del merged, keys, rev_keys, b_run, d_run  # freed before the per-event arrays exist
-
-        steps = cls(x, y, ex, ey, c0, b0, d0, is_a, is_b, bd_keys, k0)
-        if not (steps.ac_keys[1:] >= steps.ac_keys[:-1]).all() or steps.bd_events >= len(bd_keys):
+        steps = cls(x, y, c0, s, is_a, ca, keys[s:], k0)
+        if not (steps.ac_keys[1:] >= steps.ac_keys[:-1]).all() or steps.bd_events >= len(steps.bd_keys):
             return None
         return steps
+
+    def state(self, t: np.ndarray):
+        """Raw a and c after t walk events, and whether the next one
+        advances a."""
+        a = self.ca[t]
+        return a, self.c0 + t - a, self.is_a[t]
+
+    def choices_agree(self) -> bool:
+        """Whether the loop's choice between a and c equals the proposed one,
+        once in each walk state a decision reads: the diagonal states
+        1..n-1 (the loop makes its first choice without a predicate) and
+        the support states s..s + bd_events."""
+        n, x, y = self.n, self.x, self.y
+        ex, ey = x[1:] - x[:-1], y[1:] - y[:-1]
+        last = self.s + self.bd_events + 1
+        # State 0 is read only when the support events start there.
+        for lo, hi in ((min(self.s, 1), n), (max(self.s, n), last)):
+            for t in _blocks(hi - lo):
+                a, c, fa = self.state(t + lo)
+                if not ((ex[a] * ey[c] - ey[a] * ex[c] <= 0.0) == fa).all():
+                    return False
+        return True
 
     def top_level(self):
         """The top-level merge of the proposed orders, ties to the support
@@ -457,36 +486,13 @@ class _SweepSteps:
         ac_before -= np.arange(self.bd_events)
         return bd_before, ac_before
 
-    def diagonal(self, k: np.ndarray):
-        """Raw a and c after k diagonal events, whether the next one advances
-        a, and the loop's u_ac in that state."""
-        a = self.ca[k]
-        fa = self.is_a[k]
-        c = self.c0 + k - a
-        hi = np.where(fa, c, c + 1)
-        lo = np.where(fa, a + 1, a)
-        return a, c, fa, self.x[hi] - self.x[lo], self.y[hi] - self.y[lo]
-
     def support(self, j: np.ndarray):
-        """b and d (mod n) after j support events, whether the next one
-        advances b, and the loop's u_bd in that state."""
-        cb = self.cb[j]
-        fb = self.is_b[j]
-        b = (self.b0 + cb) % self.n
-        d = (self.d0 + j - cb) % self.n
+        """Raw b and d after j support events, and the loop's u_bd in that
+        state."""
+        b, d, fb = self.state(self.s + j)
         hi = np.where(fb, b + 1, d)
         lo = np.where(fb, b, d + 1)
-        return b, d, fb, self.x[hi] - self.x[lo], self.y[hi] - self.y[lo]
-
-    def diagonal_agrees(self, a, c, fa) -> np.ndarray:
-        """Where the loop's choice between a and c equals the proposed one."""
-        ex, ey, c = self.ex, self.ey, c % self.n
-        return (ex[a] * ey[c] - ey[a] * ex[c] <= 0.0) == fa
-
-    def support_agrees(self, b, d, fb) -> np.ndarray:
-        """Where the loop's choice between b and d equals the proposed one."""
-        ex, ey = self.ex, self.ey
-        return (ex[b] * ey[d] - ey[b] * ex[d] <= 0.0) == fb
+        return b, d, self.x[hi] - self.x[lo], self.y[hi] - self.y[lo]
 
     def slid_corner(self, a: int, c: int, ac_a: bool, ubx: float, uby: float):
         """The loop's sliding corner of a flush candidate, in its scalar
@@ -502,51 +508,41 @@ class _SweepSteps:
 
 
 def _diagonal_events(steps: _SweepSteps, bd_before: np.ndarray):
-    """Confirm the top-level and diagonal predicates at every diagonal
-    event, and find the first largest quadrilateral among the states after
-    them: (maxarea, max_state), or None.  bd_before[k] is the number of
-    support events proposed before diagonal event k."""
+    """Confirm the top-level predicate at every diagonal event, and find
+    the first largest quadrilateral among the states after them: (maxarea,
+    max_state), or None.  bd_before[k] is the number of support events
+    proposed before diagonal event k."""
     x, y, n = steps.x, steps.y, steps.n
     maxarea, max_state = 0.0, None
     for k in _blocks(n):
-        a, c, fa, uax, uay = steps.diagonal(k)
-        b, d, _, ubx, uby = steps.support(bd_before[k])
-        if (ubx * uay - uby * uax >= 0.0).any():
+        b, d, ubx, uby = steps.support(bd_before[k])
+        if (ubx * steps.uy[k] - uby * steps.ux[k] >= 0.0).any():
             return None
-        # State 0's choice is the loop's initial one, made without a predicate.
-        if not steps.diagonal_agrees(a, c, fa)[k > 0].all():
-            return None
-        a = a + fa  # the state after the event
-        c = c + ~fa
+        a, c, _ = steps.state(k + 1)  # the state after the event
         ar = (x[c] - x[a]) * (y[d] - y[b]) - (y[c] - y[a]) * (x[d] - x[b])
         ar = np.abs(ar, out=ar) * 0.5
         ar[np.isnan(ar)] = -1.0  # NaN wins none of the loop's comparisons
         i = int(np.argmax(ar))
         if ar[i] > maxarea:
             maxarea = float(ar[i])
-            max_state = (int(a[i]) % n, int(b[i]), int(c[i]) % n, int(d[i]))
+            max_state = (int(a[i]) % n, int(b[i]) % n, int(c[i]) % n, int(d[i]) % n)
     return None if max_state is None else (maxarea, max_state)
 
 
 def _support_events(steps: _SweepSteps, ac_before: np.ndarray):
-    """Confirm the top-level and support predicates at every support event
-    and the support choice after the last one, and find the first smallest
-    flush parallelogram: (minarea, min_state), or None.  None also when a
-    flush side is parallel to the sliding edge (the loop's `den == 0`
-    branch), which the loop answers.  ac_before[j] is the number of
-    diagonal events proposed before support event j."""
+    """Confirm the top-level predicate at every support event, and find
+    the first smallest flush parallelogram: (minarea, min_state), or None.
+    None also when a flush side is parallel to the sliding edge (the loop's
+    `den == 0` branch), which the loop answers.  ac_before[j] is the number
+    of diagonal events proposed before support event j."""
     x, y, n = steps.x, steps.y, steps.n
-    last = np.array([steps.bd_events])
-    if not steps.support_agrees(*steps.support(last)[:3]).all():
-        return None
     minarea, min_state = math.inf, None
     for j in _blocks(steps.bd_events):
-        b, d, fb, ubx, uby = steps.support(j)
-        if not steps.support_agrees(b, d, fb).all():
+        b, d, ubx, uby = steps.support(j)
+        k = ac_before[j]
+        if not (ubx * steps.uy[k] - uby * steps.ux[k] >= 0.0).all():
             return None
-        a, c, fa, uax, uay = steps.diagonal(ac_before[j])
-        if not (ubx * uay - uby * uax >= 0.0).all():
-            return None
+        a, c, fa = steps.state(k)
         f = np.where(fa, a, c)
         s = np.where(fa, c, a)
         fx, fy, sx, sy = x[f], y[f], x[s], y[s]
@@ -564,5 +560,5 @@ def _support_events(steps: _SweepSteps, ac_before: np.ndarray):
             ai, ci, ac_a = int(a[i]), int(c[i]), bool(fa[i])
             u = float(ubx[i]), float(uby[i])
             slid = steps.slid_corner(ai, ci, ac_a, *u)
-            min_state = (ac_a, ai % n, int(b[i]), ci % n, int(d[i]), *u, slid)
+            min_state = (ac_a, ai % n, int(b[i]) % n, ci % n, int(d[i]) % n, *u, slid)
     return None if min_state is None else (minarea, min_state)

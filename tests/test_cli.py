@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quadpara import cli, lattice_ngon
+from quadpara import DegenerateSample, cli, lattice_ngon
 from quadpara.cli import InputError, main
 
 SQUARE = "0 0\n1 0\n1 1\n0 1\n"
@@ -202,11 +202,23 @@ def test_gen_deterministic_and_loadable(capsys, tmp_path):
 
 
 def test_gen_kinds(capsys):
-    for kind, n in (("regular", 7), ("parallel-edges", 8), ("lattice", 11)):
+    # parallel-edges 8000 needs 4000 distinct directions: more draws than a
+    # fixed cap of 4000 allows.
+    for kind, n in (("regular", 7), ("parallel-edges", 8), ("lattice", 11), ("parallel-edges", 8000)):
         code, out, _ = run(capsys, "gen", "--kind", kind, "--n", str(n), "--coord-range", "50")
         assert code == 0
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert len(rows) == n
+
+
+def test_gen_degenerate_sample_exits_2(capsys, monkeypatch):
+    def degenerate(spec):
+        raise DegenerateSample(f"could not find {spec.n // 2} distinct edge directions (seed={spec.seed})")
+
+    monkeypatch.setattr(cli, "generate", degenerate)
+    code, out, err = run(capsys, "gen", "--kind", "parallel-edges", "--n", "8")
+    assert code == 2 and out == ""
+    assert err == "error: could not find 4 distinct edge directions (seed=0)\n"
 
 
 def test_overflowing_ring_exits_2(capsys, tmp_path):
@@ -229,6 +241,7 @@ def test_failing_certificate_of_a_printed_figure_exits_1(capsys, tmp_path):
         (1e-85, "quad", 0),
         (1e-85, "para", 1),
         (1e-85, "both", 1),
+        (1e-85, "svg", 1),
         (1e-160, "anchored", 1),
     ):
         p = tmp_path / f"tiny-{scale!r}.txt"
@@ -236,6 +249,10 @@ def test_failing_certificate_of_a_printed_figure_exits_1(capsys, tmp_path):
         argv = ["--dir", "1", "0"] if cmd == "anchored" else []
         code, out, err = run(capsys, cmd, "--input", str(p), *argv)
         assert code == code_want, cmd
+        if cmd == "svg":
+            assert out.startswith("<svg") and out.endswith("</svg>\n")
+            assert ("certificate" in err) == (code == 1), cmd
+            continue
         doc = json.loads(out)
         if cmd == "para":
             assert doc["min_para"]["area"] == 0.0

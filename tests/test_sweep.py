@@ -94,6 +94,22 @@ def test_fast_path_taken_on_exact_corpora(monkeypatch):
     assert rep.quad_certificate.checks.all_ok and rep.para_certificate.checks.all_ok
 
 
+def test_fast_path_verdicts_on_float_copies():
+    # Today's verdicts on float input, where rounding can make the keys
+    # propose an order that the loop's predicates refute: the numpy path
+    # answers on some copies of exact polygons and hands the rest to the
+    # scalar loop whole.  A path that answers more of them changes this list.
+    L, Q = lattice_ngon(2000, 5), parallel_edge_polygon(1000, 5)
+    answered = [moved(L, 0.0, 1 / 7), moved(L, 0.0, 1 / 10), moved(L, 0.3, 1.0)]
+    declined = [moved(L, 0.0, 1 / 3), moved(L, 0.7, 1.0)]
+    declined += [moved(Q, 0.0, 1 / k) for k in (3, 7, 10)] + [moved(Q, turn, 1.0) for turn in (0.3, 0.7)]
+    declined += [regular_ngon(n, 1000.0).coords() for n in (_VECTOR_MIN_N, 1000, 5000, 20_000)]
+    for xy in answered:
+        assert repr(_vector_sweep(xy)) == repr(_scalar_sweep(xy)), len(xy)
+    for xy in declined:
+        assert _vector_sweep(xy) is None, len(xy)
+
+
 def test_fallback_runs_scalar_loop_on_disagreement(monkeypatch):
     # The chords of a regular polygon are parallel to its edges only up to
     # rounding, so the keys propose an order the loop's predicates refute.
@@ -111,44 +127,52 @@ def test_fallback_runs_scalar_loop_on_disagreement(monkeypatch):
     assert len(calls) == 1 and calls[0] is xy
 
 
-@pytest.mark.parametrize("merge", ["diagonal", "support"])
+@pytest.mark.parametrize("window", ["diagonal", "support"])
 @pytest.mark.parametrize("nth", [0, 1, 5, 40])
-def test_proposal_one_step_out_of_order_is_refuted(monkeypatch, merge, nth):
-    # Swap two adjacent events of one proposed merge, at its nth change of
-    # side.  The loop's own predicate at the state between them must refute
-    # the proposal, so the fast path hands the ring to the loop.
+def test_proposal_one_step_out_of_order_is_refuted(monkeypatch, window, nth):
+    # Swap two adjacent events of the proposed walk at its nth change of
+    # side among the diagonal states, or among the support states past
+    # state n, which no diagonal event reads.  The loop's own predicate at
+    # the state between them must refute the proposal, so the fast path
+    # hands the ring to the loop.
     merge_mask = sweep._merge_mask
-    calls = []
-
-    def swapped(first, second):
-        mask = merge_mask(first, second)
-        if len(calls) == ["diagonal", "support"].index(merge):
-            sides = np.flatnonzero(mask[1:-1] != mask[2:]) + 1
-            i = int(sides[min(nth, sides.size - 1)])
-            mask[[i, i + 1]] = mask[[i + 1, i]]
-        calls.append(mask)
-        return mask
-
-    monkeypatch.setattr(sweep, "_merge_mask", swapped)
     for k in range(3):
         for P in (lattice_ngon(_VECTOR_MIN_N + 37 * k, k), parallel_edge_polygon(_VECTOR_MIN_N // 2 + k, k)):
-            calls.clear()
+            steps = sweep._SweepSteps.propose(P.coords())
+            lo, hi = (1, P.n - 1) if window == "diagonal" else (max(steps.s, P.n), steps.s + steps.bd_events)
+            calls = []
+
+            def swapped(first, second):
+                mask = merge_mask(first, second)
+                if not calls:  # the walk
+                    sides = np.flatnonzero(mask[lo:hi] != mask[lo + 1 : hi + 1]) + lo
+                    i = int(sides[min(nth, sides.size - 1)])
+                    mask[[i, i + 1]] = mask[[i + 1, i]]
+                calls.append(mask)
+                return mask
+
+            monkeypatch.setattr(sweep, "_merge_mask", swapped)
             assert _vector_sweep(P.coords()) is None, P.n
+            monkeypatch.undo()
 
 
 def test_support_choice_after_last_event_is_refuted_when_wrong(monkeypatch):
     # After its last support event the loop chooses between b and d once
     # more; that choice sets u_bd for the diagonal events still to come.
+    # It is the walk's choice in state s + bd_events, past state n here, so
+    # no diagonal event reads it.
     merge_mask = sweep._merge_mask
     refuted = 0
     for k in range(6):
         P = lattice_ngon(_VECTOR_MIN_N + 37 * k, k)
-        last = sweep._SweepSteps.propose(P.coords()).bd_events
+        steps = sweep._SweepSteps.propose(P.coords())
+        last = steps.s + steps.bd_events
+        assert last >= P.n
         calls = []
 
         def swapped(first, second):
             mask = merge_mask(first, second)
-            if len(calls) == 1:
+            if not calls:  # the walk
                 mask[[last, last + 1]] = mask[[last + 1, last]]
             calls.append(mask)
             return mask
@@ -156,17 +180,20 @@ def test_support_choice_after_last_event_is_refuted_when_wrong(monkeypatch):
         monkeypatch.setattr(sweep, "_merge_mask", swapped)
         fast = _vector_sweep(P.coords())
         monkeypatch.undo()
-        if calls[1][last] != calls[1][last + 1]:  # the swap changed the proposal
+        if calls[0][last] != calls[0][last + 1]:  # the swap changed the proposal
             assert fast is None, P.n
             refuted += 1
     assert refuted
 
 
-@pytest.mark.parametrize("moved", ["diagonal", "support"])
+@pytest.mark.parametrize("moved", ["diagonal", "support", "diagonal-behind", "support-ahead"])
 @pytest.mark.parametrize("nth", [0, 3, 50])
 def test_top_level_one_step_out_of_order_is_refuted(monkeypatch, moved, nth):
     # Move one event of the top-level merge past its neighbour of the other
     # kind by nudging its key; the loop's top-level predicate must refute it.
+    # The first two put a diagonal event too early, which the check at the
+    # diagonal events refutes; the last two put it too late, which only the
+    # check at the support events refutes.
     propose = sweep._SweepSteps.propose
 
     def nudged(xy):
@@ -176,10 +203,18 @@ def test_top_level_one_step_out_of_order_is_refuted(monkeypatch, moved, nth):
             j = np.searchsorted(bd, ac, side="right")
             k = int(np.flatnonzero(np.diff(j) > 0)[nth]) + 1
             ac[k] = np.nextafter(bd[j[k] - 1], -np.inf)
-        else:  # behind the diagonal event after it
+        elif moved == "support":  # behind the diagonal event after it
             k = np.searchsorted(ac, bd[: steps.bd_events], side="left")
             j = int(np.flatnonzero(np.diff(k) > 0)[nth])
             bd[j] = np.nextafter(ac[k[j]], np.inf)
+        elif moved == "diagonal-behind":  # behind the support event after it
+            j = np.searchsorted(bd, ac, side="right")
+            k = int(np.flatnonzero(np.diff(j) > 0)[nth])
+            ac[k] = bd[j[k]]  # ties go to the support event
+        else:  # ahead of the diagonal event before it
+            k = np.searchsorted(ac, bd[: steps.bd_events], side="left")
+            j = int(np.flatnonzero(np.diff(k) > 0)[nth]) + 1
+            bd[j] = ac[k[j] - 1]  # ties go to the support event
         return steps
 
     monkeypatch.setattr(sweep._SweepSteps, "propose", nudged)
