@@ -42,8 +42,9 @@ from .geometry import (
     SweepOverrun,
     _chord_params,
     _chord_span,
-    _dyadic_unit,
+    _meet,
     _neg_margins,
+    _unit,
     _vec,
     chord_through,
     contains_point,
@@ -263,22 +264,30 @@ def _one_edge_bounds(P: ConvexPolygon, ux: float, uy: float) -> np.ndarray:
     return _extent((vx + t0 * ux, vy + t0 * uy), (vx + t1 * ux, vy + t1 * uy), ux, uy)
 
 
-def _ranked_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
-    """`_longest_chord`'s answer from `_one_edge_bounds`: the route for
-    windows that the rounding bound cannot certify, in O(n log n).
+def _first_longest(P: ConvexPolygon, u: Direction, rows, bounds) -> tuple[int, Segment, float]:
+    """The first vertex i of `rows`, which ascend, whose chord along u
+    has the greatest extent, given an upper bound on each one's extent in
+    `bounds`: (i, chord_through(P, P[i], u), that chord's extent).
 
     The vertex ranked first is measured with `chord_through`; when its
     extent falls short, it replaces the bound and the ranking repeats.  A
     vertex ranked first with its measured extent beats, or ties later in
-    index order, every other extent."""
-    ext = _one_edge_bounds(P, u.dx, u.dy)
+    index order, every other extent.  `bounds` is not modified."""
+    ext = np.array(bounds, dtype=np.float64)
     while True:
-        i = int(np.argmax(ext))
-        seg = chord_through(P, P[i], u)
+        k = int(np.argmax(ext))
+        seg = chord_through(P, P[rows[k]], u)
         full = _extent(*seg, u.dx, u.dy)
-        if not full < ext[i]:
-            return i, seg
-        ext[i] = full
+        if not full < ext[k]:
+            return rows[k], seg, full
+        ext[k] = full
+
+
+def _ranked_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
+    """`_longest_chord`'s answer from `_one_edge_bounds`: the route for
+    windows that the rounding bound cannot certify, in O(n log n)."""
+    i, seg, _ = _first_longest(P, u, range(P.n), _one_edge_bounds(P, u.dx, u.dy))
+    return i, seg
 
 
 def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
@@ -295,10 +304,8 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     kappa = |e|_1 |u|_inf / |d| exceeds _KAPPA_MAX (d = e x u; an edge is
     kept only when its sign is sure): with fewer edges no chord is shorter,
     and rounding is monotone, so this extent U bounds the full one from
-    above, with no error term.  The window vertex ranked first by U is
-    measured with `chord_through`, then, in index order, each window vertex
-    whose U can beat its extent or, earlier in index order, tie it; the
-    first maximum wins.
+    above, with no error term.  The window's first longest chord is
+    `_first_longest`'s, ranked by U.
 
     No vertex outside the window can then rank first or tie, by two facts.
     (1) Let L(s) be |u| times the length of the exact chord at offset
@@ -343,16 +350,7 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
         return _ranked_chord(P, u)
     kappa = float((size[good] / sure[good]).max())
     U = _vertex_extents(P, rows, edges[good], ux, uy)
-    i = rows[int(np.argmax(U))]
-    seg = chord_through(P, P[i], u)
-    best = _extent(*seg, ux, uy)
-    # A later vertex must beat that extent; an earlier one wins a tie.
-    for k, x in zip(rows, U.tolist()):
-        if k != i and (x > best or x == best and k < i):
-            chord = chord_through(P, P[k], u)
-            full = _extent(*chord, ux, uy)
-            if full > best or full == best and k < i:
-                i, seg, best = k, chord, full
+    i, seg, best = _first_longest(P, u, rows, U)
     # The sure sign of each window vertex's outgoing and incoming edge:
     # +1 where s rises along it, -1 where it falls, 0 where unsure.
     sign = np.where(sure > 0.0, -np.sign(d), 0.0)
@@ -415,7 +413,7 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     `side_dir_bd` reports the caller's vector, made canonical.
     """
     uc = Direction(*_vec(u)).canonical()
-    un = Direction(*_dyadic_unit(uc.dx, uc.dy))
+    un = Direction(*_unit(uc))
     eps = _dist_tol(P)
 
     i, seg = _longest_chord(P, un)
@@ -450,14 +448,14 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
     power of two (`_dyadic_unit`), so their magnitudes move no check.
     """
     udir = Direction(*_vec(u))
-    ux, uy = _dyadic_unit(udir.dx, udir.dy)
+    ux, uy = _unit(udir)
     dist_tol = _dist_tol(P)
     ulen = math.hypot(ux, uy)
 
     A, B, C, D = F.corners
     anchoring_d = abs((C.x - A.x) * uy - (C.y - A.y) * ux) / ulen <= dist_tol
 
-    sbx, sby = _dyadic_unit(G.side_dir_bd.dx, G.side_dir_bd.dy)
+    sbx, sby = _unit(G.side_dir_bd)
     anchoring_s = abs(sbx * uy - sby * ux) / (math.hypot(sbx, sby) * ulen) <= CERT_TOL
 
     g = G.corners
@@ -512,18 +510,22 @@ def combined_extremes(P: ConvexPolygon) -> ExtremesReport:
     g_max = _parallelogram(qa, qb, qc, qd, u_max, Direction(*v_max), (ma, mb, mc, md))
     quad_cert = verify_conjugate_pair(max_quad, g_max, u_max, P)
 
-    # The slid corner lies on the flush edge; the sides through it and the
+    # The slid corner lies on the flush edge, where the chord along u_bd
+    # through the opposite corner meets it, or at the edge's base vertex
+    # where that chord runs along the edge; the sides through it and the
     # opposite corner are parallel to that edge.
-    a_slides, sa, sb_, sc, sd, ubx, uby, slid_xy = mstate
-    slid = Point(*slid_xy)
+    a_slides, sa, sb_, sc, sd, ubx, uby = mstate
     pa, pb, pc, pd = P[sa], P[sb_], P[sc], P[sd]
+    base, fixed = (pa, pc) if a_slides else (pc, pa)
+    e = P.edge_vector(sa if a_slides else sc)
+    slid = Point(*(_meet(base, e, fixed, (ubx, uby)) or base))
     if a_slides:
-        fa, fc, f_indices, flush = slid, pc, (None, sb_, sc, sd), sa
+        fa, fc, f_indices = slid, pc, (None, sb_, sc, sd)
     else:
-        fa, fc, f_indices, flush = pa, slid, (sa, sb_, None, sd), sc
+        fa, fc, f_indices = pa, slid, (sa, sb_, None, sd)
     min_f = QuadResult((fa, pb, fc, pd), f_indices, quad_area(fa, pb, fc, pd))
     u_min = Direction(ubx, uby)
-    v_min = Direction(*P.edge_vector(flush))
+    v_min = Direction(*e)
     min_para = _parallelogram(fa, pb, fc, pd, u_min, v_min, (sa, sb_, sc, sd), area=minarea)
     para_cert = verify_conjugate_pair(min_f, min_para, u_min, P)
 
@@ -663,14 +665,9 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
         ax, ay = xs[a % n], ys[a % n]
         cx, cy = xs[c % n], ys[c % n]
         if ux * (ay - cy) - uy * (ax - cx) >= 0.0:
-            ecx, ecy = exs[c % n], eys[c % n]
-            den = ecx * uy - ecy * ux
-            if den != 0.0:
-                s = ((ax - cx) * uy - (ay - cy) * ux) / den
-                c_slid = (cx + s * ecx, cy + s * ecy)
-            else:
-                # Chord through p_a runs along the flush-parallel edge line.
-                c_slid = (cx, cy)
+            # Where the chord through p_a runs along the flush-parallel edge
+            # line, the slid corner is p_c.
+            c_slid = _meet((cx, cy), (exs[c % n], eys[c % n]), (ax, ay), (ux, uy)) or (cx, cy)
             cand = 2.0 * quad_area((ax, ay), (xs[b], ys[b]), c_slid, (xs[d % n], ys[d % n]))
             if cand < minarea:
                 minarea = cand

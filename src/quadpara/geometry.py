@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -78,7 +78,9 @@ class Direction:
     """A nonzero vector modulo scaling: u and -u compare equal.
 
     Equality is the exact parallelism test on the `_dyadic_unit`
-    representatives, so it holds for u and 2^j u at any magnitude.
+    representatives, so it holds for u and 2^j u at any magnitude.  The
+    constructor's check, NonFinite or Degenerate, is the one that every
+    function taking a direction makes (`_unit`).
     Unhashable: equality is parallelism, which no hash of the raw components
     can respect, so Directions cannot be set members or dict keys.
     """
@@ -97,8 +99,8 @@ class Direction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Direction):
             return NotImplemented
-        ax, ay = _dyadic_unit(self.dx, self.dy)
-        bx, by = _dyadic_unit(other.dx, other.dy)
+        ax, ay = _unit(self)
+        bx, by = _unit(other)
         return ax * by - ay * bx == 0.0
 
     def canonical(self) -> "Direction":
@@ -127,6 +129,17 @@ def _vec(v) -> tuple[float, float]:
         return v.dx, v.dy
     x, y = v
     return float(x), float(y)
+
+
+def _unit(u) -> tuple[float, float]:
+    """The `_dyadic_unit` representative of the direction u, a Direction
+    or an (x, y) pair.  Raises NonFinite or Degenerate as `Direction` does.
+
+    Every function that takes a direction takes it from here, so u and
+    2^j u give the same results, bit for bit."""
+    if not isinstance(u, Direction):
+        u = Direction(*_vec(u))
+    return _dyadic_unit(u.dx, u.dy)
 
 
 def quad_area(a, b, c, d) -> float:
@@ -322,11 +335,10 @@ def extreme_vertex(P: ConvexPolygon, d) -> int:
     """Index of the vertex maximizing the dot product with d.
 
     Ties (an edge perpendicular to d) break toward the vertex later in CCW
-    order among the maximizers, so downstream output is deterministic.
+    order among the maximizers, so downstream output is deterministic.  d
+    enters as its `_dyadic_unit` representative (`_unit`).
     """
-    dx, dy = _vec(d)
-    if dx == 0.0 and dy == 0.0:
-        raise Degenerate("zero vector is not a direction")
+    dx, dy = _unit(d)
     xy = P.coords()
     dots = xy[:, 0] * dx + xy[:, 1] * dy
     best = dots.max()
@@ -343,12 +355,8 @@ def extreme_vertex(P: ConvexPolygon, d) -> int:
 def width(P: ConvexPolygon, u) -> float:
     """Distance between the two supporting lines of P parallel to u.
 
-    u enters as its `_dyadic_unit` representative, so u and 2^j u give the
-    same width, bit for bit."""
-    ux, uy = _vec(u)
-    if ux == 0.0 and uy == 0.0:
-        raise Degenerate("zero vector is not a direction")
-    ux, uy = _dyadic_unit(ux, uy)
+    u enters as its `_dyadic_unit` representative (`_unit`)."""
+    ux, uy = _unit(u)
     xy = P.coords()
     proj = xy[:, 0] * (-uy) + xy[:, 1] * ux
     return float(proj.max() - proj.min()) / math.hypot(ux, uy)
@@ -358,12 +366,11 @@ def chord_through(P: ConvexPolygon, q, u) -> Segment:
     """The intersection of the line {q + t*u} with P, as a segment.
 
     q must lie inside P or on its boundary.  The segment endpoints are
-    ordered by increasing t, and may coincide (tangent at a corner).
+    ordered by increasing t, and may coincide (tangent at a corner).  u
+    enters as its `_dyadic_unit` representative (`_unit`).
     """
     qx, qy = _vec(q)
-    ux, uy = _vec(u)
-    if ux == 0.0 and uy == 0.0:
-        raise Degenerate("zero vector is not a direction")
+    ux, uy = _unit(u)
     xy = P.coords()
     ex, ey = P.edges()
     t0, t1 = _chord_params(_neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey), ex, ey, ux, uy)
@@ -427,20 +434,27 @@ def _chord_span(t0, t1):
     return t0, t1
 
 
+def _meet(p, u, q, v) -> Optional[tuple[float, float]]:
+    """Where the line through p along u meets the line through q along v,
+    for (x, y) pairs of floats, or None where their directions have zero
+    determinant."""
+    (px, py), (ux, uy), (qx, qy), (vx, vy) = p, u, q, v
+    den = ux * vy - uy * vx
+    if den == 0.0:
+        return None
+    s = ((qx - px) * vy - (qy - py) * vx) / den
+    return px + s * ux, py + s * uy
+
+
 def line_intersection(l1: Line, l2: Line) -> Point:
     """The unique intersection point of two lines.
 
     Raises ParallelLines when their direction vectors have zero determinant.
     """
-    px, py = _vec(l1.base)
-    ux, uy = _vec(l1.dir)
-    qx, qy = _vec(l2.base)
-    vx, vy = _vec(l2.dir)
-    den = ux * vy - uy * vx
-    if den == 0.0:
+    meet = _meet(_vec(l1.base), _vec(l1.dir), _vec(l2.base), _vec(l2.dir))
+    if meet is None:
         raise ParallelLines("line directions are parallel")
-    s = ((qx - px) * vy - (qy - py) * vx) / den
-    return Point(px + s * ux, py + s * uy)
+    return Point(*meet)
 
 
 def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:

@@ -23,13 +23,11 @@ import numpy as np
 
 from .geometry import (
     ConvexPolygon,
-    Degenerate,
     Point,
     Segment,
     _chord_params,
-    _dyadic_unit,
     _neg_margins,
-    _vec,
+    _unit,
     width,
 )
 
@@ -96,12 +94,9 @@ def longest_chord(P: ConvexPolygon, u) -> Segment:
     vertex.  Ties keep the lowest vertex index.  `chord_through` for every
     vertex, in O(n^2) array passes over blocks of vertices, makes this the
     reference for `anchored_conjugate_pair`.  u enters as its `_dyadic_unit`
-    representative, so u and 2^j u give the same chord, bit for bit.
+    representative (`geometry._unit`).
     """
-    ux, uy = _vec(u)
-    if ux == 0.0 and uy == 0.0:
-        raise Degenerate("zero vector is not a direction")
-    ux, uy = _dyadic_unit(ux, uy)
+    ux, uy = _unit(u)
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()

@@ -32,9 +32,12 @@ def _scalar_sweep(xy: np.ndarray):
 
     Returns (maxarea, max_state, minarea, min_state, predicate_count) where
     max_state is the vertex-index quadruple of the best contained
-    quadrilateral and min_state is (a_slides, a, b, c, d, ubx, uby, slid)
-    for the best enclosing parallelogram.  predicate_count counts every
-    2x2 determinant sign evaluation the sweep performs.
+    quadrilateral and min_state is (a_slides, a, b, c, d, ubx, uby) for the
+    best enclosing parallelogram: its sides through b and d run along
+    (ubx, uby), and the diagonal end a, when a_slides, else c, slides on its
+    edge to where the chord along (ubx, uby) through the other end meets it
+    (`extremal.combined_extremes` builds that corner).  predicate_count
+    counts every 2x2 determinant sign evaluation the sweep performs.
 
     One Python step per event: the reference that `_vector_sweep` must
     reproduce, and the route for small rings and for rings on which its
@@ -142,19 +145,6 @@ def _scalar_sweep(xy: np.ndarray):
                         u_bdx * (ys[d] - ys[b]) - u_bdy * (xs[d] - xs[b])
                     )
                     cand = abs(num / den)
-                    if cand < minarea:
-                        minarea = cand
-                        s = ((sx - fx) * u_bdy - (sy - fy) * u_bdx) / den
-                        min_state = (
-                            ac_a,
-                            a % n,
-                            b % n,
-                            c % n,
-                            d % n,
-                            u_bdx,
-                            u_bdy,
-                            (fx + s * ex, fy + s * ey),
-                        )
                 else:
                     ndet += 1
                     if u_bdx * (sy - fy) - u_bdy * (sx - fx) == 0.0:
@@ -164,11 +154,13 @@ def _scalar_sweep(xy: np.ndarray):
                             (xs[c] - xs[a]) * (ys[d] - ys[b])
                             - (ys[c] - ys[a]) * (xs[d] - xs[b])
                         )
-                        if cand < minarea:
-                            minarea = cand
-                            min_state = (ac_a, a % n, b % n, c % n, d % n, u_bdx, u_bdy, (fx, fy))
-                    # Otherwise the flush direction cannot meet the sliding edge:
-                    # a stale event at a parallel-edge tie; skip the candidate.
+                    else:
+                        # The flush direction cannot meet the sliding edge: a
+                        # stale event at a parallel-edge tie; no candidate.
+                        cand = math.inf
+                if cand < minarea:
+                    minarea = cand
+                    min_state = (ac_a, a % n, b % n, c % n, d % n, u_bdx, u_bdy)
                 if bd_b:
                     b += 1
                 else:
@@ -338,7 +330,11 @@ def _antipodal_walk(ex: np.ndarray, ey: np.ndarray):
     # Keys of reversed edges come from the negated vectors themselves, so
     # that exactly parallel vectors tie.
     rev = _direction_keys(-ex, -ey, k0)
-    c_run = _non_decreasing(np.concatenate((rev[c0:], rev[:c0])))
+    c_run = np.concatenate((rev[c0:], rev[:c0]))
+    # -e[c0] lies less than a half turn past e[0] (e[0] x e[c0] <= 0): a
+    # leading key that rounds to just below a full turn is one just above 0.
+    c_run[: _first_false(c_run >= 3.0)] = 0.0
+    c_run = _non_decreasing(c_run)
     # a_run[0] is 0.0, the least key, and ties go to a: the first proposed
     # event advances a, as the loop's first diagonal event always does.
     is_a = _merge_mask(a_run, c_run)
@@ -494,18 +490,6 @@ class _SweepSteps:
         lo = np.where(fb, b, d + 1)
         return b, d, self.x[hi] - self.x[lo], self.y[hi] - self.y[lo]
 
-    def slid_corner(self, a: int, c: int, ac_a: bool, ubx: float, uby: float):
-        """The loop's sliding corner of a flush candidate, in its scalar
-        expressions: where the chord parallel to (ubx, uby) through the fixed
-        endpoint meets the sliding edge."""
-        f, s = (a, c) if ac_a else (c, a)
-        x, y = self.x, self.y
-        fx, fy, sx, sy = float(x[f]), float(y[f]), float(x[s]), float(y[s])
-        ex = float(x[f + 1]) - fx
-        ey = float(y[f + 1]) - fy
-        t = ((sx - fx) * uby - (sy - fy) * ubx) / (ex * uby - ey * ubx)
-        return (fx + t * ex, fy + t * ey)
-
 
 def _diagonal_events(steps: _SweepSteps, bd_before: np.ndarray):
     """Confirm the top-level predicate at every diagonal event, and find
@@ -557,8 +541,6 @@ def _support_events(steps: _SweepSteps, ac_before: np.ndarray):
         i = int(np.argmin(cand))
         if cand[i] < minarea:
             minarea = float(cand[i])
-            ai, ci, ac_a = int(a[i]), int(c[i]), bool(fa[i])
-            u = float(ubx[i]), float(uby[i])
-            slid = steps.slid_corner(ai, ci, ac_a, *u)
-            min_state = (ac_a, ai % n, int(b[i]) % n, ci % n, int(d[i]) % n, *u, slid)
+            abcd = (int(v[i]) % n for v in (a, b, c, d))
+            min_state = (bool(fa[i]), *abcd, float(ubx[i]), float(uby[i]))
     return None if min_state is None else (minarea, min_state)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadpara import (
@@ -794,6 +794,9 @@ FLOAT_DIRECTION = st.tuples(COMPONENT, COMPONENT).filter(lambda u: u != (0.0, 0.
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(anchored_polygons(), FLOAT_DIRECTION, st.integers(0, 2**31), st.integers(0, 2**31))
+# -e[c0] parallel to e[0] up to rounding: its key must not wrap to a full
+# turn, or D gets pairs with a == c (see test_sweep.py).
+@example(ConvexPolygon(canonicalize(regular_ngon(18, 1000.0).coords() * 0.37)), (0.0, 1.0), 0, 9)
 def test_anchored_diagonal_matches_the_reference_on_float_hulls(P, u, edge, vertex):
     # Random float directions, edge vectors, and the directions of D's own
     # vertices p[c] - p[a], along which the chord ends at two vertices.

@@ -15,16 +15,20 @@ from quadpara import (
     ParallelLines,
     Point,
     TooFewVertices,
+    anchored_conjugate_pair,
+    brute_anchored_quad_area,
     canonicalize,
     chord_through,
     contains_point,
     extreme_vertex,
     lattice_ngon,
     line_intersection,
+    longest_chord,
     polygon_area,
     quad_area,
     random_convex,
     regular_ngon,
+    verify_conjugate_pair,
     width,
 )
 from quadpara.geometry import _chord_params, _neg_margins
@@ -334,6 +338,46 @@ def test_direction_equality_ignores_the_magnitude():
             v = Direction(math.ldexp(u[0], j), math.ldexp(u[1], j))
             assert v == Direction(*u) == Direction(-v.dx, -v.dy), (u, j)
             assert v != turned and v != Direction(-u[1], u[0]), (u, j)
+
+
+# Every function that takes a direction, called with u.
+DIRECTION_TAKERS = {
+    "Direction": lambda P, u: Direction(*u),
+    "width": width,
+    "extreme_vertex": extreme_vertex,
+    "chord_through": lambda P, u: chord_through(P, P[0], u),
+    "longest_chord": longest_chord,
+    "brute_anchored_quad_area": brute_anchored_quad_area,
+    "anchored_conjugate_pair": anchored_conjugate_pair,
+    "verify_conjugate_pair": lambda P, u: verify_conjugate_pair(*anchored_conjugate_pair(P, (1, 0)), u, P),
+}
+
+
+@pytest.mark.parametrize("name", DIRECTION_TAKERS)
+@pytest.mark.parametrize(
+    "u,error", [((math.nan, 1.0), NonFinite), ((math.inf, 0.0), NonFinite), ((0.0, 0.0), Degenerate), ((0, 0), Degenerate)]
+)
+def test_every_direction_taker_rejects_what_direction_rejects(square, name, u, error):
+    # A non-finite or zero vector raises Direction's typed error, not a NaN
+    # result, an IndexError or an AssertionError.
+    with pytest.raises(error):
+        DIRECTION_TAKERS[name](square, u)
+
+
+def test_chord_through_ignores_the_direction_magnitude():
+    # chord_through computes with u's _dyadic_unit representative: 2^j u
+    # gives u's chord, bit for bit, over every j for which 2^j u is exact,
+    # and subnormal vectors raise no RuntimeWarning (an error under this
+    # suite's configuration).
+    P = lattice_ngon(40, 2)
+    for q in (P[0], P[13]):
+        for u in ((1, 0), (3, -7), (1, 3), (-5, 2)):
+            want = repr(chord_through(P, q, u))
+            for j in range(-1074, 1021):
+                assert repr(chord_through(P, q, (math.ldexp(u[0], j), math.ldexp(u[1], j)))) == want, (q, u, j)
+        tiny = (1e-310, 3e-310)
+        want = repr(chord_through(P, q, tiny))
+        assert repr(chord_through(P, q, (math.ldexp(tiny[0], 1000), math.ldexp(tiny[1], 1000)))) == want
 
 
 def test_direction_is_unhashable():

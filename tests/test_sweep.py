@@ -308,3 +308,47 @@ def test_overflow_and_underflow_handled_like_the_loop(scale):
     except SweepOverrun as exc:
         got = repr(exc)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "xy",
+    [
+        regular_ngon(18, 1000.0).coords() * 0.37,
+        parallel_edge_polygon(3, 550736161).coords() * 0.37,
+        parallel_edge_polygon(4, 361598071).coords() * 0.37,
+    ],
+)
+def test_difference_body_where_a_reversed_edge_key_wraps(xy):
+    # On these rings -e[c0] is parallel to e[0] up to rounding, and its key,
+    # measured from e[0]'s, rounds to just below a full turn.  It must count
+    # as just above 0: otherwise the walk takes every a-step first, and D
+    # gets pairs with a == c, whose zero vectors have NaN keys.
+    P = ConvexPolygon(canonicalize(xy))
+    D = P.difference_body()
+    assert np.isfinite(D.keys).all() and (D.keys[1:] >= D.keys[:-1]).all()
+    assert (D.a != D.c).all()
+    c0, _, is_a, _ = sweep._antipodal_walk(*P.edges())
+    assert int(is_a[: P.n].sum()) == c0  # the walk passes the loop's state (c0, n)
+
+
+@pytest.mark.parametrize("state", ["(c0, n)", "(b0, d0)"])
+def test_walk_that_misses_a_loop_state_is_declined(monkeypatch, state):
+    # The loop's diagonal events end in its state (c0, n), and its support
+    # events start in (b0, d0).  Two adjacent events of the walk swapped
+    # just before one of those states move the walk off it, and off it
+    # alone: propose must decline.
+    walk = sweep._antipodal_walk
+    for k in range(3):
+        P = lattice_ngon(_VECTOR_MIN_N + 37 * k, k)
+        steps = sweep._SweepSteps.propose(P.coords())
+        t = P.n if state == "(c0, n)" else steps.s
+        assert steps.is_a[t - 1] != steps.is_a[t], P.n
+
+        def swapped(ex, ey):
+            c0, k0, is_a, keys = walk(ex, ey)
+            is_a[[t - 1, t]] = is_a[[t, t - 1]]
+            return c0, k0, is_a, keys
+
+        monkeypatch.setattr(sweep, "_antipodal_walk", swapped)
+        assert sweep._SweepSteps.propose(P.coords()) is None, P.n
+        monkeypatch.undo()
