@@ -144,15 +144,15 @@ def load_polygon(path: str) -> ConvexPolygon:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
     try:
         if path.endswith(".json"):
             verts = _parse_json_vertices(text)
         else:
             verts = _parse_text_vertices(text)
         return ConvexPolygon(canonicalize(verts))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    except GeometryError as exc:
+    except (InputError, GeometryError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -303,7 +303,7 @@ def cmd_verify(args) -> int:
     if args.expect:
         try:
             expected = json.loads(Path(args.expect).read_text(encoding="utf-8-sig"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"{args.expect}: {exc}") from None
         if not isinstance(expected, dict):
             raise InputError(f"{args.expect}: expected a JSON object")
@@ -532,10 +532,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
+    except (InputError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepOverrun as exc:

@@ -42,6 +42,7 @@ from .geometry import (
     SweepOverrun,
     _chord_params,
     _chord_span,
+    _extent,
     _meet,
     _neg_margins,
     _unit,
@@ -216,12 +217,6 @@ def _d_edge(P: ConvexPolygon, u: Direction) -> int:
     D = P.difference_body()
     key = _direction_keys(np.array([u.dx, -u.dx]), np.array([u.dy, -u.dy]), D.k0)
     return int(np.searchsorted(D.keys, key[0] if key[0] < 2.0 else key[1], side="right"))
-
-
-def _extent(a, b, ux: float, uy: float):
-    """(b - a) . u for the chord from a to b; the ends are (x, y) pairs of
-    floats, or of arrays for many chords at once."""
-    return (b[0] - a[0]) * ux + (b[1] - a[1]) * uy
 
 
 def _vertex_extents(P: ConvexPolygon, rows, edges, ux: float, uy: float) -> np.ndarray:

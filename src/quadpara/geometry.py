@@ -417,6 +417,13 @@ def _chord_params(neg_c, ex, ey, ux, uy):
     return _chord_span(t0, t1)
 
 
+def _extent(a, b, ux: float, uy: float):
+    """(b - a) . u for the chord from a to b; the ends are (x, y) pairs of
+    floats, or of arrays for many chords at once.  The anchored routes and
+    `oracle.longest_chord` compare the extents of their chords from here."""
+    return (b[0] - a[0]) * ux + (b[1] - a[1]) * uy
+
+
 def _chord_span(t0, t1):
     """The chord parameters (t0, t1), elementwise, with a tangency's rounding
     collapsed: where t0 > t1, both become their midpoint.  Raises Degenerate

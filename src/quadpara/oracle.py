@@ -26,6 +26,7 @@ from .geometry import (
     Point,
     Segment,
     _chord_params,
+    _extent,
     _neg_margins,
     _unit,
     width,
@@ -78,7 +79,7 @@ def _longest_vertex_chords(P: ConvexPolygon, ux: np.ndarray, uy: np.ndarray, mar
     # a warning, as in Python float arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
         ax, ay, bx, by = vx + t0 * ux, vy + t0 * uy, vx + t1 * ux, vy + t1 * uy
-        ext = (bx - ax) * ux + (by - ay) * uy  # t-extent * |u|^2
+        ext = _extent((ax, ay), (bx, by), ux, uy)  # t-extent * |u|^2
     np.fmax(ext, -1.0, out=ext)  # NaN never wins
     j = np.arange(b)
     i = np.argmax(ext, axis=1)  # the first of the longest

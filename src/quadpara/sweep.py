@@ -36,8 +36,13 @@ def _scalar_sweep(xy: np.ndarray):
     best enclosing parallelogram: its sides through b and d run along
     (ubx, uby), and the diagonal end a, when a_slides, else c, slides on its
     edge to where the chord along (ubx, uby) through the other end meets it
-    (`extremal.combined_extremes` builds that corner).  predicate_count
-    counts every 2x2 determinant sign evaluation the sweep performs.
+    (`extremal.combined_extremes` builds that corner).
+
+    predicate_count counts every 2x2 determinant sign evaluation the sweep
+    performs: b0 + d0 + 3 at the start (the searches for c0, b0 and d0
+    evaluate one predicate per vertex they pass and one where they stop,
+    and the first choice between b and d one), then 3 per diagonal event
+    and 5 per support event, 6 at a flush side parallel to the sliding edge.
 
     One Python step per event: the reference that `_vector_sweep` must
     reproduce, and the route for small rings and for rings on which its
@@ -47,24 +52,27 @@ def _scalar_sweep(xy: np.ndarray):
     # Flat coordinate lists with raw forward indices; no modulo in the loop.
     xs = xy[:, 0].tolist() * 3
     ys = xy[:, 1].tolist() * 3
-    ndet = 0
 
-    # Start: a0 = 0; c0 = the vertex whose supporting line is parallel to
-    # edge (0, 1), reached while the triangle over that edge strictly grows.
-    e0x = xs[1] - xs[0]
-    e0y = ys[1] - ys[0]
-    c = 1
-    while c <= n:
-        ndet += 1
-        if e0x * (ys[c + 1] - ys[c]) - e0y * (xs[c + 1] - xs[c]) > 0.0:
-            c += 1
-        else:
-            break
-    else:
-        raise SweepOverrun("initial support search did not settle")
-    a0 = 0
-    c0 = c
+    def settle(p, rx, ry, stop, name):
+        """The first vertex from p, up to stop, at which the ring stops
+        strictly gaining distance to the left of the direction (rx, ry)."""
+        while p <= stop:
+            if rx * (ys[p + 1] - ys[p]) - ry * (xs[p + 1] - xs[p]) > 0.0:
+                p += 1
+            else:
+                return p
+        raise SweepOverrun(f"{name} did not settle")
+
+    # Start: a = 0; c0 = the vertex whose supporting line is parallel to
+    # edge (0, 1); b0 and d0 = the vertices whose supporting lines are
+    # parallel to the chord (a, c0), on its two sides.
     a = 0
+    c0 = c = settle(1, xs[1] - xs[0], ys[1] - ys[0], n, "initial support search")
+    rx = xs[a] - xs[c]
+    ry = ys[a] - ys[c]
+    b = settle(a, rx, ry, 2 * n, "support vertex b")
+    d = settle(c, -rx, -ry, 2 * n, "support vertex d")
+    ndet = b + d + 2  # the searches' c0, b0 + 1 and d0 - c0 + 1
 
     # A slides on edge (a, a+1); u_ac is the chord direction at which it
     # arrives at the next vertex.
@@ -72,51 +80,35 @@ def _scalar_sweep(xy: np.ndarray):
     u_acx = xs[c] - xs[a + 1]
     u_acy = ys[c] - ys[a + 1]
 
-    b = a
-    rx = xs[a] - xs[c]
-    ry = ys[a] - ys[c]
-    while b <= 2 * n:
-        ndet += 1
-        if rx * (ys[b + 1] - ys[b]) - ry * (xs[b + 1] - xs[b]) > 0.0:
-            b += 1
-        else:
-            break
-    else:
-        raise SweepOverrun("support vertex b did not settle")
-    d = c
-    while d <= 2 * n:
-        ndet += 1
-        if -rx * (ys[d + 1] - ys[d]) + ry * (xs[d + 1] - xs[d]) > 0.0:
-            d += 1
-        else:
-            break
-    else:
-        raise SweepOverrun("support vertex d did not settle")
-
-    ndet += 1
-    ebx = xs[b + 1] - xs[b]
-    eby = ys[b + 1] - ys[b]
-    edx = xs[d + 1] - xs[d]
-    edy = ys[d + 1] - ys[d]
-    if ebx * edy - eby * edx <= 0.0:
-        bd_b = True
-        u_bdx, u_bdy = ebx, eby
-    else:
-        bd_b = False
-        u_bdx = xs[d] - xs[d + 1]
-        u_bdy = ys[d] - ys[d + 1]
-
     maxarea = 0.0
     max_state = None
     minarea = math.inf
     min_state = None
     guard = 8 * n + 16
     steps = 0
+    bd_moved = True
 
     # A ring that is not CCW and strictly convex can walk an index past the
     # tripled lists before the event guard trips.
     try:
         while True:
+            if bd_moved:
+                # Of b and d, the one whose edge the support sides reach
+                # first advances at the next support event; u_bd is that
+                # edge's direction (reversed for d).
+                bd_moved = False
+                ndet += 1
+                ebx = xs[b + 1] - xs[b]
+                eby = ys[b + 1] - ys[b]
+                edx = xs[d + 1] - xs[d]
+                edy = ys[d + 1] - ys[d]
+                if ebx * edy - eby * edx <= 0.0:
+                    bd_b = True
+                    u_bdx, u_bdy = ebx, eby
+                else:
+                    bd_b = False
+                    u_bdx = xs[d] - xs[d + 1]
+                    u_bdy = ys[d] - ys[d + 1]
             steps += 1
             if steps > guard:
                 raise SweepOverrun(f"more than {guard} sweep events for n={n}")
@@ -165,18 +157,7 @@ def _scalar_sweep(xy: np.ndarray):
                     b += 1
                 else:
                     d += 1
-                ndet += 1
-                ebx = xs[b + 1] - xs[b]
-                eby = ys[b + 1] - ys[b]
-                edx = xs[d + 1] - xs[d]
-                edy = ys[d + 1] - ys[d]
-                if ebx * edy - eby * edx <= 0.0:
-                    bd_b = True
-                    u_bdx, u_bdy = ebx, eby
-                else:
-                    bd_b = False
-                    u_bdx = xs[d] - xs[d + 1]
-                    u_bdy = ys[d] - ys[d + 1]
+                bd_moved = True
             else:
                 # The sliding diagonal endpoint reaches a vertex: contained-
                 # quadrilateral candidate with all corners at vertices.
@@ -185,10 +166,7 @@ def _scalar_sweep(xy: np.ndarray):
                 else:
                     c += 1
                 ndet += 1
-                ar = (xs[c] - xs[a]) * (ys[d] - ys[b]) - (ys[c] - ys[a]) * (xs[d] - xs[b])
-                if ar < 0.0:
-                    ar = -ar
-                ar *= 0.5
+                ar = abs((xs[c] - xs[a]) * (ys[d] - ys[b]) - (ys[c] - ys[a]) * (xs[d] - xs[b])) * 0.5
                 if ar > maxarea:
                     maxarea = ar
                     max_state = (a % n, b % n, c % n, d % n)
@@ -205,7 +183,7 @@ def _scalar_sweep(xy: np.ndarray):
                     ac_a = False
                     u_acx = xs[c + 1] - xs[a]
                     u_acy = ys[c + 1] - ys[a]
-                if a % n == c0 % n and c % n == a0:
+                if a % n == c0 % n and c % n == 0:
                     break
     except IndexError:
         raise SweepOverrun(f"sweep ran past the vertex lists for n={n}; not a CCW convex ring?") from None
@@ -270,8 +248,8 @@ def _vector_sweep(xy: np.ndarray):
             return None
     maxarea, max_state = best_quad
     minarea, min_state = best_para
-    # The loop's count: its three searches and first support choice
-    # (b0 + d0 + 3), then 3 per diagonal event and 5 per support event.
+    # `_scalar_sweep`'s count rule; the loop counts as it goes, so it checks
+    # this formula.
     ndet = steps.s + steps.c0 + 3 + 3 * steps.n + 5 * steps.bd_events
     return maxarea, max_state, minarea, min_state, ndet
 

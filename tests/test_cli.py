@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quadpara import DegenerateSample, cli, lattice_ngon
+from quadpara import DegenerateSample, SweepOverrun, cli, lattice_ngon
 from quadpara.cli import InputError, main
 
 SQUARE = "0 0\n1 0\n1 1\n0 1\n"
@@ -307,6 +307,56 @@ def test_verify_expect_malformed_report_exit_2(capsys, square_file, tmp_path, re
     assert err.startswith(f"error: {p}: ")
 
 
+@pytest.mark.parametrize(
+    "option,name,content,message",
+    [
+        ("--input", "poly.json", b"{not json", "line 1: invalid JSON: "),
+        ("--input", "poly.json", b"[[0, 0], [1, 0], [0, 1]]", "JSON document must be an object"),
+        ("--input", "poly.json", b'{"vertices": [[0, 0], [1e999, 0], [0, 1]]}', "vertices[1]: coordinates must be finite"),
+        ("--input", "poly.txt", b"0 0\n1 0\n\xff\xfe 1\n", "'utf-8' codec can't decode byte 0xff"),
+        ("--input", "poly.json", b'{"vertices": [[0, 0], [1, 0], [0, 1]], "\xff": 1}', "'utf-8' codec can't decode"),
+        ("--expect", "report.json", b"max_quad", "Expecting value"),
+        ("--expect", "report.json", b'{"max_quad": {"area": 1.0}, "\xfe": 1}', "'utf-8' codec can't decode"),
+    ],
+    ids=["invalid-json", "json-not-object", "json-non-finite", "text-not-utf8", "json-not-utf8", "expect-not-json", "expect-not-utf8"],
+)
+def test_unreadable_file_exits_2_naming_it(capsys, square_file, tmp_path, option, name, content, message):
+    # Invalid input, including a file that is not UTF-8, exits 2 with an
+    # error naming the file; exit 1 is kept for verification failures.
+    p = tmp_path / name
+    p.write_bytes(content)
+    argv = ["--input", str(p)] if option == "--input" else ["--input", square_file, "--expect", str(p)]
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {p}: ") and message in err
+
+
+def test_sweep_overrun_exits_3(capsys, square_file, monkeypatch):
+    def overrun(P):
+        raise SweepOverrun("more than 48 sweep events for n=4")
+
+    monkeypatch.setattr(cli, "combined_extremes", overrun)
+    code, out, err = run(capsys, "both", "--input", square_file)
+    assert code == 3 and out == ""
+    assert err == "internal error: more than 48 sweep events for n=4\n"
+
+
+def test_bench_size_below_3_exits_2(capsys):
+    code, _, err = run(capsys, "bench", "2")
+    assert code == 2
+    assert err == "error: size 2: need n >= 3\n"
+
+
+def test_verify_skips_para_oracle_over_budget(capsys, tmp_path):
+    code, out, _ = run(capsys, "gen", "--kind", "lattice", "--n", "201", "--seed", "1")
+    p = tmp_path / "n201.txt"
+    p.write_text(out)
+    code, out, _ = run(capsys, "verify", "--input", str(p))
+    assert code == 0
+    assert "skip para-oracle          n=201 over budget 200\n" in out
+
+
 def test_verify_skips_quad_oracle_over_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "--kind", "lattice", "--n", "45", "--seed", "1")
     p = tmp_path / "n45.txt"
@@ -351,7 +401,7 @@ def test_bench_assert_linear(capsys):
 def test_tol_and_budget_reject_nonfinite_and_negative(capsys, square_file):
     # A NaN budget never trips --assert-linear: a usage error, like every
     # other value that is not a finite number >= 0.
-    for value in ("inf", "-inf", "nan", "1e400", "-1", "-0.5"):
+    for value in ("inf", "-inf", "nan", "1e400", "-1", "-0.5", "abc"):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "40", "--assert-linear", f"--budget={value}"])
         assert exc.value.code == 2
