@@ -40,9 +40,7 @@ from .geometry import (
     Point,
     Segment,
     SweepOverrun,
-    _chord_params,
-    _chord_span,
-    _extent,
+    _det_sign,
     _meet,
     _neg_margins,
     _unit,
@@ -204,12 +202,6 @@ def _parallelogram(
     return ParaResult((g0, g1, g2, g3), u, v, area, touch)
 
 
-# Unit roundoff of binary64, and the largest conditioning factor kappa (see
-# `_longest_chord`) of an edge that bounds the window's chords.
-_EPS = 2.0**-53
-_KAPPA_MAX = 2.0**20
-
-
 def _d_edge(P: ConvexPolygon, u: Direction) -> int:
     """The index j for which the ray along u meets D = P - P on its edge
     from vertex j - 1 to vertex j, mod n: one binary search on the keys of
@@ -219,170 +211,76 @@ def _d_edge(P: ConvexPolygon, u: Direction) -> int:
     return int(np.searchsorted(D.keys, key[0] if key[0] < 2.0 else key[1], side="right"))
 
 
-def _vertex_extents(P: ConvexPolygon, rows, edges, ux: float, uy: float) -> np.ndarray:
-    """The extent of the chord along (ux, uy) through each vertex in `rows`,
-    cut by the edges in `edges` alone, with `chord_through`'s float
-    expressions."""
-    xy = P.coords()
-    vx, vy = xy[:, 0], xy[:, 1]
-    ex, ey = P.edges()
-    bx, by = vx[rows], vy[rows]
-    ex, ey = ex[edges], ey[edges]
-    t0, t1 = _chord_params(_neg_margins(bx[:, None], by[:, None], vx[edges], vy[edges], ex, ey), ex, ey, ux, uy)
-    return _extent((bx + t0 * ux, by + t0 * uy), (bx + t1 * ux, by + t1 * uy), ux, uy)
-
-
-def _one_edge_bounds(P: ConvexPolygon, ux: float, uy: float) -> np.ndarray:
-    """An upper bound on the extent of every vertex's chord along (ux, uy),
-    exact where the binary searches below find the edges it crosses.
-
-    The edges with d = e x u > 0 form one run of the ring, along which the
-    offset s = u x p falls, and those with d < 0 another, along which it
-    rises; a binary search on s finds the edge of each run that a vertex's
-    chord crosses.  Cut by those two edges alone, elementwise, the chord is
-    never shorter: each parameter is `_chord_params`' quotient for that
-    edge, and rounding is monotone."""
-    xy = P.coords()
-    vx, vy = xy[:, 0], xy[:, 1]
-    ex, ey = P.edges()
-    d = ex * uy - ey * ux
-    s = ux * vy - uy * vx
-    t = []
-    for sign in (-1.0, 1.0):  # the run with d > 0, then d < 0
-        run = np.flatnonzero(sign * d < 0.0)
-        gap = np.flatnonzero(np.diff(run) != 1)
-        if gap.size:
-            run = np.roll(run, -int(gap[0]) - 1)  # from the run's first edge
-        k = run[np.maximum(np.searchsorted(sign * s[run], sign * s, side="right") - 1, 0)]
-        t.append(_neg_margins(vx, vy, vx[k], vy[k], ex[k], ey[k]) / d[k] + 0.0)
-    t0, t1 = _chord_span(*t)
-    return _extent((vx + t0 * ux, vy + t0 * uy), (vx + t1 * ux, vy + t1 * uy), ux, uy)
-
-
-def _first_longest(P: ConvexPolygon, u: Direction, rows, bounds) -> tuple[int, Segment, float]:
-    """The first vertex i of `rows`, which ascend, whose chord along u
-    has the greatest extent, given an upper bound on each one's extent in
-    `bounds`: (i, chord_through(P, P[i], u), that chord's extent).
-
-    The vertex ranked first is measured with `chord_through`; when its
-    extent falls short, it replaces the bound and the ranking repeats.  A
-    vertex ranked first with its measured extent beats, or ties later in
-    index order, every other extent.  `bounds` is not modified."""
-    ext = np.array(bounds, dtype=np.float64)
-    while True:
-        k = int(np.argmax(ext))
-        seg = chord_through(P, P[rows[k]], u)
-        full = _extent(*seg, u.dx, u.dy)
-        if not full < ext[k]:
-            return rows[k], seg, full
-        ext[k] = full
-
-
-def _ranked_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
-    """`_longest_chord`'s answer from `_one_edge_bounds`: the route for
-    windows that the rounding bound cannot certify, in O(n log n)."""
-    i, seg, _ = _first_longest(P, u, range(P.n), _one_edge_bounds(P, u.dx, u.dy))
-    return i, seg
-
-
 def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
-    """The first vertex i, in index order, whose chord along u has the
-    greatest extent (b - a) . u as `oracle._longest_vertex_chords` computes
-    it, with `chord_through(P, P[i], u)`; u is a `_dyadic_unit` vector.
+    """The first vertex i, in index order, whose chord along u is exactly
+    the longest, with `chord_through(P, P[i], u)`, or the exact chord,
+    rounded, where rounding collapses that one to a point; u is a
+    `_dyadic_unit` vector.  Every decision is an exact sign (`_det_sign`).
 
-    D = P - P proposes: its radial function along u is the longest chord's
-    length (Rogers and Shephard, 1957), so the chord runs from one of the at
-    most four vertices of the pairs (a, c) that end the D edge named by
-    `_d_edge` (the same along -u: D is centrally symmetric).  Those vertices
-    and their ring neighbours within 2 form the window.  Each window chord
-    is first cut only by the window's edges E, less those whose factor
-    kappa = |e|_1 |u|_inf / |d| exceeds _KAPPA_MAX (d = e x u; an edge is
-    kept only when its sign is sure): with fewer edges no chord is shorter,
-    and rounding is monotone, so this extent U bounds the full one from
-    above, with no error term.  The window's first longest chord is
-    `_first_longest`'s, ranked by U.
-
-    No vertex outside the window can then rank first or tie, by two facts.
-    (1) Let L(s) be |u| times the length of the exact chord at offset
-    s = u x p of P_E, the intersection of E's half-planes: P_E is convex,
-    so L is concave (Brunn-Minkowski), and s is monotone along each chain
-    of P between the two vertices extreme across u.  (2) Rounding: with
-    eps = 2^-53, |U - L| <= A + B L at every vertex, A = 256 eps kappa
-    max|coord| and B = 512 eps kappa, kappa the largest over E (Higham,
-    "Accuracy and Stability of Numerical Algorithms", ch. 3: bounds for
-    the margins, d, the quotients t and the extent; the chord parameters
-    are at most 4 L in size).  At each end e of a gap between window runs,
-    the gap's first and last edges move s in opposite directions (their
-    signs are sure), so every gap vertex lies beyond s_e or beyond the
-    other end's offset.  If some vertex k of e's run, reached from e over
-    edges of the same sure sign, has U_k > out(U_e) = (U_e + 2A)(1 + 4B),
-    then L(s_k) > L(s_e) with s_k on the window's side of s_e, so L does
-    not rise past s_e, and every gap vertex j beyond it has an extent
-    <= U_j <= out(U_e).  The window's answer stands when out(U_e) is also
-    below the winner's extent at every end (a window covering the ring has
-    no gap).  Otherwise `_ranked_chord` answers, as it does when the window
-    keeps no edge of one sign of d, as where every edge near the chord's
-    ends lies within about 1e-6 rad of u.  A poor proposal costs time but
-    never changes the answer.  Underflow is out of scope, as for the rest
-    of the package.
+    The walk holds a vertex v and the edge k where the line through p[v]
+    along u leaves P.  Chord length is concave in the line's offset, so
+    p[v]'s chord is the longest unless it grows toward p[v - 1], iff
+    e[v - 1] x e[lo] > 0, or toward p[v + 1], iff e[v] x e[hi] < 0, for the
+    far edges lo and hi on those sides; if neither, P has parallel
+    supporting lines at its ends, an affine diameter (Rogers and Shephard,
+    1957).  Else the walk steps to the nearer next vertex on that side, on
+    either chain.  D = P - P proposes the first state: a wrong D costs
+    steps, never the answer.  A zero product means parallel edges, between
+    which every chord is longest; their at most four vertices are found by
+    one step across, and the first is taken.
     """
-    n = P.n
-    ux, uy = u.dx, u.dy
-    umax = max(abs(ux), abs(uy))
-    ex, ey = P.edges()
+    n, o, w = P.n, (0.0, 0.0), (u.dx, u.dy)
+
+    def side(v, m):  # the side of p[m] of the line through p[v] along u
+        return _det_sign(o, w, P[v], P[m])
+
+    def turn(i, k):  # e[i] x e[k]
+        return _det_sign(P[i], P[i + 1], P[k], P[k + 1])
+
+    def settle(v, k):
+        """(v, lo, hi, [((v, k), the vertices on p[v]'s chord)]), k searched
+        from edge k along the ring, where the sides change once; from
+        p[v + 1] where the line through p[v] only touches P."""
+        t, first = min(max((k - v) % n, 1), n - 2), None
+        while 1 <= t <= n - 2:
+            k = (v + t) % n
+            g0, g1 = side(v, k), side(v, k + 1)
+            if g0 * g1 <= 0:
+                ends = [v] + [k] * (g0 == 0) + [(k + 1) % n] * (g1 == 0)
+                return v, (k + (g1 == 0)) % n, (k - (g0 == 0)) % n, [((v, k), ends)]
+            first = side(v, v + 1) if first is None else first
+            t += 1 if g0 == first else -1
+        return settle((v + 1) % n, v)
+
+    def step(v, d, f):
+        """The next state toward p[v + d], f the far edge on that side."""
+        a, b = (v + d) % n, (f + (d < 0)) % n
+        return (b, (v - (d < 0)) % n) if side(a, b) == side(a, v) else (a, f)
+
     D = P.difference_body()
-    j = _d_edge(P, u)
-    ends = [(j - 1) % len(D.keys), j % len(D.keys)]
-    proposed = set(D.a[ends].tolist() + D.c[ends].tolist())
-    rows = sorted({(p + k) % n for p in proposed for k in range(-2, 3)})
-    w = len(rows)
-    edges = np.array(sorted({(i - 1) % n for i in rows}.union(rows)))
-    d = ex[edges] * uy - ey[edges] * ux
-    sure = np.abs(d) - 4.0 * _EPS * (np.abs(ex[edges] * uy) + np.abs(ey[edges] * ux))
-    size = 2.0 * umax * (np.abs(ex[edges]) + np.abs(ey[edges]))
-    good = size <= _KAPPA_MAX * sure
-    if not ((d[good] > 0.0).any() and (d[good] < 0.0).any()):
-        return _ranked_chord(P, u)
-    kappa = float((size[good] / sure[good]).max())
-    U = _vertex_extents(P, rows, edges[good], ux, uy)
-    i, seg, best = _first_longest(P, u, rows, U)
-    # The sure sign of each window vertex's outgoing and incoming edge:
-    # +1 where s rises along it, -1 where it falls, 0 where unsure.
-    sign = np.where(sure > 0.0, -np.sign(d), 0.0)
-    s_out = sign[np.searchsorted(edges, rows)].tolist()
-    s_in = sign[np.searchsorted(edges, [(k - 1) % n for k in rows])].tolist()
-    gap = [rows[(k + 1) % w] != (rows[k] + 1) % n for k in range(w)]
-    A = 256.0 * _EPS * kappa * P.scale
-    B = 512.0 * _EPS * kappa
-    out = ((U + 2.0 * A) * (1.0 + 4.0 * B)).tolist()
-    U = U.tolist()
-    if all(_gap_is_safe(e, gap, s_out, s_in, U, out, best) for e in range(w) if gap[e]):
+    j = _d_edge(P, u) % n
+    a, c = int(D.a[j - 1]), int(D.c[j - 1])
+    c_steps = (D.a[j] if j else D.c[0]) == a  # D's edge is e[c]: the chord leaves p[a]
+    v, lo, hi, chords = settle(a, c) if c_steps else settle(c, a)
+    while max(grow := (turn(v - 1, lo), -turn(v, hi))) > 0:
+        v, lo, hi, chords = settle(*(step(v, -1, lo) if grow[0] > 0 else step(v, 1, hi)))
+    for d, f, g, own in ((-1, lo, grow[0], (v - 1) % n), (1, hi, grow[1], v)):
+        if g == 0 and f != own:  # parallel edges, not the chord's own
+            chords += settle(*step(v, d, f))[3]
+    i, (v, k) = min((min(ends), state) for state, ends in chords)
+    seg = chord_through(P, P[i], u)
+    if seg.a != seg.b:
         return i, seg
-    return _ranked_chord(P, u)
+    # An edge at p[i] within rounding of parallel to u turned the float
+    # line away from P there.  The chord is p[v]'s, to where the line
+    # crosses edge k.  (Imported here: `fractions` would add about 2 ms to
+    # the package's import for this rare branch.)
+    from fractions import Fraction
 
-
-def _gap_is_safe(e: int, gap: list, s_out: list, s_in: list, U: list, out: list, best: float) -> bool:
-    """Whether no vertex in the gap after window position e can rank first
-    (see `_longest_chord`): the gap's first and last edges move s in
-    opposite sure directions, and out(U) at both of its ends lies below
-    the winner's extent and below U at a witness, a vertex reached from the
-    end, away from the gap, over edges of that end's sure sign."""
-    w = len(gap)
-    e2 = (e + 1) % w
-    rise = s_out[e]
-    if rise == 0.0 or s_in[e2] != -rise:
-        return False
-    k, top = e, -math.inf
-    while not gap[k - 1] and s_in[k] == rise:
-        k -= 1
-        top = max(top, U[k])
-    if not out[e] < min(best, top):
-        return False
-    k, top = e2, -math.inf
-    while not gap[k] and s_out[k] == -rise:
-        k = (k + 1) % w
-        top = max(top, U[k])
-    return out[e2] < min(best, top)
+    px, py, ax, ay, bx, by, ux, uy = map(Fraction, (*P[v], *P[k], *P[k + 1], u.dx, u.dy))
+    t = ((ax - px) * (by - ay) - (ay - py) * (bx - ax)) / (ux * (by - ay) - uy * (bx - ax))
+    far = Point(float(px + t * ux), float(py + t * uy))
+    return i, Segment(P[v], far) if t > 0 else Segment(far, P[v])
 
 
 def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult]:
@@ -395,13 +293,11 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
 
     The diagonal is chosen from D = P - P, built once per polygon in
     O(n log n) numpy work and cached (`ConvexPolygon.difference_body`): one
-    binary search proposes it, and a window of a few vertices, measured
-    against its own edges, confirms it (`_longest_chord`); where rounding
-    leaves the window unconfirmed, a ranking of every vertex by a one-edge
-    bound decides, in O(n log n) (`_ranked_chord`).  The diagonal is then measured once with
-    `chord_through`; its far end, b and d take three more O(n) array passes.
-    The result is bit-identical to measuring the chord through every
-    vertex, which `oracle.longest_chord` does in O(n^2).
+    binary search proposes it, and exact signs confirm it or step to it
+    (`_longest_chord`).  It is the exactly longest chord along u, through
+    the first vertex on ties, measured once; its far end, b and d take
+    three more O(n) array passes.  `oracle.longest_chord` measures the
+    chord through every vertex in floats, in O(n^2).
 
     The pair is computed with u scaled by a power of two (`_dyadic_unit`),
     so u and 2^j u give the same pair, bit for bit, at every magnitude; only

@@ -5,11 +5,12 @@ sign of a 2x2 determinant with no epsilon.  On integer inputs with
 |coordinate| <= 2**20 those determinants are computed exactly, so strict and
 non-strict comparisons of triangle areas over a common base never disagree
 with the true signs; tie cases (parallel edges) therefore branch correctly.
-This module keeps no tolerance of its own: `contains_point` compares with
-the tolerance its caller passes.  The package's one distance tolerance is
-`extremal._dist_tol`, CERT_TOL * max|coord|, which both the anchored pair's
-construction and every certificate use; it has no absolute floor, so it
-scales with the polygon.
+`_det_sign` gives the exact sign for any finite inputs; the anchored chord
+is chosen with it.  This module keeps no tolerance of its own:
+`contains_point` compares with the tolerance its caller passes.  The
+package's one distance tolerance is `extremal._dist_tol`, CERT_TOL *
+max|coord|, which both the anchored pair's construction and every
+certificate use; it has no absolute floor, so it scales with the polygon.
 """
 
 from __future__ import annotations
@@ -286,8 +287,9 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
 
     Consecutive equal points, and a tail equal to the first point, count
     once; a vertex is dropped when its turn is exactly zero.  Raises
-    ValueError for rows that are not (x, y) pairs, NonFinite, and
-    Degenerate if fewer than 3 extreme points remain.
+    ValueError for rows that are not (x, y) pairs, NonFinite (also where
+    the area or a turn overflows), and Degenerate if fewer than 3 extreme
+    points remain.
     """
     xy = _pair_array(points)
     if not np.isfinite(xy).all():
@@ -306,15 +308,20 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
         raise Degenerate("fewer than 3 distinct points")
     ring = np.concatenate((xy[-1:], xy, xy[:1]))  # ring[i + 1] is vertex i
     p, q = ring[1:-1], ring[2:]
-    # cumsum adds the terms one at a time in ring order, so the sign of a
-    # near-zero area does not depend on numpy's pairwise summation.
-    area2 = np.cumsum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1])[-1]
+    # Products of huge coordinates overflow; the ring is then rejected, as
+    # the constructor rejects it, without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cumsum adds the terms one at a time in ring order, so the sign of a
+        # near-zero area does not depend on numpy's pairwise summation.
+        area2 = np.cumsum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1])[-1]
+        e = ring[1:] - ring[:-1]  # e[i] runs from vertex i - 1 to vertex i
+        # Reversing the ring negates every turn exactly, so the zero turns
+        # are found before the orientation is fixed.
+        turn = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    if not (math.isfinite(area2) and np.isfinite(turn).all()):
+        raise NonFinite("coordinates too large: the doubled area or a turn overflows")
     if area2 == 0.0:
         raise Degenerate("ring has zero area")
-    e = ring[1:] - ring[:-1]  # e[i] runs from vertex i - 1 to vertex i
-    # Reversing the ring negates every turn exactly, so the zero turns are
-    # found before the orientation is fixed.
-    turn = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
     keep = turn != 0.0
     out = xy if keep.all() else xy[keep]
     if len(out) < 3:
@@ -373,7 +380,8 @@ def chord_through(P: ConvexPolygon, q, u) -> Segment:
     ux, uy = _unit(u)
     xy = P.coords()
     ex, ey = P.edges()
-    t0, t1 = _chord_params(_neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey), ex, ey, ux, uy)
+    with np.errstate(over="ignore"):
+        t0, t1 = _chord_params(_neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey), ex, ey, ux, uy)
     t0, t1 = float(t0), float(t1)
     return Segment(Point(qx + t0 * ux, qy + t0 * uy), Point(qx + t1 * ux, qy + t1 * uy))
 
@@ -383,10 +391,10 @@ def _neg_margins(qx, qy, vx, vy, ex, ey):
     point (qx, qy) for the edge from (vx, vy) along (ex, ey), scaled by the
     edge length.  The arguments broadcast; the result is a fresh array.
 
-    `chord_through`, `oracle.longest_chord`, `oracle.brute_smallest_para`
-    and `extremal._vertex_extents` all take their margins from here, so
-    their chord parameters agree to the bit; so do both containment checks
-    of a certificate, `contains_point` and `extremal.verify_conjugate_pair`'s
+    `chord_through`, `oracle.longest_chord` and `oracle.brute_smallest_para`
+    all take their margins from here, so their chord parameters agree to
+    the bit; so do both containment checks of a certificate,
+    `contains_point` and `extremal.verify_conjugate_pair`'s
     polygon-in-parallelogram pass.
     """
     c = qy - vy
@@ -406,7 +414,11 @@ def _chord_params(neg_c, ex, ey, ux, uy):
     margins of shape (m, n), giving (b, m) parameters.  Each chord's
     parameters come from the same float expressions whatever the shapes, so
     the oracles, which measure many chords at once, measure the chords
-    `chord_through` returns, to the bit.
+    `chord_through` returns, to the bit.  Where rounding at a tangency gives
+    t0 > t1, both become their midpoint.  Raises Degenerate if a parameter
+    is not finite.  An edge nearly parallel to u gives a quotient beyond the
+    float range: callers compute under np.errstate(over="ignore"), so that
+    overflow gives inf without a warning, as in Python float arithmetic.
     """
     d = ex * uy - ey * ux
     t = neg_c / np.where(d == 0.0, 1.0, d)
@@ -414,31 +426,35 @@ def _chord_params(neg_c, ex, ey, ux, uy):
     # pick between -0.0 and +0.0 by memory layout, not by value.
     t0 = np.maximum.reduce(t, axis=-1, where=d > 0.0, initial=-math.inf) + 0.0
     t1 = np.minimum.reduce(t, axis=-1, where=d < 0.0, initial=math.inf) + 0.0
-    return _chord_span(t0, t1)
-
-
-def _extent(a, b, ux: float, uy: float):
-    """(b - a) . u for the chord from a to b; the ends are (x, y) pairs of
-    floats, or of arrays for many chords at once.  The anchored routes and
-    `oracle.longest_chord` compare the extents of their chords from here."""
-    return (b[0] - a[0]) * ux + (b[1] - a[1]) * uy
-
-
-def _chord_span(t0, t1):
-    """The chord parameters (t0, t1), elementwise, with a tangency's rounding
-    collapsed: where t0 > t1, both become their midpoint.  Raises Degenerate
-    if a parameter is not finite."""
     if not np.isfinite((t0, t1)).all():
         raise Degenerate("line does not leave the polygon; invalid polygon?")
     tangent = t0 > t1
     if tangent.any():
-        # Rounding at a tangency; collapse to the midpoint parameter.
-        # Overflow gives inf without a warning, as in Python float arithmetic.
-        with np.errstate(over="ignore"):
-            mid = 0.5 * (t0 + t1)
+        mid = 0.5 * (t0 + t1)
         t0 = np.where(tangent, mid, t0)
         t1 = np.where(tangent, mid, t1)
     return t0, t1
+
+
+def _det_sign(p, q, r, s) -> int:
+    """The exact sign, -1, 0 or 1, of the determinant (q - p) x (s - r) for
+    (x, y) pairs of finite floats.
+
+    The float determinant decides where it exceeds Shewchuk's bound on its
+    rounding error ("Adaptive Precision Floating-Point Arithmetic and Fast
+    Robust Geometric Predicates", 1997), widened by 2^-1000 for underflow;
+    elsewhere, overflow included, Python integers evaluate it, on the inputs
+    scaled by a common power of two."""
+    left = (q[0] - p[0]) * (s[1] - r[1])
+    right = (q[1] - p[1]) * (s[0] - r[0])
+    det = left - right
+    if abs(det) > (3.0 + 16.0 * 2.0**-53) * 2.0**-53 * (abs(left) + abs(right)) + 2.0**-1000:
+        return 1 if det > 0.0 else -1
+    ratios = [float(v).as_integer_ratio() for v in (*p, *q, *r, *s)]
+    den = max(d for _, d in ratios)
+    px, py, qx, qy, rx, ry, sx, sy = (m * (den // d) for m, d in ratios)
+    det = (qx - px) * (sy - ry) - (qy - py) * (sx - rx)
+    return (det > 0) - (det < 0)
 
 
 def _meet(p, u, q, v) -> Optional[tuple[float, float]]:

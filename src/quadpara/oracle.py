@@ -26,7 +26,6 @@ from .geometry import (
     Point,
     Segment,
     _chord_params,
-    _extent,
     _neg_margins,
     _unit,
     width,
@@ -69,17 +68,17 @@ def _longest_vertex_chords(P: ConvexPolygon, ux: np.ndarray, uy: np.ndarray, mar
     per = max(1, _CHORD_BLOCK // (n * n))
     rows = math.ceil(n / math.ceil(n * n / _CHORD_BLOCK))
     t0, t1 = np.empty((b, n)), np.empty((b, n))
-    for j in range(0, b, per):
-        cx, cy = ux[j : j + per, :, None], uy[j : j + per, :, None]
-        for s in range(0, n, rows):
-            t0[j : j + per, s : s + rows], t1[j : j + per, s : s + rows] = _chord_params(
-                margins(s, s + rows), ex, ey, cx, cy
-            )
-    # chord_through's endpoints and the extents; overflow gives inf without
-    # a warning, as in Python float arithmetic.
+    # The chord parameters, endpoints and extents; overflow gives inf
+    # without a warning, as in Python float arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, b, per):
+            cx, cy = ux[j : j + per, :, None], uy[j : j + per, :, None]
+            for s in range(0, n, rows):
+                t0[j : j + per, s : s + rows], t1[j : j + per, s : s + rows] = _chord_params(
+                    margins(s, s + rows), ex, ey, cx, cy
+                )
         ax, ay, bx, by = vx + t0 * ux, vy + t0 * uy, vx + t1 * ux, vy + t1 * uy
-        ext = _extent((ax, ay), (bx, by), ux, uy)  # t-extent * |u|^2
+        ext = (bx - ax) * ux + (by - ay) * uy  # (b - a) . u: the t-extent * |u|^2
     np.fmax(ext, -1.0, out=ext)  # NaN never wins
     j = np.arange(b)
     i = np.argmax(ext, axis=1)  # the first of the longest
@@ -94,7 +93,8 @@ def longest_chord(P: ConvexPolygon, u) -> Segment:
     is attained at a vertex height, so the longest chord passes through some
     vertex.  Ties keep the lowest vertex index.  `chord_through` for every
     vertex, in O(n^2) array passes over blocks of vertices, makes this the
-    reference for `anchored_conjugate_pair`.  u enters as its `_dyadic_unit`
+    float check of `anchored_conjugate_pair`'s exactly chosen chord: their
+    lengths agree within tolerance.  u enters as its `_dyadic_unit`
     representative (`geometry._unit`).
     """
     ux, uy = _unit(u)

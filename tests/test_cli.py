@@ -222,13 +222,17 @@ def test_gen_degenerate_sample_exits_2(capsys, monkeypatch):
 
 
 def test_overflowing_ring_exits_2(capsys, tmp_path):
+    # One error line, and no RuntimeWarning, which the test configuration
+    # turns into an error: at 1e200 and 1e300 canonicalize's own products
+    # overflow, at 1e150 only the constructor's.
     code, out, _ = run(capsys, "gen", "--kind", "lattice", "--n", "300", "--seed", "3")
     rows = [line.split() for line in out.splitlines() if not line.startswith("#")]
-    p = tmp_path / "huge.txt"
-    p.write_text("".join(f"{float(x) * 1e150!r} {float(y) * 1e150!r}\n" for x, y in rows))
-    code, out, err = run(capsys, "both", "--input", str(p))
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: {p}: coordinates too large")
+    for scale in (1e150, 1e200, 1e300):
+        p = tmp_path / f"huge-{scale:g}.txt"
+        p.write_text("".join(f"{float(x) * scale!r} {float(y) * scale!r}\n" for x, y in rows))
+        code, out, err = run(capsys, "both", "--input", str(p))
+        assert code == 2 and out == "", scale
+        assert err.startswith(f"error: {p}: coordinates too large") and err.count("\n") == 1, err
 
 
 def test_failing_certificate_of_a_printed_figure_exits_1(capsys, tmp_path):
@@ -461,6 +465,9 @@ REPORT_FILES = {
     "hull-400.txt": ["--kind", "random-hull", "--n", "400", "--seed", "7"],
     "parallel-12.txt": ["--kind", "parallel-edges", "--n", "12", "--seed", "5"],
     "regular-9.txt": ["--kind", "regular", "--n", "9"],
+    # Two parallel support edges meet the sweep loop's b/d tie rule.
+    "regular-4.txt": ["--kind", "regular", "--n", "4"],
+    "regular-30-r1.txt": ["--kind", "regular", "--n", "30", "--rotation", "1"],
     # `verify` runs both brute oracles on n = 4-40, only the parallelogram
     # one on n = 52-200.
     "lattice-4.txt": ["--kind", "lattice", "--n", "4", "--seed", "1"],
@@ -496,6 +503,8 @@ REPORT_GOLDEN = [
     ("regular-9.txt", "both", "72ed24353d370b89a855940b674fd8b2146f92e4181f8afd386b4cc986ec02dd"),
     ("regular-9.txt", "quad", "dafed5b6902635005a28519702e85a8bb7c34ec9f38780d263b5f3bb3d9f50e8"),
     ("regular-9.txt", "para", "a405e91cce9db39d44e4156f732e04c5cf3b4db5d6582b2b8535c9231d7f09ec"),
+    ("regular-4.txt", "para", "ad5ba2d5dc16bf715892db97da313a1714e90d999e4aa2f1b95868552635ab32"),
+    ("regular-30-r1.txt", "para", "aadf205a9679bd114b0d292b558fe4ec90da7f353f28a30919ec5d4a784b9012"),
 ]
 
 # SHA-256 of the stdout of `quadpara verify --input FILE`.  Recorded while the

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from quadpara import (
     brute_largest_quad,
     brute_smallest_para,
     canonicalize,
+    chord_through,
     combined_extremes,
     contains_point,
     largest_quadrilateral,
@@ -35,9 +38,8 @@ from quadpara import (
     verify_conjugate_pair,
 )
 from quadpara import extremal
-from quadpara.cli import main
+from quadpara.cli import ORACLE_REL_TOL, main
 from quadpara.extremal import _vertical_extremes
-from quadpara.geometry import _dyadic_unit
 
 REL = 1e-12
 
@@ -90,14 +92,15 @@ def test_anchored_pair_skips_sides_nearly_parallel_to_u(n, rotation, u):
 def test_anchored_pair_scales_exactly():
     # Scaling by 2**j rounds nothing here, and every tolerance of the
     # construction and of the certificate is relative to P.scale, so each
-    # decision and each check is the same.
+    # decision and each check is the same.  At 2**500 the constructor
+    # rejects the 300-gon: its doubled area overflows.
     polys = [lattice_ngon(64, 1), random_convex(40, 7, 1000), parallel_edge_polygon(6, 3), lattice_ngon(300, 2)]
     for P in polys:
         for u in ((1, 0), (3, 7), (-1, 1), (123, -457)):
             F, G = anchored_conjugate_pair(P, u)
             checks = verify_conjugate_pair(F, G, u, P).checks
             assert checks.all_ok, (P.n, u)
-            for j in (-60, -40, -30, -20, 20, 100):
+            for j in (-500, -300, -60, -40, -30, -20, 20, 100, 300) + ((500,) if P.n < 300 else ()):
                 Pj = ConvexPolygon(P.coords() * 2.0**j)
                 Fj, Gj = anchored_conjugate_pair(Pj, u)
                 assert verify_conjugate_pair(Fj, Gj, u, Pj).checks == checks, (P.n, u, j)
@@ -505,6 +508,65 @@ def _bits(points):
     return [c.hex() for p in points for c in p]
 
 
+def exact_longest_chord_vertex(P: ConvexPolygon, u) -> int:
+    """The first vertex, in index order, whose chord along u is longest,
+    in exact rational arithmetic on the binary64 inputs: the referee of
+    `extremal._longest_chord`, which shares no code with it.
+
+    Scaled by a common power of two, the coordinates and u are integers.
+    A point p lies at offset s = u x p across u and at t = u . p along it.
+    From the vertex of least offset to that of greatest and back, the ring
+    forms two chains on which s is monotone; the chord at a vertex's
+    offset runs between the chains' points at that offset, whose t are
+    interpolated exactly, or between the ends of an edge along u.
+    """
+    vals = [*P.coords().ravel().tolist(), float(u[0]), float(u[1])]
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = max(d for _, d in ratios)
+    *xy, ux, uy = [m * (den // d) for m, d in ratios]
+    S = [ux * y - uy * x for x, y in zip(xy[0::2], xy[1::2])]
+    T = [ux * x + uy * y for x, y in zip(xy[0::2], xy[1::2])]
+    n, lo, hi = len(S), S.index(min(S)), S.index(max(S))
+    chains = []
+    for start, length, sign in ((lo, (hi - lo) % n, 1), (hi, (lo - hi) % n, -1)):
+        ring = [(start + i) % n for i in range(length + 1)]
+        chains.append((ring, [sign * S[m] for m in ring], sign))
+    extents = []
+    for s in S:
+        ts = []
+        for ring, keys, sign in chains:
+            j = bisect_left(keys, sign * s)
+            if keys[j] == sign * s:
+                ts += [T[m] for m in ring[j : bisect_right(keys, sign * s)]]
+            else:
+                p, q = ring[j - 1], ring[j]
+                ts.append(Fraction(T[p] * (S[q] - s) + T[q] * (s - S[p]), S[q] - S[p]))
+        extents.append(max(ts) - min(ts))
+    return extents.index(max(extents))
+
+
+def test_exact_referee_examples(square, triangle):
+    # Ties keep the first vertex; a chord along an edge counts for both of
+    # the edge's vertices.
+    hexa = ConvexPolygon([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)])
+    cases = [(square, (1, 0), 0), (square, (1, 1), 0), (square, (-1, 1), 1), (triangle, (0, 1), 0)]
+    cases += [(triangle, (-1, 1), 1), (hexa, (1, 0), 2), (hexa, (0, 1), 0), (hexa, (1, 1), 0)]
+    for P, u, want in cases:
+        assert exact_longest_chord_vertex(P, u) == want, (P, u)
+
+
+def _assert_exact_diagonal(P, u, F):
+    """F's diagonal ends at the referee's vertex, and is `chord_through` it,
+    to the bit, unless rounding collapses that float chord to a point; its
+    length is within ORACLE_REL_TOL of the float oracle's."""
+    uc = Direction(*u).canonical()
+    i = exact_longest_chord_vertex(P, (uc.dx, uc.dy))
+    seg, diagonal = chord_through(P, P[i], uc), (F.corners[0], F.corners[2])
+    assert i in F.vertex_indices[::2], (P.n, u, i)
+    assert seg.a == seg.b or _bits(diagonal) == _bits(seg), (P.n, u, i)
+    assert rel_eq(math.dist(*diagonal), longest_chord(P, uc).length(), ORACLE_REL_TOL), (P.n, u, i)
+
+
 def test_anchored_diagonal_is_the_reference_longest_chord(corpus):
     # the lattice polygons and parallel-edge polygons are tie-heavy
     polys = list(corpus) + [lattice_ngon(n, 7 * n) for n in (16, 50, 97)]
@@ -521,48 +583,63 @@ def test_anchored_diagonal_is_the_reference_longest_chord(corpus):
                 dirs.append((x * math.cos(t) - y * math.sin(t), x * math.sin(t) + y * math.cos(t)))
         for u in dirs:
             F, _ = anchored_conjugate_pair(P, u)
-            ref = longest_chord(P, Direction(*u).canonical())
-            assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
+            _assert_exact_diagonal(P, u, F)
+
+
+def test_anchored_diagonal_where_the_float_chord_collapses():
+    # Along edge 1 of this rotated square, vertex 3's chord is exactly the
+    # longest, but edge 3 lies within rounding of parallel to it, and
+    # chord_through's float chord at vertex 3 is a point: the diagonal is
+    # measured exactly instead.
+    P = ConvexPolygon([(0.03760215288797655, -0.999292788975378), (0.999292788975378, 0.03760215288797649),
+                       (-0.03760215288797643, 0.999292788975378), (-0.999292788975378, -0.03760215288797637)])
+    u = P.edge_vector(1)
+    assert exact_longest_chord_vertex(P, u) == 3 and chord_through(P, P[3], u).length() == 0.0
+    F, G = anchored_conjugate_pair(P, u)
+    _assert_exact_diagonal(P, u, F)
+    assert verify_conjugate_pair(F, G, u, P).checks.all_ok
+    assert rel_eq(F.area, brute_anchored_quad_area(P, u), rel=1e-9)
+
+
+def _count_signs(monkeypatch) -> list:
+    """Counts the exact signs the anchored lookup takes, in a one-element
+    list."""
+    count, sign = [0], extremal._det_sign
+
+    def counted(*args):
+        count[0] += 1
+        return sign(*args)
+
+    monkeypatch.setattr(extremal, "_det_sign", counted)
+    return count
 
 
 def test_longest_chord_survives_a_moved_proposal(corpus, monkeypatch):
-    # D's proposal only decides where the window sits: moved by one to
-    # three D vertices, or by a quarter turn, the window must either rule
-    # out every vertex outside it or hand the query to the ranking, and the
-    # chord stays the reference's.
+    # D's proposal only decides where the walk starts: moved by one to
+    # three D vertices, or by a quarter turn, it costs signs, and the chord
+    # stays the referee's.
+    signs = _count_signs(monkeypatch)
     d_edge = extremal._d_edge
-    ranked = 0
-    rank = extremal._ranked_chord
-
-    def counted(P, u):
-        nonlocal ranked
-        ranked += 1
-        return rank(P, u)
-
-    monkeypatch.setattr(extremal, "_ranked_chord", counted)
     polys = list(corpus[::3]) + [regular_ngon(n, 1000.0, 1) for n in (40, 151)]
     polys += [lattice_ngon(300, 3), parallel_edge_polygon(9, 41)]
-    queries = 0
+    spent = [0, 0]  # signs taken from the true proposals, from the moved ones
     for P in polys:
-        quarter = P.n // 2
-        for shift in (-3, -2, -1, 1, 2, 3, quarter):
+        for shift in (0, -3, -2, -1, 1, 2, 3, P.n // 2):
             monkeypatch.setattr(extremal, "_d_edge", lambda P, u, shift=shift: d_edge(P, u) + shift)
+            before = signs[0]
             for u in [(1, 0), (0, 1), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(0)]:
                 F, _ = anchored_conjugate_pair(P, u)
-                ref = longest_chord(P, Direction(*u).canonical())
-                assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u, shift)
-                queries += 1
-    assert 0 < ranked < queries  # some windows were certified, some not
+                _assert_exact_diagonal(P, u, F)
+            spent[shift != 0] += signs[0] - before
+    assert spent[1] > 7 * spent[0]  # seven moved proposals per true one
 
 
 def test_half_turn_proposal_certifies_on_lattice_polygons(monkeypatch):
     # D lists one half turn; a direction on the other half is looked up as
-    # its negation.  On lattice polygons the window around the proposal
-    # certifies every query, on both halves, and the ranking never runs.
-    def no_ranking(P, u):
-        raise AssertionError("the ranking ran")
-
-    monkeypatch.setattr(extremal, "_ranked_chord", no_ranking)
+    # its negation.  On lattice polygons the proposal is the answer on both
+    # halves: four signs confirm it, and four step across the parallel
+    # edges that every centrally symmetric polygon has at its longest chord.
+    signs = _count_signs(monkeypatch)
     rng = SplitMix64(5)
     halves = set()
     for seed in range(4):
@@ -570,15 +647,17 @@ def test_half_turn_proposal_certifies_on_lattice_polygons(monkeypatch):
         k0 = P.difference_body().k0
         for _ in range(16):
             u = (float(rng.randint(-1000, 1000)), float(rng.randint(1, 1000)))  # canonical
+            before = signs[0]
             anchored_conjugate_pair(P, u)
+            assert signs[0] - before <= 8, (P.n, u)
             halves.add(bool(extremal._direction_keys(np.array([u[0]]), np.array([u[1]]), k0)[0] >= 2.0))
     assert halves == {False, True}
 
 
 def test_longest_chord_survives_a_proposal_moved_along_one_chain(corpus, monkeypatch):
-    # With only a (or only c) moved, one window sits on a slope beside the
-    # longest chord and the other near its far end: that window's end must
-    # not be taken for a peak merely because the other window ranks higher.
+    # With only a (or only c) moved, D's pairs are no longer antipodal: the
+    # proposed vertex's far edge is searched for, and the walk must still
+    # end at the referee's vertex.
     polys = [P for P in corpus if P.n >= 20] + [lattice_ngon(300, 3), regular_ngon(151, 1000.0, 1)]
     for P in polys:
         D = P.difference_body()
@@ -588,90 +667,34 @@ def test_longest_chord_survives_a_proposal_moved_along_one_chain(corpus, monkeyp
                 Q._dbody = D._replace(**{field: (getattr(D, field) + shift) % P.n})
                 for u in [(1, 0), (0, 1), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(0)]:
                     F, _ = anchored_conjugate_pair(Q, u)
-                    ref = longest_chord(P, Direction(*u).canonical())
-                    assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u, field, shift)
-
-
-def test_longest_chord_holds_with_loosened_bounds(corpus, monkeypatch):
-    # Any bound at least the oracle's extent must give the same chord.  The
-    # lattice polygons are centrally symmetric, so a and a + n/2 always tie:
-    # with the later one's bound raised, it is ranked first, and the earlier
-    # one, whose bound equals the winner's extent, must still be measured.
-    measure = extremal._vertex_extents
-
-    def loosened(P, rows, edges, ux, uy):
-        ext = measure(P, rows, edges, ux, uy)
-        return np.where(np.asarray(rows) >= P.n // 2, ext * (1.0 + 2.0**-20) + 1e-9, ext)
-
-    monkeypatch.setattr(extremal, "_vertex_extents", loosened)
-    polys = [lattice_ngon(n, 5 * n) for n in (16, 40, 64, 300)] + list(corpus[::5])
-    for P in polys:
-        for u in [(1, 0), (0, 1), (3, 7), (-5, 2), P.edge_vector(1)]:
-            F, _ = anchored_conjugate_pair(P, u)
-            ref = longest_chord(P, Direction(*u).canonical())
-            assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P.n, u)
+                    _assert_exact_diagonal(P, u, F)
 
 
 def _squashed_ngon(n: int, factor: float) -> ConvexPolygon:
     return ConvexPolygon(canonicalize(regular_ngon(n).coords() * np.array([1.0, factor])))
 
 
-def test_ranked_chord_is_the_reference_longest_chord(corpus):
-    # The ranking by one-edge bounds alone; float polygons make those
-    # bounds miss the crossed edge.
-    polys = list(corpus[::2]) + [lattice_ngon(300, 3), parallel_edge_polygon(9, 41)]
-    polys += [regular_ngon(151, 1000.0, 1), _squashed_ngon(200, 1e-9), _squashed_ngon(64, 1e-6)]
-    for P in polys:
-        for u in [(1, 0), (0, 1), (1.0, 1e-12), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(2)]:
-            uc = Direction(*u).canonical()
-            _, seg = extremal._ranked_chord(P, Direction(*_dyadic_unit(uc.dx, uc.dy)))
-            assert _bits(seg) == _bits(longest_chord(P, uc)), (P.n, u)
-
-
-def test_one_edge_bounds_hold_the_full_extents():
-    # Each vertex's chord cut by the two edges the binary searches find is
-    # at least as long as `chord_through`'s, the chord the oracle measures.
-    turn = 0.3
-    c, s = math.cos(turn), math.sin(turn)
-    x, y = lattice_ngon(200, 9).coords().T
-    rotated = ConvexPolygon(canonicalize(np.column_stack((c * x - s * y, s * x + c * y))))
-    polys = [_squashed_ngon(512, 1e-9), _squashed_ngon(64, 1e-6), regular_ngon(151, 1000.0, 1), rotated]
-    polys += [random_convex(n, seed, 1000) for n, seed in ((40, 7), (300, 11))]
-    for P in polys:
-        for u in [(1, 0), (0, 1), (1.0, 1e-12), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(2)]:
-            uc = Direction(*u).canonical()
-            ux, uy = _dyadic_unit(uc.dx, uc.dy)
-            bounds = extremal._one_edge_bounds(P, ux, uy)
-            full = [extremal._extent(*extremal.chord_through(P, p, (ux, uy)), ux, uy) for p in P]
-            assert (bounds >= np.array(full)).all(), (P.n, u)
-
-
 def test_chord_search_stays_linear_where_no_edge_bounds_the_window(monkeypatch):
-    # Along the long axis of a regular 4096-gon squashed by 1e-9, every
-    # edge near the chord's ends has kappa > _KAPPA_MAX, so no window can be
-    # certified and the ranking answers; the (vertex, edge) pairs measured
-    # must stay O(n), not the n^2 of measuring every vertex's chord.
+    # Along the long axis of a regular polygon squashed by 1e-9 or 1e-6,
+    # every edge near the chord's ends lies within about 1e-6 rad of u, so
+    # float chord lengths are ill-conditioned there.  The exact lookup
+    # measures one chord per query, the referee's.
     measured = 0
-    measure, through = extremal._vertex_extents, extremal.chord_through
-
-    def counted(P, rows, edges, ux, uy):
-        nonlocal measured
-        measured += len(rows) * len(edges)
-        return measure(P, rows, edges, ux, uy)
+    through = extremal.chord_through
 
     def counted_chord(P, q, u):
         nonlocal measured
-        measured += P.n
+        measured += 1
         return through(P, q, u)
 
-    monkeypatch.setattr(extremal, "_vertex_extents", counted)
     monkeypatch.setattr(extremal, "chord_through", counted_chord)
-    P = _squashed_ngon(4096, 1e-9)
-    for u in [(1, 0), (1.0, 1e-12)]:
-        F, _ = anchored_conjugate_pair(P, u)
-        ref = longest_chord(P, Direction(*u).canonical())
-        assert _bits((F.corners[0], F.corners[2])) == _bits(ref), u
-    assert measured <= 8 * P.n
+    queries = 0
+    for P in (_squashed_ngon(4096, 1e-9), _squashed_ngon(200, 1e-9), _squashed_ngon(64, 1e-6)):
+        for u in [(1, 0), (1.0, 1e-12), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(2)]:
+            F, _ = anchored_conjugate_pair(P, u)
+            queries += 1
+            assert measured == queries, (P.n, u)
+            _assert_exact_diagonal(P, u, F)
 
 
 def _in_arc(v, s, e) -> bool:
@@ -797,6 +820,9 @@ FLOAT_DIRECTION = st.tuples(COMPONENT, COMPONENT).filter(lambda u: u != (0.0, 0.
 # -e[c0] parallel to e[0] up to rounding: its key must not wrap to a full
 # turn, or D gets pairs with a == c (see test_sweep.py).
 @example(ConvexPolygon(canonicalize(regular_ngon(18, 1000.0).coords() * 0.37)), (0.0, 1.0), 0, 9)
+# Along edge 0, (2, 2^-1021), the horizontal edge's chord parameter
+# overflows: no RuntimeWarning.
+@example(ConvexPolygon([(0.0, 0.0), (2.0, 2.0**-1021), (5.0, 1.0), (9.0, 3.0), (7.0, 3.0), (4.0, 2.0)]), (0.0, 1.0), 0, 0)
 def test_anchored_diagonal_matches_the_reference_on_float_hulls(P, u, edge, vertex):
     # Random float directions, edge vectors, and the directions of D's own
     # vertices p[c] - p[a], along which the chord ends at two vertices.
@@ -810,8 +836,7 @@ def test_anchored_diagonal_matches_the_reference_on_float_hulls(P, u, edge, vert
         if 0.0 < small < 2.0**-1022 * large:
             continue
         F, _ = anchored_conjugate_pair(P, v)
-        ref = longest_chord(P, Direction(*v).canonical())
-        assert _bits((F.corners[0], F.corners[2])) == _bits(ref), (P, v)
+        _assert_exact_diagonal(P, v, F)
 
 
 # `quadpara gen` arguments of the polygon files behind the digests below.
@@ -826,13 +851,12 @@ ANCHORED_FILES = {
 }
 
 # SHA-256 of the stdout of `quadpara anchored --input FILE --dir X Y`, run in
-# the directory holding FILE (the report echoes the path).  The integer
-# files' digests were recorded with the quadratic implementation that
-# measured the chord through every vertex with chord_through, so corners,
-# vertex_indices and touch_indices must stay byte-identical; the last
-# direction of each is one of its edge vectors.  The regular polygons have
-# float coordinates, so their digests also pin the query's tolerance
-# decisions: which chord end is a vertex, and which side direction is taken.
+# the directory holding FILE (the report echoes the path).  They pin the
+# exactly longest chord, through the first vertex on ties, and its corners,
+# vertex_indices and touch_indices; the last direction of each integer file
+# is one of its edge vectors.  The regular polygons have float coordinates,
+# so their digests also pin the query's tolerance decisions: which chord
+# end is a vertex, and which side direction is taken.
 ANCHORED_GOLDEN = [
     ("lattice-64.txt", (1, 0), "47464d38ac6d518289c208dc951ac04e2d77fc6c8dc8fe4dd83765c096310248"),
     ("lattice-64.txt", (0, 1), "422e0b720d1006192e58dc10f749176c0374a9c7f19b1040733572a8d9a51900"),
@@ -841,7 +865,7 @@ ANCHORED_GOLDEN = [
     ("lattice-64.txt", (3, -7), "25ab4a4772ca31433322b6ade502fdfaa4a675c40cb403d0a8421e1a2d13a66d"),
     ("lattice-64.txt", (1, 4), "4e6f5a21d239af987e3fe6d494899c73c6138e2899c9e3758362f4201b6800e5"),
     ("lattice-1000.txt", (1, 0), "a11c396cbe9816ecde301f5c88c5c41727fb7042e1d080c707d122b20e50bb1e"),
-    ("lattice-1000.txt", (1, 1), "9dbff6e9075dbb897588af42c69993707689389c1df7018c2beefc5bb575f2a7"),
+    ("lattice-1000.txt", (1, 1), "05293fbf25a619caf6bb90d3c0936f02b2b65041a5d667f08909ba0500b6ad03"),
     ("lattice-1000.txt", (123, -457), "23f5b80959fb52b5a5f33a46f04ca37c7c54af6f718ab647d87cc79093b27017"),
     ("lattice-1000.txt", (75, 69), "c311e2c3189b462b8664871355b524b15a9a4f0d0e5e2617e4e8723e8c596fe7"),
     ("hull-400.txt", (1, 0), "907e4b4b1a558f96ec44ebe5597f627d11ef4b9047ccdb9fd8e33bb15963c408"),
@@ -851,20 +875,20 @@ ANCHORED_GOLDEN = [
     ("parallel-12.txt", (-3, 3), "5db0afaaddcb20e6e2152c0b13bdf4b7080b32cb152c6381c99678de4afeb9de"),
     ("parallel-12.txt", (12, 2), "f72c4b4069bafd9e3905059000a82340c97529e91fc353c04eaa473c8e027ed6"),
     ("regular-9.txt", (1, 0), "171a2364b49078c06d7696eed1cdb8df3244908735165d25f98751a6502b886c"),
-    ("regular-9.txt", (0, 1), "71f7f5db33ef58f7e437a57e5c27f7d849369e545b92b1f05c8abb4f43b57197"),
+    ("regular-9.txt", (0, 1), "ac91b179db6899543637d994b64a2f51bc50601cc06e21286a09ab476ae79d50"),
     ("regular-9.txt", (1, 1), "139fe16df7cb519fec325101deebdf3111972f0aabf7e4508f07da0450dd6382"),
     ("regular-9.txt", (3, -7), "9ad1f867d829437b81351172e3f4df3f60c411b25dac8ce7b6b918b563c13568"),
     ("regular-9.txt", (0.6, 0.8), "6dcedd954f0cf4fce24729028d8cabbd5353f228fa7402e1e570dabd5df9b636"),
     ("regular-40.txt", (1, 0), "74535b6d99883705180c1bf32740ce2c18d49de2b44e704b35726ea523b7ba51"),
     ("regular-40.txt", (0, 1), "49168b9b4a850e58f5b3886c6718ad8d2879de83e7ea7cd342622d3dee78a047"),
-    ("regular-40.txt", (1, 1), "473719af8797d712c3d5d71e0cdb34803a36ae294a07b7b0ee54a54edcb4baa6"),
-    ("regular-40.txt", (3, -7), "caf850dc84dc3789e7f08eff6c166cfad08821572ee099b149e013f504ed2358"),
+    ("regular-40.txt", (1, 1), "a909cb790348718a9155d163f92b2b9c2bd13896fc862fa53de9133f7047f3f6"),
+    ("regular-40.txt", (3, -7), "1ab05b6fad3810b64081f27ee4ca3228a7fdb4c7851ff95bd564abb8c1963826"),
     ("regular-40.txt", (0.6, 0.8), "1078c15826579ed49f066b376ce6dc82628e87c050b16dd404b4f216e19e88ab"),
     ("regular-150.txt", (1, 0), "202087df63a32b040e09a1fb3c53e245e66e43431fc649937d0b0d0223a277f6"),
-    ("regular-150.txt", (0, 1), "fb2b587ef2c49da46e5d878b2f77f3f08c3c62a33ea1496bd0df8bcc78adf759"),
+    ("regular-150.txt", (0, 1), "12cde15f2ff7a1ba83da9d301dbd6bf2f13ab9d2f1e52d4b106bf4f340f6ba31"),
     ("regular-150.txt", (1, 1), "55cfd6a632b0dda3d03dc31a73b4e7da2b0c438fe16dc2faa473238f4b38328c"),
     ("regular-150.txt", (3, -7), "8c59313257033518359a4285bd9bf357816ecf90c52dc596094a955fe7a22853"),
-    ("regular-150.txt", (0.6, 0.8), "dc35a25934acc77a73b0f4f6f0afc732e70864c7246e0fd8cf16b3db7813dadf"),
+    ("regular-150.txt", (0.6, 0.8), "876b20af85a244f16187afe3565fad2e22ae64172e84eb0c76ad5bef0d0fde11"),
 ]
 
 

@@ -31,7 +31,7 @@ from quadpara import (
     verify_conjugate_pair,
     width,
 )
-from quadpara.geometry import _chord_params, _neg_margins
+from quadpara.geometry import _chord_params, _det_sign, _neg_margins
 
 coord = st.integers(min_value=-(2**20), max_value=2**20)
 vec = st.tuples(coord, coord)
@@ -114,6 +114,27 @@ def test_polygon_area_is_the_exact_area_rounded():
     assert polygon_area(P) == float(twice / 2) == 6753982720472.0
 
 
+def test_det_sign_is_exact():
+    # Nearly collinear points, whose float determinant has the wrong sign
+    # or is zero; scaled so that it underflows, or overflows.
+    def exact(p, q, r, s):
+        (px, py), (qx, qy), (rx, ry), (sx, sy) = [map(Fraction, v) for v in (p, q, r, s)]
+        det = (qx - px) * (sy - ry) - (qy - py) * (sx - rx)
+        return (det > 0) - (det < 0)
+
+    wrong = 0
+    for scale in (1.0, 2.0**-540, 2.0**500, 1e300):
+        for i in range(-8, 8):
+            for j in range(-8, 8):
+                p = ((0.5 + i * 2.0**-53) * scale, (0.5 + j * 2.0**-53) * scale)
+                q, r = (12.0 * scale, 12.0 * scale), (24.0 * scale, 24.0 * scale)
+                naive = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+                assert _det_sign(p, q, p, r) == exact(p, q, p, r), (scale, i, j)
+                assert _det_sign((0.0, 0.0), p, q, r) == exact((0.0, 0.0), p, q, r), (scale, i, j)
+                wrong += (naive > 0.0) - (naive < 0.0) != exact(p, q, p, r)
+    assert wrong > 100
+
+
 def test_convex_polygon_fixes_orientation():
     cw = [(0, 0), (0, 1), (1, 1), (1, 0)]
     P = ConvexPolygon(cw)
@@ -154,13 +175,19 @@ def test_convex_polygon_rejections():
         # An edge x-extent of inf: two cross products are +inf, the
         # doubled area is finite.
         np.array([(-1.5e308, 0.0), (1.5e308, 0.0), (0.0, 1e-300)]),
+        # canonicalize's own products overflow too.
+        lattice_ngon(300, 3).coords() * 1e200,
+        lattice_ngon(300, 3).coords() * 1e300,
     ],
 )
 def test_convex_polygon_rejects_overflowing_ring(ring):
     # A typed error (exit 2 in the CLI), and no RuntimeWarning, which the
-    # test configuration turns into an error.
+    # test configuration turns into an error; also on the CLI's route
+    # through canonicalize.
     with pytest.raises(NonFinite):
         ConvexPolygon(ring)
+    with pytest.raises(NonFinite):
+        ConvexPolygon(canonicalize(ring))
 
 
 def test_convex_polygon_idempotent(corpus):
