@@ -58,16 +58,17 @@ CERT_TOL = 1e-9
 
 
 def _dist_tol(P: ConvexPolygon) -> float:
-    """The distance tolerance of the constructions and the certificates,
-    CERT_TOL * max|coord|: with no absolute floor, the pairs built and the
-    checks made scale exactly with the polygon."""
+    """The distance tolerance of the certificates, CERT_TOL * max|coord|:
+    with no absolute floor, the checks made scale exactly with the polygon.
+    No construction reads it."""
     return CERT_TOL * P.scale
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """A contained quadrilateral: CCW corners, their vertex indices where a
-    corner coincides with a polygon vertex (None for a slid corner), area."""
+    corner is exactly that polygon vertex (None for a slid corner, or a
+    chord's end inside an edge), area."""
 
     corners: tuple[Point, Point, Point, Point]
     vertex_indices: tuple[Optional[int], Optional[int], Optional[int], Optional[int]]
@@ -126,64 +127,33 @@ class ExtremesReport:
     predicate_count: int
 
 
-def _supports(P: ConvexPolygon, loc, v, eps_dist: float) -> bool:
-    """Whether the line with direction v through the boundary point at `loc`
-    has all of P on one side, within a signed-distance slack of eps_dist.
-    By convexity the neighbours decide: at ("vertex", j), p[j - 1] and
-    p[j + 1] must not lie beyond the slack on opposite sides; inside
-    ("edge", k), the line through p[k] must keep p[k + 1] within it."""
-    kind, j = loc
-    vx, vy = _vec(v)
-    slack = eps_dist * math.hypot(vx, vy)
-    if kind == "edge":
-        ex, ey = P.edge_vector(j)
-        return abs(vx * ey - vy * ex) <= slack
-    px, py = P[j]
-    cr = [vx * (q.y - py) - vy * (q.x - px) for q in (P[j - 1], P[j + 1])]
-    return not (max(cr) > slack and min(cr) < -slack)
-
-
-def _chord_ends(P: ConvexPolygon, i: int, seg: Segment, u: Direction, eps_dist: float):
-    """Locate both ends of seg, the chord through vertex i parallel to u, as
-    ("vertex", j) or ("edge", k).
-
-    Vertex i is the end nearer to itself.  Walking counterclockwise from it,
-    the ring stays strictly right of the chord, directed away from vertex
-    i, up to edge k, which the chord's line crosses or whose far end lies
-    on it.  The chord's far end is the lower-indexed end of edge k within
-    eps_dist of it, if any, and otherwise a point inside edge k."""
-    p = P[i]
-    forward = math.dist(p, seg.a) <= math.dist(p, seg.b)  # the chord runs from p along +u
-    far = seg.b if forward else seg.a
-    xy = P.coords()
-    cr = u.dx * (xy[:, 1] - p.y) - u.dy * (xy[:, 0] - p.x)
-    right = cr < 0.0 if forward else cr > 0.0
-    k = (i + int(np.argmin(np.concatenate((right[i + 1 :], right[: i + 1]))))) % P.n
-    ends = [j for j in sorted((k, (k + 1) % P.n)) if math.dist(far, P[j]) <= eps_dist]
-    loc = ("vertex", ends[0]) if ends else ("edge", k)
-    return (("vertex", i), loc) if forward else (loc, ("vertex", i))
-
-
-def _side_direction(P: ConvexPolygon, loc_a, loc_c, u, eps_dist: float):
-    """A direction v such that the lines parallel to v through both chord
-    endpoints, located as ("vertex", j) or ("edge", k), support P.  A
-    mid-edge endpoint forces its edge direction; otherwise the incident
-    edges of the two vertices are tried in order.  Edges within CERT_TOL of
-    parallel to the chord direction u are passed over while others remain:
-    they support P when the chord lies along an edge, but would give a flat
-    parallelogram."""
-    ux, uy = _vec(u)
-    ulen = math.hypot(ux, uy)
-    candidates: list[tuple[float, float]] = []
-    for kind, j in (loc_a, loc_c):
-        candidates += [P.edge_vector(j)] if kind == "edge" else [P.edge_vector(j - 1), P.edge_vector(j)]
-    crossing = [v for v in candidates if v[0] * uy - v[1] * ux != 0.0]
-    skew = [v for v in crossing if abs(v[0] * uy - v[1] * ux) / (math.hypot(*v) * ulen) > CERT_TOL]
-    candidates = skew or crossing
-    for v in candidates:
-        if _supports(P, loc_a, v, eps_dist) and _supports(P, loc_c, v, eps_dist):
-            return v
-    return candidates[0]
+def _side_direction(P: ConvexPolygon, loc_a, loc_c, p0, p1) -> tuple[float, float]:
+    """The vector of an edge whose parallel lines through both ends of a
+    chord along p1 - p0, located as ("vertex", j) or ("edge", k), support
+    P.  The candidates are the edge at a mid-edge end and the two edges at
+    a vertex end, from a's end, then c's; an edge along the chord is passed
+    over, since it would give a flat parallelogram.  An edge's line
+    supports P at its own end, so a candidate is tested at the other end
+    only: at vertex m, p[m - 1] and p[m + 1] must not lie strictly on
+    opposite sides of the parallel line through p[m]; inside edge k, edge k
+    must be parallel to it.  Every test is an exact sign on the vertices
+    (`_det_sign`).  Where the chord is not exactly an affine diameter (the
+    sweep's float diagonal), no candidate may pass, and the first is
+    taken."""
+    first = None
+    for (kind, j), (other, m) in ((loc_a, loc_c), (loc_c, loc_a)):
+        for e in [j] if kind == "edge" else [j - 1, j]:
+            p, q = P[e], P[e + 1]
+            if _det_sign(p0, p1, p, q) == 0:
+                continue
+            if other == "edge":
+                supports = _det_sign(p, q, P[m], P[m + 1]) == 0
+            else:
+                supports = _det_sign(p, q, P[m], P[m - 1]) * _det_sign(p, q, P[m], P[m + 1]) >= 0
+            if supports:
+                return P.edge_vector(e)
+            first = e if first is None else first
+    return P.edge_vector(first)
 
 
 def _parallelogram(
@@ -211,11 +181,13 @@ def _d_edge(P: ConvexPolygon, u: Direction) -> int:
     return int(np.searchsorted(D.keys, key[0] if key[0] < 2.0 else key[1], side="right"))
 
 
-def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
-    """The first vertex i, in index order, whose chord along u is exactly
-    the longest, with `chord_through(P, P[i], u)`, or the exact chord,
-    rounded, where rounding collapses that one to a point; u is a
-    `_dyadic_unit` vector.  Every decision is an exact sign (`_det_sign`).
+def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[Segment, tuple]:
+    """The exactly longest chord along u, through the first vertex i, in
+    index order, on ties: `chord_through(P, P[i], u)`, or the exact chord,
+    rounded, where rounding collapses that one to a point.  With it, its
+    ends in the order of the segment's, along +u: ("vertex", j) where the
+    end is exactly p[j], else ("edge", k).  u is a `_dyadic_unit` vector.
+    Every decision is an exact sign (`_det_sign`).
 
     The walk holds a vertex v and the edge k where the line through p[v]
     along u leaves P.  Chord length is concave in the line's offset, so
@@ -238,16 +210,21 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
         return _det_sign(P[i], P[i + 1], P[k], P[k + 1])
 
     def settle(v, k):
-        """(v, lo, hi, [((v, k), the vertices on p[v]'s chord)]), k searched
-        from edge k along the ring, where the sides change once; from
-        p[v + 1] where the line through p[v] only touches P."""
+        """(v, lo, hi, [(i, v, k, ends)]), k searched from edge k along the
+        ring, where the sides change once; from p[v + 1] where the line
+        through p[v] only touches P.  The chord leaves p[v] along +u iff
+        the ring runs right of it from p[v], and ends at a vertex, lo, iff
+        one side is 0; i is its first vertex."""
         t, first = min(max((k - v) % n, 1), n - 2), None
         while 1 <= t <= n - 2:
             k = (v + t) % n
             g0, g1 = side(v, k), side(v, k + 1)
             if g0 * g1 <= 0:
-                ends = [v] + [k] * (g0 == 0) + [(k + 1) % n] * (g1 == 0)
-                return v, (k + (g1 == 0)) % n, (k - (g0 == 0)) % n, [((v, k), ends)]
+                lo = (k + (g1 == 0)) % n
+                far = ("edge", k) if g0 * g1 else ("vertex", lo)
+                ends = (("vertex", v), far) if g0 < 0 or g1 > 0 else (far, ("vertex", v))
+                i = v if g0 * g1 else min(v, lo)
+                return v, lo, (k - (g0 == 0)) % n, [(i, v, k, ends)]
             first = side(v, v + 1) if first is None else first
             t += 1 if g0 == first else -1
         return settle((v + 1) % n, v)
@@ -267,10 +244,10 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     for d, f, g, own in ((-1, lo, grow[0], (v - 1) % n), (1, hi, grow[1], v)):
         if g == 0 and f != own:  # parallel edges, not the chord's own
             chords += settle(*step(v, d, f))[3]
-    i, (v, k) = min((min(ends), state) for state, ends in chords)
+    i, v, k, ends = min(chords)
     seg = chord_through(P, P[i], u)
     if seg.a != seg.b:
-        return i, seg
+        return seg, ends
     # An edge at p[i] within rounding of parallel to u turned the float
     # line away from P there.  The chord is p[v]'s, to where the line
     # crosses edge k.  (Imported here: `fractions` would add about 2 ms to
@@ -280,7 +257,7 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[int, Segment]:
     px, py, ax, ay, bx, by, ux, uy = map(Fraction, (*P[v], *P[k], *P[k + 1], u.dx, u.dy))
     t = ((ax - px) * (by - ay) - (ay - py) * (bx - ax)) / (ux * (by - ay) - uy * (bx - ax))
     far = Point(float(px + t * ux), float(py + t * uy))
-    return i, Segment(P[v], far) if t > 0 else Segment(far, P[v])
+    return Segment(P[v], far) if t > 0 else Segment(far, P[v]), ends
 
 
 def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult]:
@@ -295,9 +272,14 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     O(n log n) numpy work and cached (`ConvexPolygon.difference_body`): one
     binary search proposes it, and exact signs confirm it or step to it
     (`_longest_chord`).  It is the exactly longest chord along u, through
-    the first vertex on ties, measured once; its far end, b and d take
-    three more O(n) array passes.  `oracle.longest_chord` measures the
-    chord through every vertex in floats, in O(n^2).
+    the first vertex on ties, measured once; b and d take two more O(n)
+    array passes.  `oracle.longest_chord` measures the chord through every
+    vertex in floats, in O(n^2).
+
+    Every branch is an exact sign, and no tolerance enters: the lookup's
+    own signs say whether each end of the chord is a vertex or inside an
+    edge, and the side pair is an edge at one end whose parallel line
+    through the other end supports P (`_side_direction`).
 
     The pair is computed with u scaled by a power of two (`_dyadic_unit`),
     so u and 2^j u give the same pair, bit for bit, at every magnitude; only
@@ -305,12 +287,9 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     """
     uc = Direction(*_vec(u)).canonical()
     un = Direction(*_unit(uc))
-    eps = _dist_tol(P)
 
-    i, seg = _longest_chord(P, un)
-    a_pt, c_pt = seg
-    loc_a, loc_c = _chord_ends(P, i, seg, un, eps)
-    v = _side_direction(P, loc_a, loc_c, un, eps)
+    (a_pt, c_pt), (loc_a, loc_c) = _longest_chord(P, un)
+    v = _side_direction(P, loc_a, loc_c, (0.0, 0.0), (un.dx, un.dy))
 
     b_idx = extreme_vertex(P, (un.dy, -un.dx))
     d_idx = extreme_vertex(P, (-un.dy, un.dx))
@@ -397,7 +376,7 @@ def combined_extremes(P: ConvexPolygon) -> ExtremesReport:
     qa, qb, qc, qd = P[ma], P[mb], P[mc], P[md]
     max_quad = QuadResult((qa, qb, qc, qd), (ma, mb, mc, md), maxarea)
     u_max = Direction(qc.x - qa.x, qc.y - qa.y)
-    v_max = _side_direction(P, ("vertex", ma), ("vertex", mc), u_max, _dist_tol(P))
+    v_max = _side_direction(P, ("vertex", ma), ("vertex", mc), qa, qc)
     g_max = _parallelogram(qa, qb, qc, qd, u_max, Direction(*v_max), (ma, mb, mc, md))
     quad_cert = verify_conjugate_pair(max_quad, g_max, u_max, P)
 

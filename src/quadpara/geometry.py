@@ -5,12 +5,12 @@ sign of a 2x2 determinant with no epsilon.  On integer inputs with
 |coordinate| <= 2**20 those determinants are computed exactly, so strict and
 non-strict comparisons of triangle areas over a common base never disagree
 with the true signs; tie cases (parallel edges) therefore branch correctly.
-`_det_sign` gives the exact sign for any finite inputs; the anchored chord
-is chosen with it.  This module keeps no tolerance of its own:
+`_det_sign` gives the exact sign for any finite inputs; the anchored pair
+is built with it.  This module keeps no tolerance of its own:
 `contains_point` compares with the tolerance its caller passes.  The
 package's one distance tolerance is `extremal._dist_tol`, CERT_TOL *
-max|coord|, which both the anchored pair's construction and every
-certificate use; it has no absolute floor, so it scales with the polygon.
+max|coord|, which only the certificates use; it has no absolute floor, so
+it scales with the polygon.
 """
 
 from __future__ import annotations
@@ -442,9 +442,11 @@ def _det_sign(p, q, r, s) -> int:
 
     The float determinant decides where it exceeds Shewchuk's bound on its
     rounding error ("Adaptive Precision Floating-Point Arithmetic and Fast
-    Robust Geometric Predicates", 1997), widened by 2^-1000 for underflow;
-    elsewhere, overflow included, Python integers evaluate it, on the inputs
-    scaled by a common power of two."""
+    Robust Geometric Predicates", 1997), widened by 2^-1000 for underflow:
+    the relative bound can round to 0 where rounded differences reverse
+    two subnormal products that then round one step of 2^-1074 apart;
+    elsewhere, overflow included, Python integers evaluate it, on the
+    inputs scaled by a common power of two."""
     left = (q[0] - p[0]) * (s[1] - r[1])
     right = (q[1] - p[1]) * (s[0] - r[0])
     det = left - right

@@ -40,6 +40,7 @@ from quadpara import (
 from quadpara import extremal
 from quadpara.cli import ORACLE_REL_TOL, main
 from quadpara.extremal import _vertical_extremes
+from quadpara.geometry import _unit
 
 REL = 1e-12
 
@@ -358,6 +359,27 @@ def test_combined_certificates_and_containment(corpus):
         assert rep.predicate_count <= 64 * P.n
 
 
+def test_max_quad_side_pair_on_float_rings():
+    # A triangle's largest quadrilateral has an edge as its diagonal.  The
+    # rounded diagonal vector is not exactly parallel to that edge, whose
+    # own rounded vector is its negation: the edge is passed over because
+    # its vertices are on the diagonal, or no side lines would meet.
+    P = ConvexPolygon([(-0.4498629873986306, 0.8930975828926979), (-0.5485137011442396, -0.8361415667559219),
+                       (0.9983766885428702, -0.056956016136776644)])
+    rep = combined_extremes(P)
+    assert rep.max_quad.vertex_indices == (1, 2, 0, 1)
+    assert rep.quad_certificate.checks.all_ok
+    # The sweep's diagonal from p[5] to p[19] lies between edges 4 and 19,
+    # parallel only up to rounding, so no candidate edge supports P exactly
+    # at both ends; the first, edge 4, is taken.
+    P = regular_ngon(30, 1000.0, 1)
+    rep = combined_extremes(P)
+    assert rep.max_quad.vertex_indices == (5, 12, 19, 27)
+    G = rep.quad_certificate.para
+    assert (G.side_dir_ac.dx, G.side_dir_ac.dy) == P.edge_vector(4)
+    assert rep.quad_certificate.checks.all_ok
+
+
 def test_para_touch_indices_lie_on_sides(corpus):
     for P in corpus[:20]:
         g = combined_extremes(P).min_para
@@ -639,6 +661,8 @@ def test_half_turn_proposal_certifies_on_lattice_polygons(monkeypatch):
     # its negation.  On lattice polygons the proposal is the answer on both
     # halves: four signs confirm it, and four step across the parallel
     # edges that every centrally symmetric polygon has at its longest chord.
+    # The side search then takes at most three signs per candidate edge:
+    # one against u, and at most two at the chord's other end.
     signs = _count_signs(monkeypatch)
     rng = SplitMix64(5)
     halves = set()
@@ -647,9 +671,13 @@ def test_half_turn_proposal_certifies_on_lattice_polygons(monkeypatch):
         k0 = P.difference_body().k0
         for _ in range(16):
             u = (float(rng.randint(-1000, 1000)), float(rng.randint(1, 1000)))  # canonical
+            un = Direction(*_unit(u))
             before = signs[0]
-            anchored_conjugate_pair(P, u)
+            _, ends = extremal._longest_chord(P, un)
             assert signs[0] - before <= 8, (P.n, u)
+            before = signs[0]
+            extremal._side_direction(P, *ends, (0.0, 0.0), (un.dx, un.dy))
+            assert signs[0] - before <= 3 * sum(1 if kind == "edge" else 2 for kind, _ in ends), (P.n, u)
             halves.add(bool(extremal._direction_keys(np.array([u[0]]), np.array([u[1]]), k0)[0] >= 2.0))
     assert halves == {False, True}
 
@@ -823,6 +851,10 @@ FLOAT_DIRECTION = st.tuples(COMPONENT, COMPONENT).filter(lambda u: u != (0.0, 0.
 # Along edge 0, (2, 2^-1021), the horizontal edge's chord parameter
 # overflows: no RuntimeWarning.
 @example(ConvexPolygon([(0.0, 0.0), (2.0, 2.0**-1021), (5.0, 1.0), (9.0, 3.0), (7.0, 3.0), (4.0, 2.0)]), (0.0, 1.0), 0, 0)
+# The chord's far end lies inside edge 1, 3e-8 from vertex 2.  Taken as
+# vertex 2, it let edge 2, 1e-8 rad from u, be the side pair, and that
+# flat parallelogram failed its certificate.
+@example(ConvexPolygon([(-2, 28), (9, 30), (-2, 31)]), (1e-05, 972.0), 0, 0)
 def test_anchored_diagonal_matches_the_reference_on_float_hulls(P, u, edge, vertex):
     # Random float directions, edge vectors, and the directions of D's own
     # vertices p[c] - p[a], along which the chord ends at two vertices.
@@ -835,8 +867,61 @@ def test_anchored_diagonal_matches_the_reference_on_float_hulls(P, u, edge, vert
         small, large = sorted(map(abs, v))
         if 0.0 < small < 2.0**-1022 * large:
             continue
-        F, _ = anchored_conjugate_pair(P, v)
+        F, G = anchored_conjugate_pair(P, v)
         _assert_exact_diagonal(P, v, F)
+        assert verify_conjugate_pair(F, G, v, P).checks.all_ok, (P.n, v)
+
+
+def assert_exact_chord_ends(P: ConvexPolygon, u, F: QuadResult, G: ParaResult):
+    """The rational referee of an anchored pair's chord ends, on the exact
+    chord along u through the referee's vertex (`exact_longest_chord_vertex`):
+    an end labelled j in F.vertex_indices is exactly p[j], an unlabelled end
+    is reached by no vertex, so it lies inside an edge, and the lines
+    parallel to G's side edge through both ends support P."""
+    uc = Direction(*u).canonical()
+    i = exact_longest_chord_vertex(P, (uc.dx, uc.dy))
+    pts = [tuple(map(Fraction, p)) for p in P]
+    ux, uy = Fraction(uc.dx), Fraction(uc.dy)
+    px, py = pts[i]
+    lower, upper = [], []  # bounds on t of p[i] + t u, one per edge
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        c, d = (bx - ax) * (py - ay) - (by - ay) * (px - ax), (bx - ax) * uy - (by - ay) * ux
+        if d:
+            (lower if d > 0 else upper).append(-c / d)
+    ends = (max(lower), min(upper))
+    on_line = {m: ((x - px) * ux + (y - py) * uy) / (ux * ux + uy * uy)
+               for m, (x, y) in enumerate(pts) if ux * (y - py) == uy * (x - px)}
+    for label, t in zip(F.vertex_indices[::2], ends):
+        assert on_line.get(label) == t if label is not None else t not in on_line.values(), (P.n, u, label)
+
+    def supports(e, t):
+        (ax, ay), (bx, by) = pts[e], pts[(e + 1) % P.n]
+        xx, xy = px + t * ux, py + t * uy
+        cross = [(bx - ax) * (y - xy) - (by - ay) * (x - xx) for x, y in pts]
+        return min(cross) >= 0 or max(cross) <= 0
+
+    side = (G.side_dir_ac.dx, G.side_dir_ac.dy)
+    assert any(P.edge_vector(e) == side and all(supports(e, t) for t in ends) for e in range(P.n)), (P.n, u)
+
+
+def test_anchored_chord_ends_and_side_edge_are_exact(corpus):
+    # The float regular polygons make near-ties, as do rotated and divided
+    # copies: an end within rounding of a vertex, a side edge that supports
+    # P at one end only within rounding.
+    def moved(P):
+        xy = P.coords()
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotated = np.column_stack((c * xy[:, 0] - s * xy[:, 1], s * xy[:, 0] + c * xy[:, 1]))
+        return [ConvexPolygon(canonicalize(q)) for q in (rotated, xy / 3.0, xy / 7.0)]
+
+    regular = [regular_ngon(9, 1000.0), regular_ngon(40, 1000.0, 3), regular_ngon(150, 1000.0, 1)]
+    polys = list(corpus) + regular + [Q for P in list(corpus[::4]) + regular for Q in moved(P)]
+    for P in polys:
+        D = P.difference_body()
+        w = (P[int(D.c[0])].x - P[int(D.a[0])].x, P[int(D.c[0])].y - P[int(D.a[0])].y)
+        for u in [(1, 0), (0, 1), (1, 1), (3, -7), (0.6, 0.8), P.edge_vector(0), w]:
+            F, G = anchored_conjugate_pair(P, u)
+            assert_exact_chord_ends(P, u, F, G)
 
 
 # `quadpara gen` arguments of the polygon files behind the digests below.
@@ -855,8 +940,9 @@ ANCHORED_FILES = {
 # exactly longest chord, through the first vertex on ties, and its corners,
 # vertex_indices and touch_indices; the last direction of each integer file
 # is one of its edge vectors.  The regular polygons have float coordinates,
-# so their digests also pin the query's tolerance decisions: which chord
-# end is a vertex, and which side direction is taken.
+# so their digests also pin decisions that rounding makes close, each taken
+# by an exact sign: which chord end is exactly a vertex, and which edge's
+# parallel lines support P at both ends.
 ANCHORED_GOLDEN = [
     ("lattice-64.txt", (1, 0), "47464d38ac6d518289c208dc951ac04e2d77fc6c8dc8fe4dd83765c096310248"),
     ("lattice-64.txt", (0, 1), "422e0b720d1006192e58dc10f749176c0374a9c7f19b1040733572a8d9a51900"),
@@ -875,20 +961,20 @@ ANCHORED_GOLDEN = [
     ("parallel-12.txt", (-3, 3), "5db0afaaddcb20e6e2152c0b13bdf4b7080b32cb152c6381c99678de4afeb9de"),
     ("parallel-12.txt", (12, 2), "f72c4b4069bafd9e3905059000a82340c97529e91fc353c04eaa473c8e027ed6"),
     ("regular-9.txt", (1, 0), "171a2364b49078c06d7696eed1cdb8df3244908735165d25f98751a6502b886c"),
-    ("regular-9.txt", (0, 1), "ac91b179db6899543637d994b64a2f51bc50601cc06e21286a09ab476ae79d50"),
+    ("regular-9.txt", (0, 1), "11d30032d55e4431902dc962bc1f757b8f5e9fa5254e4c274e72b2649d44804c"),
     ("regular-9.txt", (1, 1), "139fe16df7cb519fec325101deebdf3111972f0aabf7e4508f07da0450dd6382"),
     ("regular-9.txt", (3, -7), "9ad1f867d829437b81351172e3f4df3f60c411b25dac8ce7b6b918b563c13568"),
     ("regular-9.txt", (0.6, 0.8), "6dcedd954f0cf4fce24729028d8cabbd5353f228fa7402e1e570dabd5df9b636"),
-    ("regular-40.txt", (1, 0), "74535b6d99883705180c1bf32740ce2c18d49de2b44e704b35726ea523b7ba51"),
-    ("regular-40.txt", (0, 1), "49168b9b4a850e58f5b3886c6718ad8d2879de83e7ea7cd342622d3dee78a047"),
-    ("regular-40.txt", (1, 1), "a909cb790348718a9155d163f92b2b9c2bd13896fc862fa53de9133f7047f3f6"),
-    ("regular-40.txt", (3, -7), "1ab05b6fad3810b64081f27ee4ca3228a7fdb4c7851ff95bd564abb8c1963826"),
-    ("regular-40.txt", (0.6, 0.8), "1078c15826579ed49f066b376ce6dc82628e87c050b16dd404b4f216e19e88ab"),
-    ("regular-150.txt", (1, 0), "202087df63a32b040e09a1fb3c53e245e66e43431fc649937d0b0d0223a277f6"),
-    ("regular-150.txt", (0, 1), "12cde15f2ff7a1ba83da9d301dbd6bf2f13ab9d2f1e52d4b106bf4f340f6ba31"),
+    ("regular-40.txt", (1, 0), "7c064751493a77a5dacde2d3f06bcf870ccb4060dd3f0c3a5ea52b5d8b57da7e"),
+    ("regular-40.txt", (0, 1), "0a346ec00124ef6aade3b7f065dbbd404b836b8be0ae657e5b82c2a5ec1d607e"),
+    ("regular-40.txt", (1, 1), "9f0704d5505e2fc67c0e9cbe962aca821660581fac79c15f4376a2cf377b2213"),
+    ("regular-40.txt", (3, -7), "a11e4e392d50ba64e537afa0a7c57f105bfa050bbb1030f9de6a1a3b780411e1"),
+    ("regular-40.txt", (0.6, 0.8), "02c833e0e6691c0b6fd5270b8ff32ac6061d5aac8542d9e70925c583ad0f465a"),
+    ("regular-150.txt", (1, 0), "b6fc538b6364de6803abc67f0dec1fa4a5ed6f48c3eff66f7c9ca67f09a2f520"),
+    ("regular-150.txt", (0, 1), "83b1a08cc0625fd8f72b35e58e10c913243e12cbcad41470babde7c5a553958f"),
     ("regular-150.txt", (1, 1), "55cfd6a632b0dda3d03dc31a73b4e7da2b0c438fe16dc2faa473238f4b38328c"),
     ("regular-150.txt", (3, -7), "8c59313257033518359a4285bd9bf357816ecf90c52dc596094a955fe7a22853"),
-    ("regular-150.txt", (0.6, 0.8), "876b20af85a244f16187afe3565fad2e22ae64172e84eb0c76ad5bef0d0fde11"),
+    ("regular-150.txt", (0.6, 0.8), "072b5d979c281a4a0a14eada9093eb3be1f098113961c4d7c4da4bf5289cad17"),
 ]
 
 

@@ -133,6 +133,15 @@ def test_det_sign_is_exact():
                 assert _det_sign((0.0, 0.0), p, q, r) == exact((0.0, 0.0), p, q, r), (scale, i, j)
                 wrong += (naive > 0.0) - (naive < 0.0) != exact(p, q, p, r)
     assert wrong > 100
+    # Differences rounded near 1, times subnormal coordinates: the two
+    # products round to neighbouring multiples of 2^-1074 across a
+    # midpoint, the float determinant is 2^-1074 with the wrong sign, and
+    # the relative error bound underflows to 0.  The bound's 2^-1000 term
+    # sends the sign to the exact evaluation.
+    p, q = (2.0**-60, -(2.0**-60)), (1.0 + 12 * 2.0**-52, 1.0 + 36 * 2.0**-52)
+    r, s = (0.0, 0.0), (2.0**-1025, (2**49 + 3) * 2.0**-1074)
+    assert (q[0] - p[0]) * s[1] - (q[1] - p[1]) * s[0] == 2.0**-1074
+    assert _det_sign(p, q, r, s) == exact(p, q, r, s) == -1
 
 
 def test_convex_polygon_fixes_orientation():
