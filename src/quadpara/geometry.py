@@ -381,7 +381,8 @@ def chord_through(P: ConvexPolygon, q, u) -> Segment:
     xy = P.coords()
     ex, ey = P.edges()
     with np.errstate(over="ignore"):
-        t0, t1 = _chord_params(_neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey), ex, ey, ux, uy)
+        neg_c = _neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey)
+        t0, t1 = _chord_params(neg_c, _chord_directions(ex, ey, ux, uy))
     t0, t1 = float(t0), float(t1)
     return Segment(Point(qx + t0 * ux, qy + t0 * uy), Point(qx + t1 * ux, qy + t1 * uy))
 
@@ -405,12 +406,22 @@ def _neg_margins(qx, qy, vx, vy, ex, ey):
     return np.negative(c, out=c)
 
 
-def _chord_params(neg_c, ex, ey, ux, uy):
-    """The parameters (t0, t1) of `chord_through`'s segments along the
-    nonzero direction (ux, uy), from `_neg_margins` of the points against
-    every edge (ex, ey) along the last axis.
+def _chord_directions(ex, ey, ux, uy):
+    """What `_chord_params` needs of the nonzero directions (ux, uy) against
+    the edges (ex, ey): d = e x u with 1.0 where d == 0, the divisor of the
+    chord parameters, and the masks d > 0 and d < 0 of the edges that bound
+    them.  The directions are a pair of floats or (b, 1, 1) columns.
+    """
+    d = ex * uy - ey * ux
+    return np.where(d == 0.0, 1.0, d), d > 0.0, d < 0.0
 
-    The direction may be a pair of floats, or of (b, 1, 1) columns against
+
+def _chord_params(neg_c, directions):
+    """The parameters (t0, t1) of `chord_through`'s segments along the
+    directions given as `_chord_directions`, from `_neg_margins` of the
+    points against every edge along the last axis.
+
+    The directions may be a pair of floats, or (b, 1, 1) columns against
     margins of shape (m, n), giving (b, m) parameters.  Each chord's
     parameters come from the same float expressions whatever the shapes, so
     the oracles, which measure many chords at once, measure the chords
@@ -420,12 +431,12 @@ def _chord_params(neg_c, ex, ey, ux, uy):
     float range: callers compute under np.errstate(over="ignore"), so that
     overflow gives inf without a warning, as in Python float arithmetic.
     """
-    d = ex * uy - ey * ux
-    t = neg_c / np.where(d == 0.0, 1.0, d)
+    d, ahead, behind = directions
+    t = neg_c / d
     # Adding 0.0 turns a zero of either sign into +0.0: numpy's max and min
     # pick between -0.0 and +0.0 by memory layout, not by value.
-    t0 = np.maximum.reduce(t, axis=-1, where=d > 0.0, initial=-math.inf) + 0.0
-    t1 = np.minimum.reduce(t, axis=-1, where=d < 0.0, initial=math.inf) + 0.0
+    t0 = np.maximum.reduce(t, axis=-1, where=ahead, initial=-math.inf) + 0.0
+    t1 = np.minimum.reduce(t, axis=-1, where=behind, initial=math.inf) + 0.0
     if not np.isfinite((t0, t1)).all():
         raise Degenerate("line does not leave the polygon; invalid polygon?")
     tangent = t0 > t1

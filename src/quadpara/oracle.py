@@ -7,11 +7,12 @@ edge directions (a smallest enclosing parallelogram has an edge-flush side).
 Complexity budgets are enforced by callers, not here.
 
 The enumerations are those of plain Python loops over the chords and the
-tuples, run as numpy passes over blocks: of directions and vertices for the
-chords, and of vertex 4-tuples sharing their second corner for the
-quadrilaterals.  Every candidate is evaluated with the loops' float
-expressions and the loops' winner is kept on ties, so results are
-bit-identical to the loops, which the tests keep as the reference.
+tuples, run as numpy passes over blocks that one memory budget sizes
+(_CHORD_BLOCK): of directions and vertices for the chords, and of vertex
+4-tuples over consecutive second corners for the quadrilaterals.  Every
+candidate is evaluated with the loops' float expressions and the loops'
+winner is kept on ties, so results are bit-identical to the loops, which
+the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .geometry import (
     ConvexPolygon,
     Point,
     Segment,
+    _chord_directions,
     _chord_params,
     _neg_margins,
     _unit,
@@ -44,10 +46,13 @@ class OraclePara:
     area: float
 
 
-# Vertex chords are measured in blocks whose (direction, vertex, edge)
-# triples, or (direction, vertex) pairs, number at most this many, which
-# bounds the temporaries to a few hundred KiB at any n.
-_CHORD_BLOCK = 1 << 14
+# One numpy pass of an oracle keeps its float64 temporaries within about
+# 512 KiB at any n: the chords are measured in blocks of at most
+# _CHORD_BLOCK (direction, vertex, edge) quotients, the quadrilaterals in
+# passes of at most _CHORD_BLOCK // 4 areas, two such arrays being live at
+# once.  Larger blocks make fewer numpy calls, but past these sizes each
+# call costs more per element and the peak memory grows.
+_CHORD_BLOCK = (512 << 10) // 8
 
 
 def _longest_vertex_chords(P: ConvexPolygon, ux: np.ndarray, uy: np.ndarray, margins):
@@ -56,10 +61,11 @@ def _longest_vertex_chords(P: ConvexPolygon, ux: np.ndarray, uy: np.ndarray, mar
     of P, as four (b,) arrays.
 
     `margins(s, e)` gives `_neg_margins` of vertices s..e-1 against every
-    edge.  The chord parameters are computed in blocks of directions, or of
-    one direction and equal blocks of vertices once a direction's n^2
-    (vertex, edge) pairs exceed _CHORD_BLOCK; the endpoints and extents of
-    all b * n chords at once.
+    edge.  The chord parameters are computed in blocks of _CHORD_BLOCK //
+    n^2 directions, or of one direction and equal blocks of vertices once a
+    direction's n^2 (vertex, edge) pairs exceed _CHORD_BLOCK; what depends
+    only on the directions, once per block of directions.  The endpoints
+    and extents of all b * n chords are computed at once.
     """
     xy = P.coords()
     vx, vy = xy[:, 0], xy[:, 1]
@@ -72,10 +78,10 @@ def _longest_vertex_chords(P: ConvexPolygon, ux: np.ndarray, uy: np.ndarray, mar
     # without a warning, as in Python float arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, b, per):
-            cx, cy = ux[j : j + per, :, None], uy[j : j + per, :, None]
+            directions = _chord_directions(ex, ey, ux[j : j + per, :, None], uy[j : j + per, :, None])
             for s in range(0, n, rows):
                 t0[j : j + per, s : s + rows], t1[j : j + per, s : s + rows] = _chord_params(
-                    margins(s, s + rows), ex, ey, cx, cy
+                    margins(s, s + rows), directions
                 )
         ax, ay, bx, by = vx + t0 * ux, vy + t0 * uy, vx + t1 * ux, vy + t1 * uy
         ext = (bx - ax) * ux + (by - ay) * uy  # (b - a) . u: the t-extent * |u|^2
@@ -137,24 +143,39 @@ def brute_largest_quad(P: ConvexPolygon) -> OracleQuad:
     dx, dy = x[l - drop[3]], y[l - drop[3]]
     best = None
     best_area = -1.0
-    # quad_area's expression on every tuple (i, j, k, l), in blocks of one
-    # second corner j: all i < j against all pairs k < l with k > j.
-    # Python floats overflow silently; so do these.
+    # quad_area's expression on every tuple (i, j, k, l), in passes over
+    # consecutive second corners j0 <= j < j1, each one (i, j, pair) block:
+    # all i < j1 - 1, all j, and all pairs k < l with k > j0, of which
+    # those with i >= j or k <= j are no tuple.  A pass holds at most
+    # _CHORD_BLOCK // 4 elements, or one second corner.  Python floats
+    # overflow silently; so do these.
+    j0 = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, m - 2):
-            s = start[j]
-            ax, ay = x[:j, None], y[:j, None]
-            bx, by = x[j - drop[1]], y[j - drop[1]]
-            area = 0.5 * np.abs((cx[s:] - ax) * (dy[s:] - by) - (dx[s:] - bx) * (cy[s:] - ay))
+        while j0 < m - 2:
+            s = start[j0]
+            j1 = j0 + 1
+            while j1 < m - 2 and j1 * (j1 + 1 - j0) * (len(k) - s) <= _CHORD_BLOCK // 4:
+                j1 += 1
+            ax, ay = x[: j1 - 1, None, None], y[: j1 - 1, None, None]
+            bx, by = x[j0 - drop[1] : j1 - drop[1], None], y[j0 - drop[1] : j1 - drop[1], None]
+            area = (cx[s:] - ax) * (dy[s:] - by)
+            area -= (dx[s:] - bx) * (cy[s:] - ay)
+            np.abs(area, out=area)
+            area *= 0.5
             np.fmax(area, -1.0, out=area)  # NaN never wins
-            i, h = divmod(int(np.argmax(area)), area.shape[1])  # the block's first maximum
-            got = float(area[i, h])
-            idx = (i, j - drop[1], int(k[s + h]) - drop[2], int(l[s + h]) - drop[3])
-            # The blocks run in order of j, not of i, so an equal area found
+            for j in range(j0, j1):
+                area[j:, j - j0] = -1.0
+                area[:, j - j0, : start[j] - s] = -1.0
+            i, h = divmod(int(np.argmax(area)), area.shape[1] * area.shape[2])  # the pass's first maximum
+            j, h = divmod(h, area.shape[2])
+            got = float(area[i, j, h])
+            idx = (i, j0 + j - drop[1], int(k[s + h]) - drop[2], int(l[s + h]) - drop[3])
+            # The passes run in order of j, not of i, so an equal area found
             # later can still come first in lexicographic order.
             if got > best_area or (got == best_area and best is not None and idx < best):
                 best_area = got
                 best = idx
+            j0 = j1
     assert best is not None
     return OracleQuad(best, best_area)
 
@@ -170,9 +191,11 @@ def brute_smallest_para(P: ConvexPolygon) -> OraclePara:
     as `longest_chord` measures it: O(n^3) work.  The margins of every
     vertex against every edge do not depend on the direction, so they are
     computed once, as an n x n array.  The directions are then taken in
-    blocks of _CHORD_BLOCK // 8n (see `_longest_vertex_chords`).  Each chord
-    length and width is the Python float that `Segment.length` and `width`
-    compute for that direction.
+    blocks of _CHORD_BLOCK // 8n, whose (direction, n) arrays stay within
+    one block, and `_longest_vertex_chords` measures their chords in
+    blocks of _CHORD_BLOCK quotients.  Each chord length and width is the
+    Python float that `Segment.length` and `width` compute for that
+    direction.
     """
     n = P.n
     xy = P.coords()
@@ -180,8 +203,7 @@ def brute_smallest_para(P: ConvexPolygon) -> OraclePara:
     ex, ey = P.edges()
     exs, eys = ex.tolist(), ey.tolist()
     neg_c = _neg_margins(vx[:, None], vy[:, None], vx, vy, ex, ey)  # vertex i, edge k
-    # About eight (directions, n) arrays are live at once in
-    # `_longest_vertex_chords`: together they stay within one block.
+    # About eight (directions, n) arrays are live at once.
     dirs = max(1, _CHORD_BLOCK // (8 * n))
     best_edge = -1
     best_area = math.inf

@@ -287,17 +287,14 @@ def _merge_mask(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.argsort(np.concatenate((first, second)), kind="stable") < len(first)
 
 
-def _antipodal_walk(ex: np.ndarray, ey: np.ndarray):
-    """The walk of the antipodal pairs of a CCW strictly convex ring over a
-    full turn, for its edge vectors, or None when the loop's search for c0
-    would not settle.
+def _walk_runs(ex: np.ndarray, ey: np.ndarray):
+    """The two key runs that `_antipodal_walk` merges, or None when the
+    loop's search for c0 would not settle.
 
-    Returns (c0, k0, is_a, keys): from the state (0, c0), event t + 1
-    advances a when is_a[t], else c, and keys[t] is the key of its edge, in
-    the merge of the edges 0..n-1 with the reversed edges c0..n-1, 0..c0-1
-    by their keys from the direction whose absolute key is k0, ties to a.
-    Runs that rounding leaves unsorted are made non-decreasing: the keys
-    only propose, and each reader confirms what it uses.
+    Returns (c0, k0, a_run, c_run): the keys of the edges 0..n-1 and of the
+    reversed edges c0..n-1, 0..c0-1, from the direction whose absolute key
+    is k0, each run made non-decreasing where rounding leaves it unsorted.
+    Their first c0 and n - c0 keys make the walk's first half turn.
     """
     i = _first_false(float(ex[0]) * ey[1:] - float(ey[0]) * ex[1:] > 0.0)
     if i is None:
@@ -312,7 +309,22 @@ def _antipodal_walk(ex: np.ndarray, ey: np.ndarray):
     # -e[c0] lies less than a half turn past e[0] (e[0] x e[c0] <= 0): a
     # leading key that rounds to just below a full turn is one just above 0.
     c_run[: _first_false(c_run >= 3.0)] = 0.0
-    c_run = _non_decreasing(c_run)
+    return c0, k0, a_run, _non_decreasing(c_run)
+
+
+def _antipodal_walk(ex: np.ndarray, ey: np.ndarray):
+    """The walk of the antipodal pairs of a CCW strictly convex ring over a
+    full turn, for its edge vectors, or None when the loop's search for c0
+    would not settle.
+
+    Returns (c0, k0, is_a, keys): from the state (0, c0), event t + 1
+    advances a when is_a[t], else c, and keys[t] is the key of its edge, in
+    the merge of the two runs of `_walk_runs`, ties to a.  The keys only
+    propose, and each reader confirms what it uses.
+    """
+    if (runs := _walk_runs(ex, ey)) is None:
+        return None
+    c0, k0, a_run, c_run = runs
     # a_run[0] is 0.0, the least key, and ties go to a: the first proposed
     # event advances a, as the loop's first diagonal event always does.
     is_a = _merge_mask(a_run, c_run)
@@ -341,10 +353,13 @@ def _difference_body(xy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> Differen
     strictly convex ring and its edge vectors.  D's edges are P's edges
     e[c], each advancing c, and the reversed edges -e[a], each advancing a:
     the sweep's walk turned by a half turn, so the walk's states 0..n-1 are
-    D's vertices.  Their keys only propose, as the walk's do: the anchored
+    D's vertices: the merge of the first c0 keys of the walk's a-run with
+    the first n - c0 of its c-run, the half turn in which a reaches c0 and
+    c reaches n.  Their keys only propose, as the walk's do: the anchored
     query that reads D confirms every decision."""
     n = len(xy)
-    c0, _, is_a, _ = _antipodal_walk(ex, ey)  # settles on a ConvexPolygon
+    c0, _, a_run, c_run = _walk_runs(ex, ey)  # settles on a ConvexPolygon
+    is_a = _merge_mask(a_run[:c0], c_run[: n - c0])
     a = np.concatenate(([0], np.cumsum(is_a[: n - 1])))
     c = (np.arange(c0, c0 + n) - a) % n  # c0 + the c-steps taken
     wx, wy = xy[c, 0] - xy[a, 0], xy[c, 1] - xy[a, 1]

@@ -31,7 +31,7 @@ from quadpara import (
     verify_conjugate_pair,
     width,
 )
-from quadpara.geometry import _chord_params, _det_sign, _neg_margins
+from quadpara.geometry import _chord_directions, _chord_params, _det_sign, _neg_margins
 
 coord = st.integers(min_value=-(2**20), max_value=2**20)
 vec = st.tuples(coord, coord)
@@ -478,7 +478,7 @@ def test_chord_through_endpoints_on_polygon_and_line(corpus):
 def chord_params(P, qx, qy, ux, uy):
     xy = P.coords()
     ex, ey = P.edges()
-    return _chord_params(_neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey), ex, ey, ux, uy)
+    return _chord_params(_neg_margins(qx, qy, xy[:, 0], xy[:, 1], ex, ey), _chord_directions(ex, ey, ux, uy))
 
 
 def test_chord_parameters_do_not_depend_on_the_batch():

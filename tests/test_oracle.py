@@ -108,10 +108,18 @@ def oracle_corpus():
     polys += [regular_ngon(n, 1000.0, r) for n, r in ((5, 0), (7, 1), (12, 3), (24, 1), (40, 0))]
     polys += [rotated(random_convex(60, s, 1000), 0.3 + s) for s in range(4)]
     polys += [rotated(lattice_ngon(20, 2), 1.1, 0.01)]
-    # 131^2 (vertex, edge) pairs exceed oracle._CHORD_BLOCK: each direction
-    # is measured in two blocks of vertices.
+    # Measured in blocks of SPLIT_BLOCK (see the corpus test), the 131^2
+    # (vertex, edge) pairs of each direction are split into two blocks of
+    # vertices.
     polys += [lattice_ngon(131, 131)]
     return polys
+
+
+# A value of oracle._CHORD_BLOCK below n^2 for the corpus rings over 128
+# vertices.  oracle's own block takes every vertex of a direction at once up
+# to 256 vertices, and a ring that large would make the O(n^3) loop
+# reference too slow.
+SPLIT_BLOCK = 1 << 14
 
 
 def oracle_directions(P):
@@ -121,7 +129,9 @@ def oracle_directions(P):
 
 
 @pytest.mark.parametrize("P", oracle_corpus(), ids=lambda P: f"n{P.n}")
-def test_oracles_match_scalar_loops_on_corpus(P):
+def test_oracles_match_scalar_loops_on_corpus(monkeypatch, P):
+    if P.n * P.n > SPLIT_BLOCK:
+        monkeypatch.setattr(oracle, "_CHORD_BLOCK", SPLIT_BLOCK)
     assert_oracles_match_loops(P, oracle_directions(P), quad=P.n <= 40)
 
 
@@ -158,6 +168,93 @@ def test_para_oracle_does_not_depend_on_its_blocks(monkeypatch, P):
         monkeypatch.setattr(oracle, "_CHORD_BLOCK", blocking(P.n))
         assert repr(brute_smallest_para(P)) == want, name
         assert repr(longest_chord(P, u)) == chord, name
+
+
+class RecordingNumpy:
+    """numpy, recording the shape of each array whose argmax is taken."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmax(self, a, *args, **kwargs):
+        self.shapes.append(a.shape)
+        return np.argmax(a, *args, **kwargs)
+
+
+# Values of oracle._CHORD_BLOCK for brute_largest_quad on an octagon, and
+# the second corners of each pass they give.  The passes take consecutive
+# second corners j = 1..5 as long as their (i, j, pair) block has at most
+# _CHORD_BLOCK // 4 elements: j = 1, 2 have 2 * 2 * 15 of them, j = 3, 4
+# have 4 * 2 * 6, j = 5 alone is the last pass.
+QUAD_BLOCKINGS = {
+    "one-second-corner": (4, [1, 1, 1, 1, 1]),
+    "two-second-corners": (4 * 60, [2, 2, 1]),
+    "whole-ring": (4 * 8**4, [5]),
+}
+
+
+# Its largest quadrilaterals are (0, 2, 4, 6), (0, 2, 4, 7), (0, 3, 4, 6)
+# and (0, 3, 4, 7): the tie spans the passes of j = 2 and j = 3.
+TIED_OCTAGON = lattice_ngon(8, 11)
+
+# Nearly triangles: a vertex lies within rounding of an edge, so the area
+# of a tuple that a pass computes but the loop never visits, (0, 2, 2, 4)
+# (k = j) on the first and (1, 1, 2, 4) (i = j) on the second, rounds to
+# the largest area.
+FLAT_PENTAGONS = {
+    (0, 2, 2, 4): ConvexPolygon(
+        [
+            (-2.6062191951181912, 0.3591976157031729),
+            (1.9163853133685858, 0.34441749446815556),
+            (4.538356677760278, 0.3358487472854801),
+            (4.096958170585987, 1.564495894458821),
+            (3.227362500425288, 3.985043816510018),
+        ]
+    ),
+    (1, 1, 2, 4): ConvexPolygon(
+        [
+            (2.7585353560250834, -2.5688290096569415),
+            (4.371303562483327, -3.258704601730539),
+            (-2.567846252116847, 2.866932616709944),
+            (-2.810637650279057, 1.0139576219981152),
+            (-2.9595912486548692, -0.12285074622227476),
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        TIED_OCTAGON,
+        *FLAT_PENTAGONS.values(),
+        parallel_edge_polygon(4, 7),
+        rotated(random_convex(24, 5, 1000), 0.7),
+        regular_ngon(9, 1000.0, 2),
+        ConvexPolygon([(0, 0), (2, 1), (1, 3)]),
+    ],
+    ids=lambda P: f"n{P.n}",
+)
+def test_quad_oracle_does_not_depend_on_its_passes(monkeypatch, P):
+    if P is TIED_OCTAGON:
+        pts = P.coords().tolist()
+        assert {quad_area(*(pts[i] for i in t)) for t in ((0, 2, 4, 6), (0, 3, 4, 6))} == {27.0}
+        assert brute_largest_quad_loop(P) == OracleQuad((0, 2, 4, 6), 27.0)
+    for t, flat in FLAT_PENTAGONS.items():
+        if P is flat:
+            pts = P.coords().tolist()
+            assert quad_area(*(pts[i] for i in t)) == brute_largest_quad_loop(P).area
+    want = repr(brute_largest_quad_loop(P))
+    for name, (block, corners) in QUAD_BLOCKINGS.items():
+        spy = RecordingNumpy()
+        monkeypatch.setattr(oracle, "np", spy)
+        monkeypatch.setattr(oracle, "_CHORD_BLOCK", block)
+        assert repr(brute_largest_quad(P)) == want, name
+        if P.n == 8:
+            assert [shape[1] for shape in spy.shapes] == corners, name
 
 
 @st.composite
