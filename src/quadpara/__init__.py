@@ -8,7 +8,6 @@ from .geometry import (
     DegenerateSample,
     Direction,
     GeometryError,
-    Line,
     NonFinite,
     NotConvex,
     ParallelLines,
@@ -20,7 +19,6 @@ from .geometry import (
     chord_through,
     contains_point,
     extreme_vertex,
-    line_intersection,
     polygon_area,
     quad_area,
     width,

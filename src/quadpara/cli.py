@@ -20,6 +20,7 @@ import math
 import sys
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from .geometry import (
     polygon_area,
 )
 from .oracle import brute_largest_quad, brute_smallest_para
-from .polygen import GenSpec, generate, lattice_ngon
+from .polygen import _KINDS, GenSpec, generate, lattice_ngon
 
 QUAD_ORACLE_MAX_N = 40
 PARA_ORACLE_MAX_N = 200
@@ -179,16 +180,9 @@ def _para_dict(g: ParaResult) -> dict:
 
 
 def _checks_dict(cert) -> dict:
+    """Every field of `CertificateChecks`, and `all_ok`."""
     c = cert.checks
-    return {
-        "all_ok": c.all_ok,
-        "anchoring_d": c.anchoring_d,
-        "anchoring_s": c.anchoring_s,
-        "area_ratio": c.area_ratio,
-        "corner_on_side": list(c.corner_on_side),
-        "polygon_in_para": c.polygon_in_para,
-        "quad_in_polygon": c.quad_in_polygon,
-    }
+    return {f.name: getattr(c, f.name) for f in fields(c)} | {"all_ok": c.all_ok}
 
 
 def _report_dict(source: str, P: ConvexPolygon, rep: ExtremesReport) -> dict:
@@ -505,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a polygon file on stdout")
-    p.add_argument("--kind", default="random-hull", choices=["regular", "random-hull", "parallel-edges", "lattice"])
+    p.add_argument("--kind", default="random-hull", choices=_KINDS)
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coord-range", type=int, default=1000, dest="coord_range")

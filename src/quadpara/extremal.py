@@ -23,12 +23,16 @@ The merged sweep lives in `quadpara.sweep`: a Python loop, and from a few
 hundred vertices on a numpy path whose direction keys only propose the
 order of the events, while every decision is still the sign of the loop's
 own determinant expression; where one sign disagrees, the loop runs.
+`anchored_conjugate_pair` reads its diagonal off D = P - P, whose layout
+and lookup live there too (`sweep.DifferenceBody`).  Every parallelogram
+corner is a `geometry._meet` of two sides, and a certificate's checks are
+the fields of `CertificateChecks`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -36,7 +40,7 @@ import numpy as np
 from .geometry import (
     ConvexPolygon,
     Direction,
-    Line,
+    ParallelLines,
     Point,
     Segment,
     SweepOverrun,
@@ -48,10 +52,9 @@ from .geometry import (
     chord_through,
     contains_point,
     extreme_vertex,
-    line_intersection,
     quad_area,
 )
-from .sweep import _combined_sweep, _direction_keys
+from .sweep import _combined_sweep
 
 CERT_TOL = 1e-9
 """Relative residual tolerance of every conjugate-pair certificate."""
@@ -91,6 +94,10 @@ class ParaResult:
 
 @dataclass(frozen=True)
 class CertificateChecks:
+    """The certificate's checks, one field each: a bool, or a tuple of
+    bools that holds where all hold.  `all_ok` and the CLI's JSON read the
+    fields, so a new field is a new check in both."""
+
     anchoring_d: bool
     anchoring_s: bool
     corner_on_side: tuple[bool, bool, bool, bool]
@@ -100,14 +107,8 @@ class CertificateChecks:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.anchoring_d
-            and self.anchoring_s
-            and all(self.corner_on_side)
-            and self.quad_in_polygon
-            and self.polygon_in_para
-            and self.area_ratio
-        )
+        values = (getattr(self, f.name) for f in fields(self))
+        return all(all(v) if isinstance(v, tuple) else v for v in values)
 
 
 @dataclass(frozen=True)
@@ -161,24 +162,14 @@ def _parallelogram(
 ) -> ParaResult:
     """The parallelogram whose sides through a and c are parallel to v and
     whose sides through b and d are parallel to u, with corners ordered
-    (d^a, a^b, b^c, c^d)."""
-    a_line, b_line, c_line, d_line = Line(a, v), Line(b, u), Line(c, v), Line(d, u)
-    g0 = line_intersection(d_line, a_line)
-    g1 = line_intersection(a_line, b_line)
-    g2 = line_intersection(b_line, c_line)
-    g3 = line_intersection(c_line, d_line)
-    if area is None:
-        area = quad_area(g0, g1, g2, g3)
-    return ParaResult((g0, g1, g2, g3), u, v, area, touch)
-
-
-def _d_edge(P: ConvexPolygon, u: Direction) -> int:
-    """The index j for which the ray along u meets D = P - P on its edge
-    from vertex j - 1 to vertex j, mod n: one binary search on the keys of
-    D's half turn, or on -u's key past it, where the pairs are swapped."""
-    D = P.difference_body()
-    key = _direction_keys(np.array([u.dx, -u.dx]), np.array([u.dy, -u.dy]), D.k0)
-    return int(np.searchsorted(D.keys, key[0] if key[0] < 2.0 else key[1], side="right"))
+    (d^a, a^b, b^c, c^d), each the `_meet` of its two sides.  Raises
+    ParallelLines where u and v have zero determinant."""
+    sides = [(_vec(p), _vec(w)) for p, w in ((d, u), (a, v), (b, u), (c, v), (d, u))]
+    meets = [_meet(*s, *t) for s, t in zip(sides, sides[1:])]
+    if None in meets:
+        raise ParallelLines("line directions are parallel")
+    g = tuple(Point(*m) for m in meets)
+    return ParaResult(g, u, v, quad_area(*g) if area is None else area, touch)
 
 
 def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[Segment, tuple]:
@@ -196,10 +187,12 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[Segment, tuple]:
     far edges lo and hi on those sides; if neither, P has parallel
     supporting lines at its ends, an affine diameter (Rogers and Shephard,
     1957).  Else the walk steps to the nearer next vertex on that side, on
-    either chain.  D = P - P proposes the first state: a wrong D costs
-    steps, never the answer.  A zero product means parallel edges, between
-    which every chord is longest; their at most four vertices are found by
-    one step across, and the first is taken.
+    either chain.  D = P - P proposes the first state, the pair of the edge
+    of D that the ray along u crosses (`sweep.DifferenceBody.crossed_edge`
+    and `.proposal`): a wrong proposal costs steps, never the answer.  A
+    zero product means parallel edges, between which every chord is
+    longest; their at most four vertices are found by one step across, and
+    the first is taken.
     """
     n, o, w = P.n, (0.0, 0.0), (u.dx, u.dy)
 
@@ -235,9 +228,7 @@ def _longest_chord(P: ConvexPolygon, u: Direction) -> tuple[Segment, tuple]:
         return (b, (v - (d < 0)) % n) if side(a, b) == side(a, v) else (a, f)
 
     D = P.difference_body()
-    j = _d_edge(P, u) % n
-    a, c = int(D.a[j - 1]), int(D.c[j - 1])
-    c_steps = (D.a[j] if j else D.c[0]) == a  # D's edge is e[c]: the chord leaves p[a]
+    a, c, c_steps = D.proposal(D.crossed_edge(u.dx, u.dy))
     v, lo, hi, chords = settle(a, c) if c_steps else settle(c, a)
     while max(grow := (turn(v - 1, lo), -turn(v, hi))) > 0:
         v, lo, hi, chords = settle(*(step(v, -1, lo) if grow[0] > 0 else step(v, 1, hi)))

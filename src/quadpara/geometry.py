@@ -6,11 +6,12 @@ sign of a 2x2 determinant with no epsilon.  On integer inputs with
 non-strict comparisons of triangle areas over a common base never disagree
 with the true signs; tie cases (parallel edges) therefore branch correctly.
 `_det_sign` gives the exact sign for any finite inputs; the anchored pair
-is built with it.  This module keeps no tolerance of its own:
-`contains_point` compares with the tolerance its caller passes.  The
-package's one distance tolerance is `extremal._dist_tol`, CERT_TOL *
-max|coord|, which only the certificates use; it has no absolute floor, so
-it scales with the polygon.
+is built with it.  `_meet` is the package's one float line meet: every
+parallelogram corner and every slid corner comes from it.  This module
+keeps no tolerance of its own: `contains_point` compares with the
+tolerance its caller passes.  The package's one distance tolerance is
+`extremal._dist_tol`, CERT_TOL * max|coord|, which only the certificates
+use; it has no absolute floor, so it scales with the polygon.
 """
 
 from __future__ import annotations
@@ -117,11 +118,6 @@ class Segment(NamedTuple):
 
     def length(self) -> float:
         return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
-
-
-class Line(NamedTuple):
-    base: Point
-    dir: Direction
 
 
 def _vec(v) -> tuple[float, float]:
@@ -473,24 +469,13 @@ def _det_sign(p, q, r, s) -> int:
 def _meet(p, u, q, v) -> Optional[tuple[float, float]]:
     """Where the line through p along u meets the line through q along v,
     for (x, y) pairs of floats, or None where their directions have zero
-    determinant."""
+    determinant; callers that need a meet raise ParallelLines there."""
     (px, py), (ux, uy), (qx, qy), (vx, vy) = p, u, q, v
     den = ux * vy - uy * vx
     if den == 0.0:
         return None
     s = ((qx - px) * vy - (qy - py) * vx) / den
     return px + s * ux, py + s * uy
-
-
-def line_intersection(l1: Line, l2: Line) -> Point:
-    """The unique intersection point of two lines.
-
-    Raises ParallelLines when their direction vectors have zero determinant.
-    """
-    meet = _meet(_vec(l1.base), _vec(l1.dir), _vec(l2.base), _vec(l2.dir))
-    if meet is None:
-        raise ParallelLines("line directions are parallel")
-    return Point(*meet)
 
 
 def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:

@@ -16,6 +16,8 @@ from functools import cmp_to_key
 from .geometry import ConvexPolygon, DegenerateSample
 
 _MASK64 = (1 << 64) - 1
+_KINDS = ("regular", "random-hull", "parallel-edges", "lattice")
+"""The generator kinds of `GenSpec` and `quadpara gen --kind`."""
 
 
 class SplitMix64:
@@ -50,14 +52,14 @@ class SplitMix64:
 class GenSpec:
     """A reproducible polygon request, expressible on the CLI."""
 
-    kind: str  # regular | random-hull | parallel-edges | lattice
+    kind: str  # one of _KINDS
     n: int
     seed: int = 0
     coord_range: int = 1000
     rotation: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("regular", "random-hull", "parallel-edges", "lattice"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 3:
             raise ValueError("need n >= 3")

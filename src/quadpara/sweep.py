@@ -347,6 +347,23 @@ class DifferenceBody(NamedTuple):
     keys: np.ndarray
     k0: float
 
+    def crossed_edge(self, ux: float, uy: float) -> int:
+        """The index j for which the ray along (ux, uy) meets D on its edge
+        from vertex j - 1 to vertex j, mod n: one binary search on the keys
+        of the half turn, or on -u's key past it, where the pairs are
+        swapped.  The keys only propose."""
+        key = _direction_keys(np.array([ux, -ux]), np.array([uy, -uy]), self.k0)
+        return int(np.searchsorted(self.keys, key[0] if key[0] < 2.0 else key[1], side="right"))
+
+    def proposal(self, j: int) -> tuple[int, int, bool]:
+        """(a, c, c_steps) for D's edge from vertex j - 1 to vertex j, mod n:
+        the pair at vertex j - 1, and whether the edge is P's e[c], so that
+        a chord along it leaves p[a].  Vertex n is vertex 0 with its pair
+        swapped."""
+        j %= len(self.a)
+        a, c = int(self.a[j - 1]), int(self.c[j - 1])
+        return a, c, bool((self.a[j] if j else self.c[0]) == a)
+
 
 def _difference_body(xy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> DifferenceBody:
     """D = P - P over a half turn, for the (n, 2) vertex array of a CCW

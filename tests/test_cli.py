@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import types
 import warnings
 from pathlib import Path
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quadpara import DegenerateSample, SweepOverrun, cli, lattice_ngon
+import quadpara
+from quadpara import CertificateChecks, DegenerateSample, SweepOverrun, cli, lattice_ngon
 from quadpara.cli import InputError, main
 
 SQUARE = "0 0\n1 0\n1 1\n0 1\n"
@@ -44,6 +47,29 @@ def test_both_square(capsys, square_file):
     assert doc["certificates"]["quad"]["all_ok"]
     assert doc["certificates"]["para"]["all_ok"]
     assert "time_ms=" in err
+
+
+def test_public_names_are_pinned():
+    # Adding or removing a public name is a deliberate edit of this list.
+    names = sorted(n for n, v in vars(quadpara).items() if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == [
+        "CertificateChecks", "ConjugateCertificate", "ConvexPolygon", "Degenerate", "DegenerateSample",
+        "Direction", "ExtremesReport", "GenSpec", "GeometryError", "NonFinite", "NotConvex", "OraclePara",
+        "OracleQuad", "ParaResult", "ParallelLines", "Point", "QuadResult", "Segment", "SplitMix64",
+        "SweepOverrun", "TooFewVertices", "anchored_conjugate_pair", "brute_anchored_quad_area",
+        "brute_largest_quad", "brute_smallest_para", "canonicalize", "chord_through", "combined_extremes",
+        "contains_point", "extreme_vertex", "generate", "largest_quadrilateral", "lattice_ngon",
+        "longest_chord", "parallel_edge_polygon", "polygon_area", "quad_area", "random_convex",
+        "regular_ngon", "smallest_parallelogram", "verify_conjugate_pair", "width",
+    ]
+
+
+def test_certificate_json_keys_are_the_check_fields(capsys, square_file):
+    keys = {f.name for f in dataclasses.fields(CertificateChecks)} | {"all_ok"}
+    _, out, _ = run(capsys, "both", "--input", square_file)
+    assert [set(c) for c in json.loads(out)["certificates"].values()] == [keys, keys]
+    _, out, _ = run(capsys, "anchored", "--input", square_file, "--dir", "1", "0")
+    assert set(json.loads(out)["certificate"]) == keys
 
 
 def test_quad_triangle(capsys, triangle_file):

@@ -14,6 +14,7 @@ from quadpara import (
     Degenerate,
     Direction,
     GeometryError,
+    ParallelLines,
     ParaResult,
     Point,
     QuadResult,
@@ -41,6 +42,7 @@ from quadpara import extremal
 from quadpara.cli import ORACLE_REL_TOL, main
 from quadpara.extremal import _vertical_extremes
 from quadpara.geometry import _unit
+from quadpara.sweep import DifferenceBody, _direction_keys
 
 REL = 1e-12
 
@@ -623,6 +625,11 @@ def test_anchored_diagonal_where_the_float_chord_collapses():
     assert rel_eq(F.area, brute_anchored_quad_area(P, u), rel=1e-9)
 
 
+def test_parallelogram_raises_on_parallel_sides():
+    with pytest.raises(ParallelLines):
+        extremal._parallelogram((0, 0), (1, 0), (1, 1), (0, 1), Direction(1, 0), Direction(-2, 0), (0, 1, 2, 3))
+
+
 def _count_signs(monkeypatch) -> list:
     """Counts the exact signs the anchored lookup takes, in a one-element
     list."""
@@ -641,13 +648,15 @@ def test_longest_chord_survives_a_moved_proposal(corpus, monkeypatch):
     # three D vertices, or by a quarter turn, it costs signs, and the chord
     # stays the referee's.
     signs = _count_signs(monkeypatch)
-    d_edge = extremal._d_edge
+    crossed_edge = DifferenceBody.crossed_edge
     polys = list(corpus[::3]) + [regular_ngon(n, 1000.0, 1) for n in (40, 151)]
     polys += [lattice_ngon(300, 3), parallel_edge_polygon(9, 41)]
     spent = [0, 0]  # signs taken from the true proposals, from the moved ones
     for P in polys:
         for shift in (0, -3, -2, -1, 1, 2, 3, P.n // 2):
-            monkeypatch.setattr(extremal, "_d_edge", lambda P, u, shift=shift: d_edge(P, u) + shift)
+            monkeypatch.setattr(
+                DifferenceBody, "crossed_edge", lambda D, ux, uy, shift=shift: crossed_edge(D, ux, uy) + shift
+            )
             before = signs[0]
             for u in [(1, 0), (0, 1), (3, 7), (1.0, math.sqrt(2)), P.edge_vector(0)]:
                 F, _ = anchored_conjugate_pair(P, u)
@@ -678,8 +687,31 @@ def test_half_turn_proposal_certifies_on_lattice_polygons(monkeypatch):
             before = signs[0]
             extremal._side_direction(P, *ends, (0.0, 0.0), (un.dx, un.dy))
             assert signs[0] - before <= 3 * sum(1 if kind == "edge" else 2 for kind, _ in ends), (P.n, u)
-            halves.add(bool(extremal._direction_keys(np.array([u[0]]), np.array([u[1]]), k0)[0] >= 2.0))
+            halves.add(bool(_direction_keys(np.array([u[0]]), np.array([u[1]]), k0)[0] >= 2.0))
     assert halves == {False, True}
+
+
+def test_wrap_edge_proposal_certifies_on_lattice_polygons(monkeypatch):
+    # D's last edge runs from its vertex n - 1 to its vertex n, which is
+    # vertex 0 with the pair swapped.  On lattice polygons that edge is P's
+    # e[c], and a wrong wrap still finds the chord, at a cost in signs: the
+    # half-turn test's budget of eight is what sees it.
+    signs = _count_signs(monkeypatch)
+    for seed in range(4):
+        P = lattice_ngon(1024, seed)
+        D = P.difference_body()
+        xy = P.coords()
+        last, first = xy[D.c[-1]] - xy[D.a[-1]], xy[D.c[0]] - xy[D.a[0]]
+        assert D.proposal(P.n)[2]
+        for s, t in ((1, 1), (3, 1), (1, 3), (40, 1), (1, 40)):
+            u = Direction(*(s * last - t * first)).canonical()  # between D's vertices n - 1 and n
+            un = Direction(*_unit(u))
+            assert D.crossed_edge(un.dx, un.dy) == P.n, (seed, s, t)
+            before = signs[0]
+            extremal._longest_chord(P, un)
+            assert signs[0] - before <= 8, (seed, s, t)
+            F, _ = anchored_conjugate_pair(P, u)
+            _assert_exact_diagonal(P, (u.dx, u.dy), F)
 
 
 def test_longest_chord_survives_a_proposal_moved_along_one_chain(corpus, monkeypatch):

@@ -9,10 +9,8 @@ from quadpara import (
     ConvexPolygon,
     Degenerate,
     Direction,
-    Line,
     NonFinite,
     NotConvex,
-    ParallelLines,
     Point,
     TooFewVertices,
     anchored_conjugate_pair,
@@ -22,7 +20,6 @@ from quadpara import (
     contains_point,
     extreme_vertex,
     lattice_ngon,
-    line_intersection,
     longest_chord,
     polygon_area,
     quad_area,
@@ -31,7 +28,7 @@ from quadpara import (
     verify_conjugate_pair,
     width,
 )
-from quadpara.geometry import _chord_directions, _chord_params, _det_sign, _neg_margins
+from quadpara.geometry import _chord_directions, _chord_params, _det_sign, _meet, _neg_margins
 
 coord = st.integers(min_value=-(2**20), max_value=2**20)
 vec = st.tuples(coord, coord)
@@ -510,16 +507,10 @@ def test_chord_parameters_do_not_depend_on_the_batch():
     assert collapsed
 
 
-def test_line_intersection():
-    x_axis = Line(Point(0, 0), Direction(1, 0))
-    y_axis = Line(Point(0, 0), Direction(0, 1))
-    assert line_intersection(x_axis, y_axis) == Point(0, 0)
-    with pytest.raises(ParallelLines):
-        line_intersection(x_axis, Line(Point(0, 1), Direction(1, 0)))
-    p = line_intersection(
-        Line(Point(0, 0), Direction(1, 1)), Line(Point(1, 0), Direction(-1, 1))
-    )
-    assert p == Point(0.5, 0.5)
+def test_meet():
+    assert _meet((0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 1.0)) == (0.0, 0.0)
+    assert _meet((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)) is None
+    assert _meet((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (-1.0, 1.0)) == (0.5, 0.5)
 
 
 def test_contains_point(square):
