@@ -47,6 +47,7 @@ from .geometry import (
     _det_sign,
     _meet,
     _neg_margins,
+    _shoelace,
     _unit,
     _vec,
     chord_through,
@@ -319,12 +320,13 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
     sbx, sby = _unit(G.side_dir_bd)
     anchoring_s = abs(sbx * uy - sby * ux) / (math.hypot(sbx, sby) * ulen) <= CERT_TOL
 
-    g = G.corners
-    sides = ((g[0], g[1]), (g[1], g[2]), (g[2], g[3]), (g[3], g[0]))
+    # G's sides, side k from corner k to corner k + 1, and their lengths,
+    # read by both checks on G.
+    ring = np.array(G.corners + G.corners[:1])
+    g, e = ring[:4], ring[1:] - ring[:4]
+    lengths = [math.hypot(ex, ey) for ex, ey in e.tolist()]
     on_side = []
-    for corner, (p, q) in zip((A, B, C, D), sides):
-        ex, ey = q.x - p.x, q.y - p.y
-        elen = math.hypot(ex, ey)
+    for corner, p, (ex, ey), elen in zip((A, B, C, D), G.corners, e.tolist(), lengths):
         if elen == 0.0:
             on_side.append(math.hypot(corner.x - p.x, corner.y - p.y) <= dist_tol)
         else:
@@ -332,19 +334,13 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
 
     quad_in_polygon = contains_point(P, F.corners, dist_tol)
 
-    # G's ring closed by its first corner, one row of x and one of y; its
-    # orientation is the sign of the shoelace sum.
-    ring = g + g[:1]
-    gxy = np.array([[p.x for p in ring], [p.y for p in ring]])
-    doubled = float(np.dot(gxy[0, :4], gxy[1, 1:]) - np.dot(gxy[0, 1:], gxy[1, :4]))
-    if doubled < 0.0:
-        gxy = gxy[:, ::-1]  # the reversed ring, still from g[0]
-    # Every vertex against G's four sides at once, one side per row.
-    e = gxy[:, 1:] - gxy[:, :4]
-    slack = [dist_tol * math.hypot(ex, ey) for ex, ey in zip(*e.tolist())]
+    # Every vertex against G's four sides at once, one side per row.  A
+    # clockwise G is read as its reversed ring: each side from its far end.
+    if _shoelace(g) < 0.0:
+        g, e = ring[1:], -e
     xy = P.coords()
-    neg = _neg_margins(xy[:, 0], xy[:, 1], gxy[0, :4, None], gxy[1, :4, None], e[0, :, None], e[1, :, None])
-    inside = bool((neg <= np.array(slack)[:, None]).all())
+    neg = _neg_margins(xy[:, 0], xy[:, 1], g[:, :1], g[:, 1:], e[:, :1], e[:, 1:])
+    inside = bool((neg <= dist_tol * np.array(lengths)[:, None]).all())
 
     area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * P.scale
 

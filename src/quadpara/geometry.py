@@ -7,7 +7,8 @@ non-strict comparisons of triangle areas over a common base never disagree
 with the true signs; tie cases (parallel edges) therefore branch correctly.
 `_det_sign` gives the exact sign for any finite inputs; the anchored pair
 is built with it.  `_meet` is the package's one float line meet: every
-parallelogram corner and every slid corner comes from it.  This module
+parallelogram corner and every slid corner comes from it, as every ring's
+orientation and area come from `_shoelace`, with no BLAS call.  This module
 keeps no tolerance of its own: `contains_point` compares with the
 tolerance its caller passes.  The package's one distance tolerance is
 `extremal._dist_tol`, CERT_TOL * max|coord|, which only the certificates
@@ -170,6 +171,18 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[1:], a[:1]))
 
 
+def _shoelace(xy: np.ndarray) -> float:
+    """Twice the signed area of the ring of (x, y) rows: the per-edge terms
+    x[i] y[i+1] - x[i+1] y[i], summed by numpy.  Not finite where a product,
+    or the sum of the x[i] y[i+1] or of the x[i+1] y[i], overflows; callers
+    reject the ring there, and run it under np.errstate on unchecked rings."""
+    x, y = xy[:, 0], xy[:, 1]
+    right = x * _next(y)
+    left = _next(x) * y
+    doubled = float(np.add.reduce(right - left))
+    return doubled if math.isfinite(np.add.reduce(right)) and math.isfinite(np.add.reduce(left)) else math.nan
+
+
 class ConvexPolygon:
     """A strictly convex, counterclockwise vertex ring.
 
@@ -198,13 +211,12 @@ class ConvexPolygon:
         # Products of huge coordinates overflow; the checks below then reject
         # the ring, without numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            x, y = xy[:, 0], xy[:, 1]
-            doubled = np.dot(x, _next(y)) - np.dot(_next(x), y)
+            doubled = _shoelace(xy)
             if doubled == 0.0:
                 raise Degenerate("vertex ring has zero signed area")
             if doubled < 0.0:
                 xy = xy[::-1].copy()
-                x, y = xy[:, 0], xy[:, 1]
+            x, y = xy[:, 0], xy[:, 1]
             ex = _next(x) - x
             ey = _next(y) - y
             cross = ex * _next(ey) - ey * _next(ex)
@@ -282,10 +294,11 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
     float64 array.
 
     Consecutive equal points, and a tail equal to the first point, count
-    once; a vertex is dropped when its turn is exactly zero.  Raises
-    ValueError for rows that are not (x, y) pairs, NonFinite (also where
-    the area or a turn overflows), and Degenerate if fewer than 3 extreme
-    points remain.
+    once; a vertex is dropped when its turn is exactly zero, and the
+    orientation is the sign of the ring's `_shoelace`.  Raises ValueError
+    for rows that are not (x, y) pairs, NonFinite (also where a turn
+    overflows, or the shoelace is not finite, as in the constructor), and
+    Degenerate if fewer than 3 extreme points remain.
     """
     xy = _pair_array(points)
     if not np.isfinite(xy).all():
@@ -303,13 +316,10 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
     if m < 3:
         raise Degenerate("fewer than 3 distinct points")
     ring = np.concatenate((xy[-1:], xy, xy[:1]))  # ring[i + 1] is vertex i
-    p, q = ring[1:-1], ring[2:]
     # Products of huge coordinates overflow; the ring is then rejected, as
     # the constructor rejects it, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        # cumsum adds the terms one at a time in ring order, so the sign of a
-        # near-zero area does not depend on numpy's pairwise summation.
-        area2 = np.cumsum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1])[-1]
+        area2 = _shoelace(xy)
         e = ring[1:] - ring[:-1]  # e[i] runs from vertex i - 1 to vertex i
         # Reversing the ring negates every turn exactly, so the zero turns
         # are found before the orientation is fixed.
@@ -326,12 +336,8 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
 
 
 def polygon_area(P: ConvexPolygon) -> float:
-    """Positive area of the polygon (shoelace): the per-edge cross terms,
-    summed pairwise.  Two dot products would cancel in their difference,
-    and BLAS sums them in an order that depends on its thread count."""
-    xy = P.coords()
-    x, y = xy[:, 0], xy[:, 1]
-    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
+    """Positive area of the polygon: half its `_shoelace`."""
+    return 0.5 * _shoelace(P.coords())
 
 
 def extreme_vertex(P: ConvexPolygon, d) -> int:
@@ -348,11 +354,9 @@ def extreme_vertex(P: ConvexPolygon, d) -> int:
     idx = np.flatnonzero(dots == best)
     if len(idx) == 1:
         return int(idx[0])
-    members = set(int(i) for i in idx)
-    for i in members:
-        if (i - 1) % P.n in members:
-            return i
-    return int(idx[-1])
+    # The end of the run of maximizers: the one whose successor is not one.
+    members = set(idx.tolist())
+    return next((i for i in idx.tolist() if (i + 1) % P.n not in members), int(idx[-1]))
 
 
 def width(P: ConvexPolygon, u) -> float:

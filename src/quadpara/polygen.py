@@ -138,14 +138,8 @@ def random_convex(n_target: int, seed: int, coord_range: int) -> ConvexPolygon:
 
 
 def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Full-circle CCW angular order starting just above direction (1, 0)."""
-
-    def half(w: tuple[int, int]) -> int:
-        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return hu - hv
+    """CCW angular order of directions in the half plane dy > 0, or dy == 0
+    and dx > 0, starting at (1, 0)."""
     cross = u[0] * v[1] - u[1] * v[0]
     return (cross < 0) - (cross > 0)
 

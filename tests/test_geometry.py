@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from quadpara import (
     brute_anchored_quad_area,
     canonicalize,
     chord_through,
+    combined_extremes,
     contains_point,
     extreme_vertex,
     lattice_ngon,
@@ -28,7 +30,7 @@ from quadpara import (
     verify_conjugate_pair,
     width,
 )
-from quadpara.geometry import _chord_directions, _chord_params, _det_sign, _meet, _neg_margins
+from quadpara.geometry import _chord_directions, _chord_params, _det_sign, _meet, _neg_margins, _shoelace
 
 coord = st.integers(min_value=-(2**20), max_value=2**20)
 vec = st.tuples(coord, coord)
@@ -176,7 +178,9 @@ def test_convex_polygon_rejections():
 @pytest.mark.parametrize(
     "ring",
     [
-        lattice_ngon(300, 3).coords() * 1e150,  # cross products overflow to inf - inf
+        # The shoelace's sums of x[i] y[i+1] and of x[i+1] y[i] overflow;
+        # its terms and the edge cross products do not.
+        lattice_ngon(300, 3).coords() * 1e150,
         lattice_ngon(300, 3).coords()[::-1] * 1e150,
         # An edge x-extent of inf: two cross products are +inf, the
         # doubled area is finite.
@@ -194,6 +198,51 @@ def test_convex_polygon_rejects_overflowing_ring(ring):
         ConvexPolygon(ring)
     with pytest.raises(NonFinite):
         ConvexPolygon(canonicalize(ring))
+
+
+def test_translated_ring_keeps_its_orientation():
+    # Two dot products of about 1e16 cancel in their difference, and BLAS
+    # summed them to the wrong sign on this ring with 1, 2 and 4 threads:
+    # the ring was reversed, then rejected as clockwise.
+    ring = regular_ngon(12000).coords() + 1e6
+    for xy in (ring, ring[::-1]):
+        assert np.array_equal(ConvexPolygon(xy).coords(), ring)
+        assert np.array_equal(ConvexPolygon(canonicalize(xy)).coords(), ring)
+
+
+def test_shoelace_sign_is_exact_on_translated_rotated_rings():
+    # Seeded regular rings of about 3000 vertices, rotated by a random
+    # phase and moved 1e5 to 3e6 in a random direction.  With the
+    # difference of two dot products as its orientation, the constructor
+    # rejected 3 of these 40 rings with 1, 2 and 4 BLAS threads alike.
+    rng = random.Random(4)
+    for _ in range(20):
+        n = rng.randint(2500, 3500)
+        shift, heading = 10 ** rng.uniform(5, 6.5), rng.uniform(0, 2 * math.pi)
+        t = 2 * math.pi * np.arange(n) / n + rng.uniform(0, 2 * math.pi)
+        ring = np.column_stack((np.cos(t) + shift * math.cos(heading), np.sin(t) + shift * math.sin(heading)))
+        x, y = [[Fraction(v) for v in col] for col in ring.T.tolist()]
+        twice = sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(n))
+        assert twice > 0 and _shoelace(ring) > 0.0
+        assert _shoelace(ring[::-1]) < 0.0
+        for xy in (ring, ring[::-1]):
+            assert np.array_equal(ConvexPolygon(xy).coords(), ring)
+
+
+def test_no_blas_call(monkeypatch):
+    # BLAS sums in an order that depends on its thread count, so no
+    # decision may depend on it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    for name in ("dot", "vdot", "inner", "matmul"):
+        monkeypatch.setattr(np, name, refuse)
+    for ring in (lattice_ngon(400, 1).coords()[::-1], random_convex(30, 7, 1000).coords()):
+        P = ConvexPolygon(canonicalize(ring))
+        polygon_area(P)
+        combined_extremes(P)
+        for u in ((1, 0), (3, -7)):
+            assert verify_conjugate_pair(*anchored_conjugate_pair(P, u), u, P).checks.all_ok
 
 
 def test_convex_polygon_idempotent(corpus):
@@ -433,6 +482,15 @@ def test_extreme_vertex_tie_breaks_later_in_ccw(square):
     # bottom edge is (0,0)->(1,0); for d=(0,-1) both are extreme
     i = extreme_vertex(square, (0, -1))
     assert i == 1
+
+
+def test_extreme_vertex_tie_breaks_to_the_end_of_the_run():
+    # Three float maximizers, 2, 3 and 4: the last in CCW order is 4.
+    P = ConvexPolygon([(0, 0), (2**11, 0), (2**11, 1 - 2**-19), (2**10, 1 - 2**-20 + 2**-53), (0, 1)])
+    d = (2**-30, 1)
+    dots = P.coords()[:, 0] * d[0] + P.coords()[:, 1] * d[1]
+    assert np.flatnonzero(dots == dots.max()).tolist() == [2, 3, 4]
+    assert extreme_vertex(P, d) == 4
 
 
 def test_width(square, triangle, hexagon):
