@@ -47,12 +47,12 @@ from .geometry import (
     _det_sign,
     _meet,
     _neg_margins,
+    _run_end,
     _shoelace,
     _unit,
     _vec,
     chord_through,
     contains_point,
-    extreme_vertex,
     quad_area,
 )
 from .sweep import _combined_sweep
@@ -264,9 +264,10 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     O(n log n) numpy work and cached (`ConvexPolygon.difference_body`): one
     binary search proposes it, and exact signs confirm it or step to it
     (`_longest_chord`).  It is the exactly longest chord along u, through
-    the first vertex on ties, measured once; b and d take two more O(n)
-    array passes.  `oracle.longest_chord` measures the chord through every
-    vertex in floats, in O(n^2).
+    the first vertex on ties, measured once; b and d are the end vertices
+    of the maximizers and of the minimizers of one more O(n) projection.
+    `oracle.longest_chord` measures the chord through every vertex in
+    floats, in O(n^2).
 
     Every branch is an exact sign, and no tolerance enters: the lookup's
     own signs say whether each end of the chord is a vertex or inside an
@@ -283,8 +284,12 @@ def anchored_conjugate_pair(P: ConvexPolygon, u) -> tuple[QuadResult, ParaResult
     (a_pt, c_pt), (loc_a, loc_c) = _longest_chord(P, un)
     v = _side_direction(P, loc_a, loc_c, (0.0, 0.0), (un.dx, un.dy))
 
-    b_idx = extreme_vertex(P, (un.dy, -un.dx))
-    d_idx = extreme_vertex(P, (-un.dy, un.dx))
+    # b and d from one projection: d's direction is the exact negation of
+    # b's, so its maximizers are this projection's minimizers.
+    xy = P.coords()
+    proj = xy[:, 0] * un.dy - xy[:, 1] * un.dx
+    b_idx = _run_end(np.flatnonzero(proj == proj.max()), P.n)
+    d_idx = _run_end(np.flatnonzero(proj == proj.min()), P.n)
     b_pt, d_pt = P[b_idx], P[d_idx]
 
     idx_a = loc_a[1] if loc_a[0] == "vertex" else None
@@ -334,13 +339,14 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
 
     quad_in_polygon = contains_point(P, F.corners, dist_tol)
 
-    # Every vertex against G's four sides at once, one side per row.  A
-    # clockwise G is read as its reversed ring: each side from its far end.
+    # Every vertex against G's four sides at once, one side per row, whose
+    # largest margin meets that side's threshold.  A clockwise G is read as
+    # its reversed ring: each side from its far end.
     if _shoelace(g) < 0.0:
         g, e = ring[1:], -e
     xy = P.coords()
     neg = _neg_margins(xy[:, 0], xy[:, 1], g[:, :1], g[:, 1:], e[:, :1], e[:, 1:])
-    inside = bool((neg <= dist_tol * np.array(lengths)[:, None]).all())
+    inside = bool((neg.max(axis=1) <= dist_tol * np.array(lengths)).all())
 
     area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * P.scale
 

@@ -154,9 +154,10 @@ def quad_area(a, b, c, d) -> float:
 
 
 def _pair_array(points: Iterable[Sequence[float]]) -> np.ndarray:
-    """A fresh (n, 2) float64 array of the (x, y) pairs in `points`, which
-    may be any iterable, a generator or an array included."""
-    xy = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
+    """A fresh column-major (n, 2) float64 array of the (x, y) pairs in
+    `points`, which may be any iterable, a generator or an array included:
+    its x and y columns are contiguous."""
+    xy = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64, order="F")
     if xy.shape == (0,):
         return xy.reshape(0, 2)
     if xy.ndim != 2 or xy.shape[1] != 2:
@@ -190,9 +191,10 @@ class ConvexPolygon:
     and no duplicate points.  Vertex indices wrap modulo n in `__getitem__`
     and `edge_vector`.  Instances are immutable and safe to share.
 
-    The ring is stored once, as the (n, 2) float64 array that `coords()`
-    returns.  `vertices`, indexing and iteration build `Point`s from it on
-    every access.
+    The ring is stored once, as the column-major (n, 2) float64 array that
+    `coords()` returns, so the passes over its x and y columns read
+    contiguous memory.  `vertices`, indexing and iteration build `Point`s
+    from it on every access.
 
     The constructor validates a vertex ring given in either orientation.
     Raises ValueError for rows that are not (x, y) pairs, TooFewVertices,
@@ -215,7 +217,7 @@ class ConvexPolygon:
             if doubled == 0.0:
                 raise Degenerate("vertex ring has zero signed area")
             if doubled < 0.0:
-                xy = xy[::-1].copy()
+                xy = xy[::-1].copy(order="F")
             x, y = xy[:, 0], xy[:, 1]
             ex = _next(x) - x
             ey = _next(y) - y
@@ -260,7 +262,8 @@ class ConvexPolygon:
         return qx - px, qy - py
 
     def coords(self) -> np.ndarray:
-        """The (n, 2) float64 vertex array.  Do not mutate."""
+        """The (n, 2) float64 vertex array, column-major: `coords()[:, 0]`
+        and `[:, 1]` are contiguous.  Do not mutate."""
         return self._xy
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -350,13 +353,17 @@ def extreme_vertex(P: ConvexPolygon, d) -> int:
     dx, dy = _unit(d)
     xy = P.coords()
     dots = xy[:, 0] * dx + xy[:, 1] * dy
-    best = dots.max()
-    idx = np.flatnonzero(dots == best)
+    return _run_end(np.flatnonzero(dots == dots.max()), P.n)
+
+
+def _run_end(idx: np.ndarray, n: int) -> int:
+    """The tie rule of `extreme_vertex`: of the increasing vertex indices
+    idx, the end of their run along the ring, the one whose successor is
+    not in idx."""
     if len(idx) == 1:
         return int(idx[0])
-    # The end of the run of maximizers: the one whose successor is not one.
     members = set(idx.tolist())
-    return next((i for i in idx.tolist() if (i + 1) % P.n not in members), int(idx[-1]))
+    return next((i for i in idx.tolist() if (i + 1) % n not in members), int(idx[-1]))
 
 
 def width(P: ConvexPolygon, u) -> float:
@@ -388,9 +395,11 @@ def chord_through(P: ConvexPolygon, q, u) -> Segment:
 
 
 def _neg_margins(qx, qy, vx, vy, ex, ey):
-    """-c for c = ex * (qy - vy) - ey * (qx - vx): the inside margin of the
+    """ey * (qx - vx) - ex * (qy - vy): minus the inside margin of the
     point (qx, qy) for the edge from (vx, vy) along (ex, ey), scaled by the
-    edge length.  The arguments broadcast; the result is a fresh array.
+    edge length, so a point inside the edge line gives a value <= 0.  The
+    arguments broadcast; the result is a fresh array.  The sign of a zero
+    margin is unspecified: every reader compares with `<=` or adds 0.0.
 
     `chord_through`, `oracle.longest_chord` and `oracle.brute_smallest_para`
     all take their margins from here, so their chord parameters agree to
@@ -398,12 +407,12 @@ def _neg_margins(qx, qy, vx, vy, ex, ey):
     `contains_point` and `extremal.verify_conjugate_pair`'s
     polygon-in-parallelogram pass.
     """
-    c = qy - vy
-    c *= ex
-    c2 = qx - vx
-    c2 *= ey
-    c -= c2
-    return np.negative(c, out=c)
+    m = qx - vx
+    m *= ey
+    m2 = qy - vy
+    m2 *= ex
+    m -= m2
+    return m
 
 
 def _chord_directions(ex, ey, ux, uy):
@@ -498,6 +507,10 @@ def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:
     xy = P.coords()
     ex, ey = P.edges()
     neg = _neg_margins(px, py, xy[:, 0], xy[:, 1], ex, ey)
+    # One reduction decides the common case, every margin <= 0; NaN
+    # margins, tol < 0 and an empty batch take the element passes below.
+    if tol >= 0.0 and neg.size and neg.max() <= 0.0:
+        return True
     if tol == 0.0:
         return bool((neg <= 0.0).all())
     if tol > 0.0:

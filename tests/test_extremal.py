@@ -27,6 +27,7 @@ from quadpara import (
     chord_through,
     combined_extremes,
     contains_point,
+    extreme_vertex,
     largest_quadrilateral,
     lattice_ngon,
     longest_chord,
@@ -327,6 +328,25 @@ def test_verify_detects_polygon_outside_parallelogram(corpus):
         assert verify_conjugate_pair(F, clockwise, u, P).checks.polygon_in_para, P.n
 
 
+def test_polygon_in_para_measures_each_side_against_its_own_length():
+    # P is a 1000 x 1 rectangle, so the distance tolerance is about 1e-6.
+    # G is P with one side moved in by h: P's vertices lie h outside that
+    # side.  The margins are scaled by the side's length, 1 or 1000, so a
+    # side measured against another side's threshold misjudges h = 2e-6 on
+    # a short side or h = 5e-7 on a long one.
+    P = ConvexPolygon([(0, 0), (1000, 0), (1000, 1), (0, 1)])
+    F, _ = anchored_conjugate_pair(P, (1, 0))
+    assert extremal._dist_tol(P) == pytest.approx(1e-6)
+    for side, h, want in ((1, 2e-6, False), (1, 5e-7, True), (2, 2e-6, False), (2, 5e-7, True)):
+        g = [[0.0, 0.0], [1000.0, 0.0], [1000.0, 1.0], [0.0, 1.0]]
+        for k in (side, side + 1):
+            g[k][0 if side == 1 else 1] -= h
+        G = ParaResult(tuple(Point(*p) for p in g), Direction(1, 0), Direction(0, 1), 1000.0, (0, 1, 2, 3))
+        for corners in (G.corners, G.corners[::-1]):
+            checks = verify_conjugate_pair(F, dataclasses.replace(G, corners=corners), (1, 0), P).checks
+            assert checks.polygon_in_para == want, (side, h, corners)
+
+
 def test_verify_detects_unanchored_diagonal(square):
     F, G = anchored_conjugate_pair(square, (1, 0))
     tilted = QuadResult(
@@ -525,6 +545,32 @@ def test_anchored_opposite_directions_match(square):
     f2, g2 = anchored_conjugate_pair(square, (-1, 0))
     assert f1 == f2
     assert g1 == g2
+
+
+def test_anchored_b_and_d_are_the_extreme_vertices(corpus):
+    # b and d come from one projection, d's as its minimizers: they are the
+    # vertices that extreme_vertex picks along u's two normals, ties broken
+    # to the end of the run.  An anchor along edge k puts that edge's two
+    # ends, and any parallel edge's, among the extremes; along edge n - 1
+    # the run wraps past vertex n - 1.  A half-turned lattice ring holds
+    # -0.0 coordinates, which flip the zero signs of the negated projection.
+    polys = list(corpus) + [regular_ngon(n, 1000.0, r) for n in (5, 40, 151) for r in (0, 1)]
+    polys += [ConvexPolygon(-lattice_ngon(n, s).coords()) for n, s in ((40, 1), (300, 3))]
+    ties = wraps = 0
+    for P in polys:
+        edges = [P.edge_vector(k) for k in range(P.n)]
+        dirs = [(1, 0), (0, 1), (123, -457)] + edges + [(-ey, ex) for ex, ey in edges]
+        for u in dirs:
+            F, G = anchored_conjugate_pair(P, u)
+            ux, uy = _unit(Direction(*u).canonical())
+            b, d = extreme_vertex(P, (uy, -ux)), extreme_vertex(P, (-uy, ux))
+            assert F.vertex_indices[1::2] == G.touch_indices[1::2] == (b, d), (P.n, u)
+            for vx, vy in ((uy, -ux), (-uy, ux)):
+                dots = P.coords()[:, 0] * vx + P.coords()[:, 1] * vy
+                top = np.flatnonzero(dots == dots.max()).tolist()
+                ties += len(top) > 1
+                wraps += top[0] == 0 and top[-1] == P.n - 1
+    assert ties > 1000 and wraps > 100, (ties, wraps)
 
 
 def _bits(points):

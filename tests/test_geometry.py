@@ -31,6 +31,7 @@ from quadpara import (
     width,
 )
 from quadpara.geometry import _chord_directions, _chord_params, _det_sign, _meet, _neg_margins, _shoelace
+from quadpara.polygen import GenSpec, generate
 
 coord = st.integers(min_value=-(2**20), max_value=2**20)
 vec = st.tuples(coord, coord)
@@ -158,6 +159,39 @@ def test_cached_edges_are_vertex_differences(corpus):
         assert np.array_equal(ex, np.roll(x, -1) - x)
         assert np.array_equal(ey, np.roll(y, -1) - y)
         assert [(a, b) for a, b in zip(ex, ey)] == [P.edge_vector(k) for k in range(P.n)]
+
+
+def test_ring_is_stored_column_major():
+    # Every construction route, polygen's included, stores the ring with
+    # contiguous x and y columns, and reads it as the row-major array of
+    # the same ring.
+    ref = lattice_ngon(40, 3).coords().tolist()
+    # A duplicated vertex and an exact edge midpoint, which canonicalize drops.
+    mid = [(a + b) / 2 for a, b in zip(ref[5], ref[6])]
+    padded = ref[:3] + [ref[2]] + ref[3:6] + [mid] + ref[6:]
+    routes = [
+        (ref, [tuple(p) for p in ref]),
+        (ref, np.array(ref, order="C")),
+        (ref, np.array(ref, order="F")),
+        (ref, ref[::-1]),
+        (ref, np.array(ref[::-1], order="F")),
+        (ref, canonicalize(padded)),
+        (ref, canonicalize(padded[::-1])),
+        (ref, canonicalize(np.array(padded, order="F"))),
+    ]
+    for j in (-3, 5):
+        routes.append(((np.array(ref) * 2.0**j).tolist(), ConvexPolygon(ref).coords() * 2.0**j))
+    for kind, n in (("regular", 17), ("random-hull", 30), ("parallel-edges", 12), ("lattice", 40)):
+        P = generate(GenSpec(kind, n, seed=2))
+        routes.append((np.ascontiguousarray(P.coords()).tolist(), P))
+    for want, points in routes:
+        P = points if isinstance(points, ConvexPolygon) else ConvexPolygon(points)
+        rows = np.array(want)
+        assert P.coords()[:, 0].flags.c_contiguous and P.coords()[:, 1].flags.c_contiguous
+        assert np.array_equal(P.coords(), rows) and P.coords().tolist() == want
+        assert [P[i] for i in range(-1, P.n + 1)] == [Point(*rows[i % P.n]) for i in range(-1, P.n + 1)]
+        edges = (np.roll(rows, -1, axis=0) - rows).tolist()
+        assert [P.edge_vector(i) for i in range(P.n)] == [tuple(e) for e in edges]
 
 
 def test_convex_polygon_rejections():
