@@ -46,11 +46,11 @@ from .geometry import (
     SweepOverrun,
     _det_sign,
     _meet,
-    _neg_margins,
     _run_end,
     _shoelace,
     _unit,
     _vec,
+    _vertex_margin_max,
     chord_through,
     contains_point,
     quad_area,
@@ -344,9 +344,8 @@ def verify_conjugate_pair(F: QuadResult, G: ParaResult, u, P: ConvexPolygon) -> 
     # its reversed ring: each side from its far end.
     if _shoelace(g) < 0.0:
         g, e = ring[1:], -e
-    xy = P.coords()
-    neg = _neg_margins(xy[:, 0], xy[:, 1], g[:, :1], g[:, 1:], e[:, :1], e[:, 1:])
-    inside = bool((neg.max(axis=1) <= dist_tol * np.array(lengths)).all())
+    side_max = _vertex_margin_max(P, g[:, :1], g[:, 1:], e[:, :1], e[:, 1:])
+    inside = bool((side_max <= dist_tol * np.array(lengths)).all())
 
     area_ratio = abs(G.area - 2.0 * F.area) <= dist_tol * P.scale
 

@@ -405,7 +405,9 @@ def _neg_margins(qx, qy, vx, vy, ex, ey):
     all take their margins from here, so their chord parameters agree to
     the bit; so do both containment checks of a certificate,
     `contains_point` and `extremal.verify_conjugate_pair`'s
-    polygon-in-parallelogram pass.
+    polygon-in-parallelogram pass.  Those two read the margins of a ring
+    of more than _MARGIN_BLOCK vertices a column block at a time
+    (`_margin_blocks`); each margin is the same float either way.
     """
     m = qx - vx
     m *= ey
@@ -413,6 +415,20 @@ def _neg_margins(qx, qy, vx, vy, ex, ey):
     m2 *= ex
     m -= m2
     return m
+
+
+# Ring vertices or edges per column block of the certificate's margin
+# passes: the temporaries of four rows stay within 1 MiB, in cache, where
+# the (4, n) arrays of one pass over a ring of 250 000 vertices took 8 MB
+# each.  A ring of at most this many vertices takes a single pass.
+_MARGIN_BLOCK = 1 << 14
+
+
+def _margin_blocks(n: int):
+    """Consecutive (lo, hi) column ranges of at most _MARGIN_BLOCK covering
+    [0, n)."""
+    for lo in range(0, n, _MARGIN_BLOCK):
+        yield lo, min(lo + _MARGIN_BLOCK, n)
 
 
 def _chord_directions(ex, ey, ux, uy):
@@ -497,7 +513,9 @@ def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:
 
     x may also be a sequence of points, or an (m, 2) array: the answer is
     then whether every point passes, from one array pass whose elements are
-    those of m single-point calls.
+    those of m single-point calls.  Over a ring of more than _MARGIN_BLOCK
+    vertices the pass runs a column block of edges at a time and stops at
+    the first block with a failing element.
     """
     if isinstance(x, Direction) or len(x) == 2 and np.ndim(x[0]) == 0:
         px, py = _vec(x)
@@ -506,7 +524,21 @@ def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:
         px, py = q[:, :1], q[:, 1:]  # columns against the edges along the last axis
     xy = P.coords()
     ex, ey = P.edges()
-    neg = _neg_margins(px, py, xy[:, 0], xy[:, 1], ex, ey)
+    if P.n <= _MARGIN_BLOCK:
+        return _within(px, py, xy[:, 0], xy[:, 1], ex, ey, tol)
+    # Each (point, edge) element passes or fails alone: the edges of a
+    # large ring are checked a block at a time, so that the margins stay
+    # in cache.
+    return all(
+        _within(px, py, xy[lo:hi, 0], xy[lo:hi, 1], ex[lo:hi], ey[lo:hi], tol)
+        for lo, hi in _margin_blocks(P.n)
+    )
+
+
+def _within(px, py, vx, vy, ex, ey, tol: float) -> bool:
+    """`contains_point` for the points (px, py) against the edges from
+    (vx, vy) along (ex, ey), arrays along the last axis."""
+    neg = _neg_margins(px, py, vx, vy, ex, ey)
     # One reduction decides the common case, every margin <= 0; NaN
     # margins, tol < 0 and an empty batch take the element passes below.
     if tol >= 0.0 and neg.size and neg.max() <= 0.0:
@@ -521,6 +553,21 @@ def contains_point(P: ConvexPolygon, x, tol: float = 0.0) -> bool:
         k = np.flatnonzero(~(neg <= 0.0))
         if k.size == 0:
             return True
-        edge = k % P.n
+        edge = k % len(ex)
         ex, ey, neg = ex[edge], ey[edge], neg.ravel()[k]
     return bool((neg <= tol * np.hypot(ex, ey)).all())
+
+
+def _vertex_margin_max(P: ConvexPolygon, gx, gy, ex, ey) -> np.ndarray:
+    """The largest `_neg_margins` of P's vertices against each line through
+    (gx, gy) along (ex, ey), given as (k, 1) columns: k maxima, NaN where a
+    margin is NaN.  Over a ring of more than _MARGIN_BLOCK vertices, the
+    maxima of the column blocks of vertices are combined by np.maximum,
+    which keeps a NaN; each maximum is exact either way."""
+    xy = P.coords()
+    if P.n <= _MARGIN_BLOCK:
+        return _neg_margins(xy[:, 0], xy[:, 1], gx, gy, ex, ey).max(axis=1)
+    top = np.full(len(gx), -math.inf)
+    for lo, hi in _margin_blocks(P.n):
+        np.maximum(top, _neg_margins(xy[lo:hi, 0], xy[lo:hi, 1], gx, gy, ex, ey).max(axis=1), out=top)
+    return top

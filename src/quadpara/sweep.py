@@ -14,6 +14,13 @@ float pseudo-angle keys only propose the order of the walk and of the
 events, and every decision is still the sign of the loop's own determinant
 expression, evaluated on the proposed states.  Where one sign disagrees
 with the proposal, the scalar loop runs on the whole ring.
+
+The numpy path reads each walk state once per use: one pass over the
+diagonal states computes u_ac and confirms the choices between a and c,
+one over the support states computes u_bd and d - b and confirms the
+choices between b and d, and both event passes read those arrays.  Every
+pass after the merges runs over blocks of consecutive states (`_blocks`),
+whose counts and choices are views of the walk's arrays.
 """
 
 from __future__ import annotations
@@ -197,7 +204,10 @@ def _scalar_sweep(xy: np.ndarray):
 # path's fixed cost per call outweighs its lower cost per vertex.
 _VECTOR_MIN_N = 288
 # Events per block in the per-event stages of `_vector_sweep`; it bounds
-# their temporaries to a few MiB at any n.
+# their temporaries to a few MiB at any n.  The arrays that stay O(n) are
+# the doubled coordinates, the walk (its choices, keys and counts ca),
+# u_ac and its keys, the top level's two count arrays, and the four rows
+# of u_bd and d - b over the support states.
 _BLOCK = 1 << 14
 
 
@@ -237,13 +247,15 @@ def _vector_sweep(xy: np.ndarray):
     # the array expressions must do the same.  No division by zero is made.
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _SweepSteps.propose(xy)
-        if steps is None or not steps.choices_agree():
+        if steps is None or not steps.ac_agree:
             return None
         bd_before, ac_before = steps.top_level()
-        best_quad = _diagonal_events(steps, bd_before)
+        if (bd := steps.support_states()) is None:
+            return None
+        best_quad = _diagonal_events(steps, bd, bd_before)
         if best_quad is None:
             return None
-        best_para = _support_events(steps, ac_before)
+        best_para = _support_events(steps, bd, ac_before)
         if best_para is None:
             return None
     maxarea, max_state = best_quad
@@ -255,9 +267,9 @@ def _vector_sweep(xy: np.ndarray):
 
 
 def _blocks(stop: int):
-    """Consecutive index ranges of at most _BLOCK events covering [0, stop)."""
+    """Consecutive slices of at most _BLOCK indices covering [0, stop)."""
     for lo in range(0, stop, _BLOCK):
-        yield np.arange(lo, min(lo + _BLOCK, stop))
+        yield slice(lo, min(lo + _BLOCK, stop))
 
 
 def _direction_keys(dx: np.ndarray, dy: np.ndarray, k0: float) -> np.ndarray:
@@ -401,22 +413,29 @@ class _SweepSteps:
     advanced ca[t] times.  The walk's states 0..n-1 are the diagonal
     events' (a, c) and its state s + j is the (b, d) of support event j.
     ux, uy and ac_keys are the loop's u_ac in the diagonal states and its
-    keys, bd_keys[j] is the key of u_bd in support state j, and the top
-    level puts bd_events support events before the last diagonal event.
+    keys; ac_agree tells whether the loop's choice between a and c equals
+    the proposed one in the diagonal states 1..n-1 (the loop makes its
+    first choice without a predicate).  bd_keys[j] is the key of u_bd in
+    support state j, and the top level puts bd_events support events
+    before the last diagonal event.
     """
 
     def __init__(self, x, y, c0, s, is_a, ca, bd_keys, k0):
         self.x, self.y = x, y
-        self.n = len(is_a) // 2
+        self.n = n = len(is_a) // 2
         self.c0, self.s = c0, s
         self.is_a, self.ca, self.bd_keys = is_a, ca, bd_keys
-        self.ux, self.uy = np.empty(self.n), np.empty(self.n)
-        for k in _blocks(self.n):
-            a, c, fa = self.state(k)
-            hi = np.where(fa, c, c + 1)
-            lo = np.where(fa, a + 1, a)
-            self.ux[k] = x[hi] - x[lo]
-            self.uy[k] = y[hi] - y[lo]
+        self.ux, self.uy = np.empty(n), np.empty(n)
+        self.ac_agree = True
+        x1, y1 = x[1:], y[1:]
+        for k in _blocks(n):
+            a, c, fa = self.run(k)
+            xa, ya, xc, yc = x[a], y[a], x[c], y[c]
+            xa1, ya1, xc1, yc1 = x1[a], y1[a], x1[c], y1[c]
+            self.ux[k] = np.where(fa, xc - xa1, xc1 - xa)
+            self.uy[k] = np.where(fa, yc - ya1, yc1 - ya)
+            agree = ((xa1 - xa) * (yc1 - yc) - (ya1 - ya) * (xc1 - xc) <= 0.0) == fa
+            self.ac_agree &= bool(agree[int(k.start == 0) :].all())  # from state 1 on
         self.ac_keys = _direction_keys(self.ux, self.uy, k0)
         self.bd_events = int(np.searchsorted(bd_keys, self.ac_keys[-1], side="right"))
 
@@ -446,7 +465,9 @@ class _SweepSteps:
         if i is None:
             return None
         s = b0 + i  # b0 + d0 - c0
-        ca = np.concatenate(([0], np.cumsum(is_a, dtype=np.int32)), dtype=np.int32)
+        ca = np.zeros(2 * n + 1, dtype=np.intp)
+        ca[1:] = is_a  # a cumulative sum over bools casts slowly
+        np.cumsum(ca, out=ca)
         # The loop's diagonal events end at (c0, n), its support events start at (b0, d0).
         if ca[n] != c0 or ca[s] != b0:
             return None
@@ -462,21 +483,33 @@ class _SweepSteps:
         a = self.ca[t]
         return a, self.c0 + t - a, self.is_a[t]
 
-    def choices_agree(self) -> bool:
-        """Whether the loop's choice between a and c equals the proposed one,
-        once in each walk state a decision reads: the diagonal states
-        1..n-1 (the loop makes its first choice without a predicate) and
-        the support states s..s + bd_events."""
-        n, x, y = self.n, self.x, self.y
-        ex, ey = x[1:] - x[:-1], y[1:] - y[:-1]
-        last = self.s + self.bd_events + 1
-        # State 0 is read only when the support events start there.
-        for lo, hi in ((min(self.s, 1), n), (max(self.s, n), last)):
-            for t in _blocks(hi - lo):
-                a, c, fa = self.state(t + lo)
-                if not ((ex[a] * ey[c] - ey[a] * ex[c] <= 0.0) == fa).all():
-                    return False
-        return True
+    def run(self, k: slice):
+        """`state` of the consecutive states k; a and the choices are views
+        of ca and is_a."""
+        a = self.ca[k]
+        c = np.arange(self.c0 + k.start, self.c0 + k.stop)
+        c -= a
+        return a, c, self.is_a[k]
+
+    def support_states(self):
+        """The loop's u_bd and d - b in the support states 0..bd_events,
+        which both event passes read: the rows ubx, uby, dbx and dby of a
+        (4, bd_events + 1) array, or None where the loop's choice between
+        b and d in one of those states is not the proposed one."""
+        x, y, x1, y1, s = self.x, self.y, self.x[1:], self.y[1:], self.s
+        bd = np.empty((4, self.bd_events + 1))
+        for j in _blocks(bd.shape[1]):
+            b, d, fb = self.run(slice(s + j.start, s + j.stop))
+            xb, yb, xd, yd = x[b], y[b], x[d], y[d]
+            ebx, eby = x1[b] - xb, y1[b] - yb
+            xd1, yd1 = x1[d], y1[d]
+            if not ((ebx * (yd1 - yd) - eby * (xd1 - xd) <= 0.0) == fb).all():
+                return None
+            bd[0, j] = np.where(fb, ebx, xd - xd1)
+            bd[1, j] = np.where(fb, eby, yd - yd1)
+            np.subtract(xd, xb, out=bd[2, j])
+            np.subtract(yd, yb, out=bd[3, j])
+        return bd
 
     def top_level(self):
         """The top-level merge of the proposed orders, ties to the support
@@ -492,47 +525,48 @@ class _SweepSteps:
         ac_before -= np.arange(self.bd_events)
         return bd_before, ac_before
 
-    def support(self, j: np.ndarray):
-        """Raw b and d after j support events, and the loop's u_bd in that
-        state."""
-        b, d, fb = self.state(self.s + j)
-        hi = np.where(fb, b + 1, d)
-        lo = np.where(fb, b, d + 1)
-        return b, d, self.x[hi] - self.x[lo], self.y[hi] - self.y[lo]
+    def bd_pair(self, j: int) -> tuple[int, int]:
+        """b and d mod n in support state j."""
+        b, d, _ = self.state(self.s + j)
+        return int(b) % self.n, int(d) % self.n
 
 
-def _diagonal_events(steps: _SweepSteps, bd_before: np.ndarray):
+def _diagonal_events(steps: _SweepSteps, bd: np.ndarray, bd_before: np.ndarray):
     """Confirm the top-level predicate at every diagonal event, and find
     the first largest quadrilateral among the states after them: (maxarea,
-    max_state), or None.  bd_before[k] is the number of support events
-    proposed before diagonal event k."""
+    max_state), or None.  bd holds `support_states`, and bd_before[k] is
+    the number of support events proposed before diagonal event k."""
     x, y, n = steps.x, steps.y, steps.n
+    ubx, uby, dbx, dby = bd
     maxarea, max_state = 0.0, None
     for k in _blocks(n):
-        b, d, ubx, uby = steps.support(bd_before[k])
-        if (ubx * steps.uy[k] - uby * steps.ux[k] >= 0.0).any():
+        j = bd_before[k]
+        if (ubx[j] * steps.uy[k] - uby[j] * steps.ux[k] >= 0.0).any():
             return None
-        a, c, _ = steps.state(k + 1)  # the state after the event
-        ar = (x[c] - x[a]) * (y[d] - y[b]) - (y[c] - y[a]) * (x[d] - x[b])
+        a, c, _ = steps.run(slice(k.start + 1, k.stop + 1))  # the states after the events
+        ar = (x[c] - x[a]) * dby[j] - (y[c] - y[a]) * dbx[j]
         ar = np.abs(ar, out=ar) * 0.5
         ar[np.isnan(ar)] = -1.0  # NaN wins none of the loop's comparisons
         i = int(np.argmax(ar))
         if ar[i] > maxarea:
             maxarea = float(ar[i])
-            max_state = (int(a[i]) % n, int(b[i]) % n, int(c[i]) % n, int(d[i]) % n)
+            b, d = steps.bd_pair(int(j[i]))
+            max_state = (int(a[i]) % n, b, int(c[i]) % n, d)
     return None if max_state is None else (maxarea, max_state)
 
 
-def _support_events(steps: _SweepSteps, ac_before: np.ndarray):
+def _support_events(steps: _SweepSteps, bd: np.ndarray, ac_before: np.ndarray):
     """Confirm the top-level predicate at every support event, and find
     the first smallest flush parallelogram: (minarea, min_state), or None.
     None also when a flush side is parallel to the sliding edge (the loop's
-    `den == 0` branch), which the loop answers.  ac_before[j] is the number
-    of diagonal events proposed before support event j."""
+    `den == 0` branch), which the loop answers.  bd holds `support_states`,
+    and ac_before[j] is the number of diagonal events proposed before
+    support event j."""
     x, y, n = steps.x, steps.y, steps.n
+    x1, y1 = x[1:], y[1:]
     minarea, min_state = math.inf, None
     for j in _blocks(steps.bd_events):
-        b, d, ubx, uby = steps.support(j)
+        ubx, uby, dbx, dby = bd[:, j]
         k = ac_before[j]
         if not (ubx * steps.uy[k] - uby * steps.ux[k] >= 0.0).all():
             return None
@@ -540,17 +574,17 @@ def _support_events(steps: _SweepSteps, ac_before: np.ndarray):
         f = np.where(fa, a, c)
         s = np.where(fa, c, a)
         fx, fy, sx, sy = x[f], y[f], x[s], y[s]
-        ex = x[f + 1] - fx
-        ey = y[f + 1] - fy
+        ex = x1[f] - fx
+        ey = y1[f] - fy
         den = ex * uby - ey * ubx
         if (den == 0.0).any():
             return None
-        num = (ex * (sy - fy) - ey * (sx - fx)) * (ubx * (y[d] - y[b]) - uby * (x[d] - x[b]))
+        num = (ex * (sy - fy) - ey * (sx - fx)) * (ubx * dby - uby * dbx)
         cand = np.abs(num / den)
         cand[np.isnan(cand)] = math.inf  # as for the areas
         i = int(np.argmin(cand))
         if cand[i] < minarea:
             minarea = float(cand[i])
-            abcd = (int(v[i]) % n for v in (a, b, c, d))
-            min_state = (bool(fa[i]), *abcd, float(ubx[i]), float(uby[i]))
+            b, d = steps.bd_pair(j.start + i)
+            min_state = (bool(fa[i]), int(a[i]) % n, b, int(c[i]) % n, d, float(ubx[i]), float(uby[i]))
     return None if min_state is None else (minarea, min_state)

@@ -39,7 +39,7 @@ from quadpara import (
     smallest_parallelogram,
     verify_conjugate_pair,
 )
-from quadpara import extremal
+from quadpara import extremal, geometry
 from quadpara.cli import ORACLE_REL_TOL, main
 from quadpara.extremal import _vertical_extremes
 from quadpara.geometry import _unit
@@ -281,6 +281,72 @@ def test_certificate_matches_the_loop_reference(corpus):
             assert not got.quad_in_polygon, (P.n, k)
             records += 1
     assert records >= 3000
+
+
+
+def _certificate_cases(P, directions):
+    """(F, G, u) for both certificates of P and its anchored pairs along
+    `directions`, each as built, with G scaled about its centre, one side
+    moved in or one corner made NaN or infinite (whose margins are NaN
+    against a threshold of inf), and with one of F's corners pushed 2 tol
+    out or made NaN."""
+    rep = combined_extremes(P)
+    base = [(c.quad, c.para, c.anchor) for c in (rep.quad_certificate, rep.para_certificate)]
+    base += [(*anchored_conjugate_pair(P, u), Direction(*u)) for u in directions]
+    two_tol = 2.0 * extremal._dist_tol(P)
+    for F, G, u in base:
+        yield F, G, u
+        Gs = [_about_centre(G, f) for f in (0.9, 1.001, 1.1)] + [_side_moved_in(G, 2, 1e-6)]
+        Gs += [(Point(*bad),) + G.corners[1:] for bad in ((math.nan, 0.0), (math.inf, 0.0))]
+        for corners in Gs:
+            yield F, dataclasses.replace(G, corners=corners), u
+        for p in (Point(F.corners[0].x + two_tol, F.corners[0].y - two_tol), Point(math.nan, 0.0)):
+            yield dataclasses.replace(F, corners=(p,) + F.corners[1:]), G, u
+
+
+def _probe_polygon(shift: float) -> ConvexPolygon:
+    """random_convex(12, 5003, 1000) centred, divided by its largest
+    |coordinate| and moved by `shift` along both axes."""
+    xy = random_convex(12, 5003, 1000).coords()
+    xy = xy - xy.mean(axis=0)
+    return ConvexPolygon(canonicalize(xy / np.abs(xy).max() + shift))
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_certificate_margin_blocks_do_not_change_the_checks(monkeypatch, corpus, block):
+    # Over more than geometry._MARGIN_BLOCK vertices both containment
+    # checks read their margins a column block at a time; every field must
+    # be the one the single pass gives.
+    polys = list(corpus[::2]) + [lattice_ngon(200, 3), regular_ngon(40, 1000.0, 1), parallel_edge_polygon(60, 2)]
+    cases = [(*c, P) for P in polys for c in _certificate_cases(P, ((1, 0), (123, -457)))]
+    with np.errstate(invalid="ignore"):
+        want = [verify_conjugate_pair(*c).checks for c in cases]
+        monkeypatch.setattr(geometry, "_MARGIN_BLOCK", block)
+        got = [verify_conjugate_pair(*c).checks for c in cases]
+    assert got == want
+    assert sum(P.n > block for *_, P in cases) > len(cases) // 2
+    assert any(not c.quad_in_polygon for c in want) and any(not c.polygon_in_para for c in want)
+
+
+@pytest.mark.parametrize("block", [None, 1, 4])
+def test_scaled_parallelogram_probe_unchanged_by_margin_blocks(monkeypatch, block):
+    # The translated probe that the absolute-coordinate checks cannot see
+    # through: G scaled about its corner mean by up to 1.1 still passes
+    # them far from the origin.  Blocking the margins must neither mend
+    # nor worsen that: the verdicts stay those of the single pass.
+    if block is not None:
+        monkeypatch.setattr(geometry, "_MARGIN_BLOCK", block)
+    u = Direction(3, 1)
+    verdicts = {}
+    for shift in (1e7, 6e7, 1e8):
+        P = _probe_polygon(shift)
+        assert P.n == 6
+        F, G = anchored_conjugate_pair(P, u)
+        for f in (1.0, 1.001, 1.01, 1.05, 1.1):
+            checks = verify_conjugate_pair(F, dataclasses.replace(G, corners=_about_centre(G, f)), u, P).checks
+            verdicts[shift, f] = (checks.all_ok, checks.polygon_in_para)
+    assert all(inside for _, inside in verdicts.values())
+    assert [key for key, (ok, _) in verdicts.items() if not ok] == [(1e7, 1.05), (1e7, 1.1)]
 
 
 def test_verify_detects_oversized_parallelogram(square):

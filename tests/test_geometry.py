@@ -30,6 +30,7 @@ from quadpara import (
     verify_conjugate_pair,
     width,
 )
+from quadpara import geometry
 from quadpara.geometry import _chord_directions, _chord_params, _det_sign, _meet, _neg_margins, _shoelace
 from quadpara.polygen import GenSpec, generate
 
@@ -657,6 +658,35 @@ def test_contains_point_matches_full_edge_formula(corpus):
                     assert contains_point(P, batch, tol * scale) == want, (P.n, batch, tol)
                     assert contains_point(P, tuple(Point(*q) for q in batch), tol * scale) == want
                     assert contains_point(P, np.array(batch), tol * scale) == want, (P.n, batch, tol)
+
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_contains_point_margin_blocks_do_not_change_the_answer(monkeypatch, corpus, block):
+    # Over more than _MARGIN_BLOCK edges contains_point checks a column
+    # block of edges at a time: every answer must be the single pass's, for
+    # single points, batches, a NaN point and an empty batch, at tol 0,
+    # 1e-9 * scale and below 0.
+    polys = corpus[::3] + [lattice_ngon(200, 3), regular_ngon(40, 1000.0, 1)]
+    calls = []
+    for P in polys:
+        xy = P.coords()
+        ex, ey = P.edges()
+        scale = P.scale
+        mids = xy + 0.5 * np.column_stack((ex, ey))
+        normal = np.column_stack((ey, -ex)) / np.hypot(ex, ey)[:, None]  # outward
+        qs = [xy, mids] + [mids + h * scale * normal for h in (-2e-9, 2e-9, 1e-6)]
+        qs = np.concatenate(qs).tolist() + [(math.nan, 0.0)]
+        for tol in (0.0, 1e-9 * scale, -1e-9 * scale):
+            calls += [(P, q, tol) for q in qs[::3] + qs[-1:]]
+            calls += [(P, qs[k : k + 4], tol) for k in range(0, len(qs), 4)]
+            calls += [(P, qs[:-1], tol), (P, np.array(qs), tol), (P, [], tol), (P, np.empty((0, 2)), tol)]
+    with np.errstate(invalid="ignore"):
+        want = [contains_point(*c) for c in calls]
+        monkeypatch.setattr(geometry, "_MARGIN_BLOCK", block)
+        got = [contains_point(*c) for c in calls]
+    assert got == want
+    assert True in want and False in want
 
 
 def test_polygon_indexing_wraps(square):

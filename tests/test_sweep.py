@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,35 @@ def test_sweep_matches_scalar_loop(xy):
     assert fast is None or repr(fast) == want
 
 
+
+@pytest.mark.parametrize("block", [61, 1000])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(xy=rings())
+def test_sweep_blocks_do_not_change_the_result(block, xy):
+    # Every per-event stage runs in blocks of _BLOCK events: at small odd
+    # block sizes the event runs, the support states and the walk's
+    # choices straddle block boundaries, and the result must not move.
+    assume(len(xy) >= _VECTOR_MIN_N)
+    want = repr(_vector_sweep(xy))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_BLOCK", block)
+        got = repr(_vector_sweep(xy))
+    assert got == want
+    assert got == "None" or got == repr(_scalar_sweep(xy))
+
+
+@pytest.mark.parametrize("block", [61, 1000])
+def test_sweep_blocks_on_parallel_edge_runs(monkeypatch, block):
+    # Exactly parallel opposite edges make runs of support events between
+    # two diagonal events, which the blocks cut at every offset.
+    polys = [parallel_edge_polygon(m, seed) for m, seed in ((_VECTOR_MIN_N // 2, 1), (400, 2), (1531, 3))]
+    polys += [lattice_ngon(3001, 4)]
+    want = [repr(_scalar_sweep(P.coords())) for P in polys]
+    monkeypatch.setattr(sweep, "_BLOCK", block)
+    for P, w in zip(polys, want):
+        assert repr(_vector_sweep(P.coords())) == w, P.n
+
+
 def _no_scalar_loop(xy):
     raise AssertionError("the scalar loop ran")
 
@@ -92,6 +122,24 @@ def test_fast_path_taken_on_exact_corpora(monkeypatch):
         assert repr(_combined_sweep(P.coords())) == w, P.n
     rep = combined_extremes(polys[-1])
     assert rep.quad_certificate.checks.all_ok and rep.para_certificate.checks.all_ok
+
+
+
+def test_sweep_memory_per_vertex(monkeypatch):
+    # The numpy sweep holds O(n) arrays of about 140 bytes per vertex at
+    # once (the doubled coordinates, the walk, its keys and counts, u_ac
+    # and the support states) and works through the rest a block at a
+    # time: a new O(n) temporary would show here.
+    P = lattice_ngon(250_000, 5)
+    xy = P.coords()
+    monkeypatch.setattr(sweep, "_scalar_sweep", _no_scalar_loop)
+    tracemalloc.start()
+    try:
+        _combined_sweep(xy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * P.n, peak / P.n
 
 
 def test_fast_path_verdicts_on_float_copies():
@@ -184,6 +232,34 @@ def test_support_choice_after_last_event_is_refuted_when_wrong(monkeypatch):
             assert fast is None, P.n
             refuted += 1
     assert refuted
+
+
+
+@pytest.mark.parametrize("block", [61, 1000])
+def test_every_choice_read_is_confirmed_at_any_block_offset(monkeypatch, block):
+    # One proposed choice flipped, the walk's counts kept: the loop's
+    # predicate in that state alone refutes it, in the diagonal states
+    # 1..n-1 and in the support states s..s + bd_events past n, on the
+    # first, last and inner states of the blocks.
+    monkeypatch.setattr(sweep, "_BLOCK", block)
+    xy = lattice_ngon(3001, 4).coords()
+    n = len(xy)
+    k0 = sweep._antipodal_walk(*ConvexPolygon(xy).edges())[1]
+    base = sweep._SweepSteps.propose(xy)
+    assert base.ac_agree and base.support_states() is not None
+
+    def flipped(t):
+        is_a = base.is_a.copy()
+        is_a[t] = not is_a[t]
+        return sweep._SweepSteps(base.x, base.y, base.c0, base.s, is_a, base.ca, base.bd_keys, k0)
+
+    for t in (1, block - 1, block, block + 1, 2 * block, n - 1):
+        assert not flipped(t).ac_agree, t
+    last = base.s + base.bd_events
+    for t in sorted({t for t in range(n, last + 1) if (t - base.s) % block in (0, 1, block - 1)} | {n, last}):
+        steps = flipped(t)
+        assert steps.ac_agree and steps.bd_events == base.bd_events
+        assert steps.support_states() is None, t
 
 
 @pytest.mark.parametrize("moved", ["diagonal", "support", "diagonal-behind", "support-ahead"])
