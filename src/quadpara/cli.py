@@ -41,7 +41,8 @@ from .geometry import (
     Direction,
     GeometryError,
     SweepOverrun,
-    canonicalize,
+    _canonical_polygon,
+    canonicalize,  # noqa: F401 (perfbench/spans.py wraps cli.canonicalize)
     polygon_area,
 )
 from .oracle import brute_largest_quad, brute_smallest_para
@@ -152,7 +153,7 @@ def load_polygon(path: str) -> ConvexPolygon:
             verts = _parse_json_vertices(text)
         else:
             verts = _parse_text_vertices(text)
-        return ConvexPolygon(canonicalize(verts))
+        return _canonical_polygon(verts)
     except (InputError, GeometryError) as exc:
         raise InputError(f"{path}: {exc}") from None
 

@@ -178,10 +178,42 @@ def _shoelace(xy: np.ndarray) -> float:
     or the sum of the x[i] y[i+1] or of the x[i+1] y[i], overflows; callers
     reject the ring there, and run it under np.errstate on unchecked rings."""
     x, y = xy[:, 0], xy[:, 1]
-    right = x * _next(y)
-    left = _next(x) * y
-    doubled = float(np.add.reduce(right - left))
-    return doubled if math.isfinite(np.add.reduce(right)) and math.isfinite(np.add.reduce(left)) else math.nan
+    return _doubled_area(x, y, _next(x), _next(y))
+
+
+def _doubled_area(x, y, x1, y1) -> float:
+    """`_shoelace` of the ring with columns x and y, whose vertex i + 1 is
+    (x1[i], y1[i])."""
+    right = x * y1
+    left = x1 * y
+    finite = math.isfinite(np.add.reduce(right)) and math.isfinite(np.add.reduce(left))
+    right -= left
+    return float(np.add.reduce(right)) if finite else math.nan
+
+
+def _ring_terms(xy: np.ndarray):
+    """What the ring checks read of the (m, 2) rows xy, m >= 3, from one
+    pass over its closed columns: (doubled, ex, ey, turn), its `_shoelace`,
+    its m + 1 edge vectors, edge i running from vertex i to vertex i + 1
+    and edge m repeating edge 0, and its m turns, turn[i] = e[i] x e[i + 1],
+    the turn at vertex i + 1.  Products of huge coordinates overflow to inf
+    or NaN without numpy's warnings; the callers' checks then reject the
+    ring."""
+    m = len(xy)
+    # Closed columns: x[m] and x[m + 1] are vertices 0 and 1, so vertex
+    # i + 1 and edge i + 1 are slices, with no modulo.
+    x = np.concatenate((xy[:, 0], xy[:2, 0]))
+    y = np.concatenate((xy[:, 1], xy[:2, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        doubled = _doubled_area(x[:m], y[:m], x[1 : m + 1], y[1 : m + 1])
+        ex = x[1:] - x[:-1]
+        ey = y[1:] - y[:-1]
+        # Free the closed columns before the turns: the constructor's
+        # temporaries then peak at six columns, the ring's two included.
+        del x, y
+        turn = ex[:-1] * ey[1:]
+        turn -= ey[:-1] * ex[1:]
+    return doubled, ex, ey, turn
 
 
 class ConvexPolygon:
@@ -202,7 +234,7 @@ class ConvexPolygon:
     `canonicalize`), or NotConvex.
     """
 
-    __slots__ = ("n", "_xy", "_edges", "_scale", "_dbody")
+    __slots__ = ("n", "_xy", "_edges", "_scale", "_dbody", "_doubled")
 
     def __init__(self, points: Iterable[Sequence[float]]):
         xy = _pair_array(points)
@@ -210,34 +242,23 @@ class ConvexPolygon:
             raise TooFewVertices(f"need at least 3 vertices, got {len(xy)}")
         if not np.isfinite(xy).all():
             raise NonFinite("vertex coordinates must be finite")
-        # Products of huge coordinates overflow; the checks below then reject
-        # the ring, without numpy's warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            doubled = _shoelace(xy)
-            if doubled == 0.0:
-                raise Degenerate("vertex ring has zero signed area")
-            if doubled < 0.0:
-                xy = xy[::-1].copy(order="F")
-            x, y = xy[:, 0], xy[:, 1]
-            ex = _next(x) - x
-            ey = _next(y) - y
-            cross = ex * _next(ey) - ey * _next(ex)
-        if not (math.isfinite(doubled) and np.isfinite(cross).all()):
+        doubled, _, _, turn = terms = _ring_terms(xy)
+        if doubled == 0.0:
+            raise Degenerate("vertex ring has zero signed area")
+        if doubled < 0.0:
+            # The overflow check reads the given ring's doubled area, and P
+            # keeps the reversed ring's own.
+            xy = xy[::-1].copy(order="F")
+            _, _, _, turn = terms = _ring_terms(xy)
+        if not (math.isfinite(doubled) and np.isfinite(turn).all()):
             raise NonFinite("coordinates too large: the doubled area or an edge cross product overflows")
-        if not (cross > 0.0).all():
-            if (cross == 0.0).any():
-                i = int(np.flatnonzero(cross == 0.0)[0])
+        if not turn.min() > 0.0:
+            if (turn == 0.0).any():
+                i = int(np.flatnonzero(turn == 0.0)[0])
                 raise Degenerate(f"collinear or duplicate vertices around index {i + 1}")
-            i = int(np.flatnonzero(cross < 0.0)[0])
+            i = int(np.flatnonzero(turn < 0.0)[0])
             raise NotConvex(f"clockwise turn at vertex index {i + 1}")
-        upper = (ey > 0.0) | ((ey == 0.0) & (ex > 0.0))
-        if int(np.sum(~upper & _next(upper))) != 1:
-            raise NotConvex("edge directions wind more than once")
-        self.n: int = len(xy)
-        self._xy = xy
-        self._edges = None
-        self._scale = float(np.abs(xy).max())
-        self._dbody = None
+        _adopt(self, xy, terms)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -291,6 +312,23 @@ class ConvexPolygon:
         return self._scale
 
 
+def _adopt(P: ConvexPolygon, xy: np.ndarray, terms) -> None:
+    """Make P the polygon of the ring xy, given its `_ring_terms` with
+    finite turns, all > 0, or raise NotConvex if its edge directions wind
+    more than once.  P keeps xy itself, and the doubled area summed on it."""
+    doubled, ex, ey, _ = terms
+    upper = (ey > 0.0) | ((ey == 0.0) & (ex > 0.0))
+    if np.count_nonzero(~upper[:-1] & upper[1:]) != 1:
+        raise NotConvex("edge directions wind more than once")
+    x, y = xy[:, 0], xy[:, 1]
+    P.n = len(xy)
+    P._xy = xy
+    P._edges = None
+    P._scale = float(max(x.max(), -x.min(), y.max(), -y.min()))
+    P._dbody = None
+    P._doubled = doubled
+
+
 def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
     """Strip duplicate points and interior-of-edge vertices from a weakly
     convex ring, returning the strictly convex CCW ring as an (m, 2)
@@ -303,11 +341,20 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
     overflows, or the shoelace is not finite, as in the constructor), and
     Degenerate if fewer than 3 extreme points remain.
     """
+    return _canonical(points)[0]
+
+
+def _canonical(points: Iterable[Sequence[float]]):
+    """`canonicalize`'s ring, and its `_ring_terms` where they are those of
+    the fresh array returned and pass the constructor's checks of the
+    turns: nothing was dropped, the ring is counterclockwise and every turn
+    is > 0.  Otherwise the terms are None."""
     xy = _pair_array(points)
     if not np.isfinite(xy).all():
         raise NonFinite("vertex coordinates must be finite")
+    given = len(xy)
     x, y = xy[:, 0], xy[:, 1]
-    keep = np.ones(len(xy), dtype=bool)
+    keep = np.ones(given, dtype=bool)
     keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
     # Copy only when something is dropped: _pair_array's array is fresh, so
     # the result never shares memory with the caller's.
@@ -315,32 +362,41 @@ def canonicalize(points: Iterable[Sequence[float]]) -> np.ndarray:
         xy = xy[keep]
     if len(xy) > 1 and xy[0].tolist() == xy[-1].tolist():
         xy = xy[:-1]
-    m = len(xy)
-    if m < 3:
+    if len(xy) < 3:
         raise Degenerate("fewer than 3 distinct points")
-    ring = np.concatenate((xy[-1:], xy, xy[:1]))  # ring[i + 1] is vertex i
-    # Products of huge coordinates overflow; the ring is then rejected, as
-    # the constructor rejects it, without numpy's warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        area2 = _shoelace(xy)
-        e = ring[1:] - ring[:-1]  # e[i] runs from vertex i - 1 to vertex i
-        # Reversing the ring negates every turn exactly, so the zero turns
-        # are found before the orientation is fixed.
-        turn = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    area2, _, _, turn = terms = _ring_terms(xy)
     if not (math.isfinite(area2) and np.isfinite(turn).all()):
         raise NonFinite("coordinates too large: the doubled area or a turn overflows")
     if area2 == 0.0:
         raise Degenerate("ring has zero area")
-    keep = turn != 0.0
+    if len(xy) == given and area2 > 0.0 and turn.min() > 0.0:
+        return xy, terms
+    # Reversing the ring negates every turn exactly, so the zero turns are
+    # found before the orientation is fixed; vertex i turns by turn[i - 1].
+    keep = np.concatenate((turn[-1:], turn[:-1])) != 0.0
     out = xy if keep.all() else xy[keep]
     if len(out) < 3:
         raise Degenerate("fewer than 3 extreme points remain")
-    return out[::-1] if area2 < 0.0 else out
+    return (out[::-1] if area2 < 0.0 else out), None
+
+
+def _canonical_polygon(points: Iterable[Sequence[float]]) -> ConvexPolygon:
+    """`ConvexPolygon(canonicalize(points))`: the same polygon, or the same
+    error.  A counterclockwise ring from which nothing is dropped, as every
+    `quadpara gen` file is, is validated in one pass and kept without a
+    second copy; any other ring goes through the constructor."""
+    xy, terms = _canonical(points)
+    if terms is None:
+        return ConvexPolygon(xy)
+    P = ConvexPolygon.__new__(ConvexPolygon)
+    _adopt(P, xy, terms)
+    return P
 
 
 def polygon_area(P: ConvexPolygon) -> float:
-    """Positive area of the polygon: half its `_shoelace`."""
-    return 0.5 * _shoelace(P.coords())
+    """Positive area of the polygon: half its `_shoelace`, which the
+    constructor summed."""
+    return 0.5 * P._doubled
 
 
 def extreme_vertex(P: ConvexPolygon, d) -> int:

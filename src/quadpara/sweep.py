@@ -60,25 +60,26 @@ def _scalar_sweep(xy: np.ndarray):
     xs = xy[:, 0].tolist() * 3
     ys = xy[:, 1].tolist() * 3
 
-    def settle(p, rx, ry, stop, name):
-        """The first vertex from p, up to stop, at which the ring stops
-        strictly gaining distance to the left of the direction (rx, ry)."""
-        while p <= stop:
-            if rx * (ys[p + 1] - ys[p]) - ry * (xs[p + 1] - xs[p]) > 0.0:
-                p += 1
-            else:
-                return p
-        raise SweepOverrun(f"{name} did not settle")
+    def settle(p, rx, ry, name):
+        """The first vertex from p at which the ring stops strictly gaining
+        distance to the left of the direction (rx, ry); SweepOverrun past
+        vertex 2n."""
+        while rx * (ys[p + 1] - ys[p]) - ry * (xs[p + 1] - xs[p]) > 0.0:
+            p += 1
+            if p > 2 * n:
+                raise SweepOverrun(f"{name} did not settle")
+        return p
 
     # Start: a = 0; c0 = the vertex whose supporting line is parallel to
     # edge (0, 1); b0 and d0 = the vertices whose supporting lines are
-    # parallel to the chord (a, c0), on its two sides.
+    # parallel to the chord (a, c0), on its two sides.  The search for c0
+    # stops by vertex n, where it evaluates e[0] x e[0]: exactly 0.0, or NaN.
     a = 0
-    c0 = c = settle(1, xs[1] - xs[0], ys[1] - ys[0], n, "initial support search")
+    c0 = c = settle(1, xs[1] - xs[0], ys[1] - ys[0], "c0")
     rx = xs[a] - xs[c]
     ry = ys[a] - ys[c]
-    b = settle(a, rx, ry, 2 * n, "support vertex b")
-    d = settle(c, -rx, -ry, 2 * n, "support vertex d")
+    b = settle(a, rx, ry, "support vertex b")
+    d = settle(c, -rx, -ry, "support vertex d")
     ndet = b + d + 2  # the searches' c0, b0 + 1 and d0 - c0 + 1
 
     # A slides on edge (a, a+1); u_ac is the chord direction at which it
@@ -203,9 +204,10 @@ def _scalar_sweep(xy: np.ndarray):
 # Rings with fewer vertices take the scalar loop: below this size the numpy
 # path's fixed cost per call outweighs its lower cost per vertex.
 _VECTOR_MIN_N = 288
-# Events per block in the per-event stages of `_vector_sweep`; it bounds
-# their temporaries to a few MiB at any n.  The arrays that stay O(n) are
-# the doubled coordinates, the walk (its choices, keys and counts ca),
+# Events per block in the per-event stages of `_vector_sweep`, and edges per
+# block in its first-false searches; it bounds their temporaries to a few
+# MiB at any n.  The arrays that stay O(n) are the doubled coordinates, the
+# walk (its choices, the keys of its events from s on and its counts ca),
 # u_ac and its keys, the top level's two count arrays, and the four rows
 # of u_bd and d - b over the support states.
 _BLOCK = 1 << 14
@@ -308,10 +310,12 @@ def _walk_runs(ex: np.ndarray, ey: np.ndarray):
     is k0, each run made non-decreasing where rounding leaves it unsorted.
     Their first c0 and n - c0 keys make the walk's first half turn.
     """
-    i = _first_false(float(ex[0]) * ey[1:] - float(ey[0]) * ex[1:] > 0.0)
-    if i is None:
+    rx, ry = float(ex[0]), float(ey[0])
+    ex1, ey1 = ex[1:], ey[1:]
+    c0 = _first_false(lambda k: rx * ey1[k] - ry * ex1[k] > 0.0, len(ex1))
+    if c0 is None:
         return None
-    c0 = i + 1
+    c0 += 1
     k0 = float(_direction_keys(ex[:1], ey[:1], 0.0)[0])
     a_run = _non_decreasing(_direction_keys(ex, ey, k0))
     # Keys of reversed edges come from the negated vectors themselves, so
@@ -320,7 +324,7 @@ def _walk_runs(ex: np.ndarray, ey: np.ndarray):
     c_run = np.concatenate((rev[c0:], rev[:c0]))
     # -e[c0] lies less than a half turn past e[0] (e[0] x e[c0] <= 0): a
     # leading key that rounds to just below a full turn is one just above 0.
-    c_run[: _first_false(c_run >= 3.0)] = 0.0
+    c_run[: _first_false(lambda k: c_run[k] >= 3.0, len(c_run))] = 0.0
     return c0, k0, a_run, _non_decreasing(c_run)
 
 
@@ -329,21 +333,17 @@ def _antipodal_walk(ex: np.ndarray, ey: np.ndarray):
     full turn, for its edge vectors, or None when the loop's search for c0
     would not settle.
 
-    Returns (c0, k0, is_a, keys): from the state (0, c0), event t + 1
-    advances a when is_a[t], else c, and keys[t] is the key of its edge, in
-    the merge of the two runs of `_walk_runs`, ties to a.  The keys only
-    propose, and each reader confirms what it uses.
+    Returns (c0, k0, is_a, runs): from the state (0, c0), event t + 1
+    advances a when is_a[t], else c, in the merge of the two key runs of
+    `_walk_runs`, ties to a.  The keys only propose, and each reader
+    confirms what it uses.
     """
-    if (runs := _walk_runs(ex, ey)) is None:
+    if (walk := _walk_runs(ex, ey)) is None:
         return None
-    c0, k0, a_run, c_run = runs
+    c0, k0, a_run, c_run = walk
     # a_run[0] is 0.0, the least key, and ties go to a: the first proposed
     # event advances a, as the loop's first diagonal event always does.
-    is_a = _merge_mask(a_run, c_run)
-    keys = np.empty(len(is_a))
-    np.place(keys, is_a, a_run)
-    np.place(keys, ~is_a, c_run)
-    return c0, k0, is_a, keys
+    return c0, k0, _merge_mask(a_run, c_run), (a_run, c_run)
 
 
 class DifferenceBody(NamedTuple):
@@ -401,9 +401,16 @@ def _non_decreasing(keys: np.ndarray) -> np.ndarray:
     return keys if (keys[1:] >= keys[:-1]).all() else np.maximum.accumulate(keys)
 
 
-def _first_false(flags: np.ndarray) -> Optional[int]:
-    i = int(np.argmin(flags))
-    return None if flags[i] else i
+def _first_false(flags, stop: int) -> Optional[int]:
+    """The least i < stop at which the bool array flags(k), for slices k of
+    consecutive indices, is False at index i, or None.  The blocks of
+    `_blocks` are tested in order, up to the first that holds a False."""
+    for k in _blocks(stop):
+        block = flags(k)
+        i = int(np.argmin(block))
+        if not block[i]:
+            return k.start + i
+    return None
 
 
 class _SweepSteps:
@@ -455,16 +462,24 @@ class _SweepSteps:
 
         if (walk := _antipodal_walk(ex, ey)) is None:
             return None
-        c0, k0, is_a, keys = walk
+        c0, k0, is_a, runs = walk
         rx = float(x[0] - x[c0])
         ry = float(y[0] - y[c0])
-        b0 = _first_false(rx * ey - ry * ex > 0.0)
+        b0 = _first_false(lambda k: rx * ey[k] - ry * ex[k] > 0.0, n)
         if b0 is None:
             return None
-        i = _first_false((-rx * ey + ry * ex > 0.0)[c0:])
+        exc, eyc = ex[c0:], ey[c0:]
+        i = _first_false(lambda k: -rx * eyc[k] + ry * exc[k] > 0.0, n - c0)
         if i is None:
             return None
         s = b0 + i  # b0 + d0 - c0
+        # The keys of the walk's events from s on, the support events': a
+        # steps b0 times and c s - b0 times before event s.
+        tail = is_a[s:]
+        bd_keys = np.empty(len(tail))
+        np.place(bd_keys, tail, runs[0][b0:])
+        np.place(bd_keys, ~tail, runs[1][s - b0 :])
+        del walk, runs  # the key runs, freed before the counts are allocated
         ca = np.zeros(2 * n + 1, dtype=np.intp)
         ca[1:] = is_a  # a cumulative sum over bools casts slowly
         np.cumsum(ca, out=ca)
@@ -472,7 +487,7 @@ class _SweepSteps:
         if ca[n] != c0 or ca[s] != b0:
             return None
 
-        steps = cls(x, y, c0, s, is_a, ca, keys[s:], k0)
+        steps = cls(x, y, c0, s, is_a, ca, bd_keys, k0)
         if not (steps.ac_keys[1:] >= steps.ac_keys[:-1]).all() or steps.bd_events >= len(steps.bd_keys):
             return None
         return steps
@@ -536,22 +551,24 @@ def _diagonal_events(steps: _SweepSteps, bd: np.ndarray, bd_before: np.ndarray):
     the first largest quadrilateral among the states after them: (maxarea,
     max_state), or None.  bd holds `support_states`, and bd_before[k] is
     the number of support events proposed before diagonal event k."""
-    x, y, n = steps.x, steps.y, steps.n
+    n = steps.n
     ubx, uby, dbx, dby = bd
     maxarea, max_state = 0.0, None
     for k in _blocks(n):
         j = bd_before[k]
-        if (ubx[j] * steps.uy[k] - uby[j] * steps.ux[k] >= 0.0).any():
+        # u_ac in state k is p[c] - p[a] in state k + 1, after the event.
+        ux, uy = steps.ux[k], steps.uy[k]
+        if (ubx[j] * uy - uby[j] * ux >= 0.0).any():
             return None
-        a, c, _ = steps.run(slice(k.start + 1, k.stop + 1))  # the states after the events
-        ar = (x[c] - x[a]) * dby[j] - (y[c] - y[a]) * dbx[j]
+        ar = ux * dby[j] - uy * dbx[j]
         ar = np.abs(ar, out=ar) * 0.5
         ar[np.isnan(ar)] = -1.0  # NaN wins none of the loop's comparisons
         i = int(np.argmax(ar))
         if ar[i] > maxarea:
             maxarea = float(ar[i])
+            a, c, _ = steps.state(k.start + i + 1)
             b, d = steps.bd_pair(int(j[i]))
-            max_state = (int(a[i]) % n, b, int(c[i]) % n, d)
+            max_state = (int(a) % n, b, int(c) % n, d)
     return None if max_state is None else (maxarea, max_state)
 
 

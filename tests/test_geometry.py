@@ -403,6 +403,71 @@ def test_canonicalize_never_aliases_an_array_input():
             assert not np.shares_memory(out, arr), ring
 
 
+def load_outcome(build, ring):
+    """What a load route makes of ring: the polygon's n, and the bits of
+    its scale, its area and its column-major vertex array, or the type and
+    message of the error raised."""
+    try:
+        P = build(ring)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    xy = P.coords()
+    assert xy[:, 0].flags.c_contiguous and xy[:, 1].flags.c_contiguous
+    return P.n, P.scale.hex(), polygon_area(P).hex(), xy.tobytes(order="F")
+
+
+def test_load_path_is_the_composition(corpus):
+    # cli.load_polygon validates in one pass what ConvexPolygon(canonicalize(...))
+    # validates twice: the same polygon, bit for bit, or the same error.
+    rings = []
+    for k, P in enumerate(corpus + [lattice_ngon(400, 1), regular_ngon(300, 1000.0)]):
+        ring = P.coords().tolist()
+        i = 1 + k % (P.n - 1)
+        for r in (ring, ring[::-1]):
+            mid = [(a + b) / 2 for a, b in zip(r[i - 1], r[i])]
+            rings += [r, r[:i] + [r[i - 1]] + r[i:], r + [r[0]], r[:i] + [mid] + r[i:]]
+    for ring in rings:
+        want = load_outcome(lambda r: ConvexPolygon(canonicalize(r)), ring)
+        assert load_outcome(geometry._canonical_polygon, ring) == want, ring
+    sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    outer = regular_ngon(5, 10.0).coords().tolist()
+    too_large = "coordinates too large: the doubled area or a turn overflows"
+    malformed = [
+        (sq[:2] + [(math.nan, 0.5)] + sq[2:], NonFinite, "vertex coordinates must be finite"),
+        (sq[:1] + [(math.inf, 0.5)] + sq[1:], NonFinite, "vertex coordinates must be finite"),
+        ([(2, 5)] * 4, Degenerate, "fewer than 3 distinct points"),
+        ([(0, 0), (1, 1), (0, 0), (1, 1)], Degenerate, "ring has zero area"),
+        ([(0, 0), (1, 0), (2, 0)], Degenerate, "ring has zero area"),
+        (lattice_ngon(300, 3).coords() * 1e150, NonFinite, too_large),  # the shoelace's sums overflow
+        ([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)], NotConvex, "clockwise turn at vertex index 3"),
+        # A spike, which leaves a zero turn once its tip is dropped.
+        ([(0, 0), (4, 0), (4, 4), (2, 4), (2, 6), (2, 4), (0, 4)], Degenerate, "collinear or duplicate vertices around index 3"),
+        # Every turn is to the left, but the ring winds twice.
+        ([(outer[(2 * k) % 5][0] + 0.01 * k, outer[(2 * k) % 5][1]) for k in range(10)], NotConvex, "edge directions wind more than once"),
+    ]
+    for ring, error, message in malformed:
+        assert load_outcome(lambda r: ConvexPolygon(canonicalize(r)), ring) == (error, message)
+        assert load_outcome(geometry._canonical_polygon, ring) == (error, message)
+
+
+def test_polygon_area_is_the_stored_rings_shoelace():
+    # The constructor keeps the doubled area it summed on the stored ring;
+    # polygon_area returns its half, the bits of a fresh shoelace.
+    ring = random_convex(40, 11, 1 << 20).coords().tolist()
+    mid = [(a + b) / 2 for a, b in zip(ring[3], ring[4])]
+    padded = ring[:4] + [mid] + ring[4:] + [ring[0]]
+    for P in (
+        ConvexPolygon(ring[::-1]),
+        ConvexPolygon(np.array(ring[::-1]) / 3),
+        ConvexPolygon(canonicalize(padded)),
+        ConvexPolygon(canonicalize(padded[::-1])),
+        geometry._canonical_polygon(padded[::-1]),
+        geometry._canonical_polygon(np.array(ring) * 0.1),
+        regular_ngon(1000, 1000.0, 3),
+    ):
+        assert polygon_area(P).hex() == (0.5 * _shoelace(P.coords())).hex()
+
+
 def test_input_contract():
     sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
     assert ConvexPolygon(p for p in sq).vertices == tuple(Point(*p) for p in sq)
