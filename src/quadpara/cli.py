@@ -51,6 +51,8 @@ from .polygen import _KINDS, GenSpec, generate, lattice_ngon
 QUAD_ORACLE_MAX_N = 40
 PARA_ORACLE_MAX_N = 200
 ORACLE_REL_TOL = 1e-12
+# Vertex lines per stdout write of `quadpara gen`.
+_GEN_BLOCK = 1 << 16
 
 
 class InputError(ValueError):
@@ -342,8 +344,10 @@ def cmd_gen(args) -> int:
         f"# quadpara gen kind={spec.kind} n={spec.n} seed={spec.seed}"
         f" coord-range={spec.coord_range} rotation={spec.rotation}\n"
     )
-    for x, y in P.coords().tolist():
-        sys.stdout.write(f"{x!r} {y!r}\n")
+    xs, ys = P.coords().T.tolist()
+    for i in range(0, P.n, _GEN_BLOCK):
+        block = zip(xs[i : i + _GEN_BLOCK], ys[i : i + _GEN_BLOCK])
+        sys.stdout.write("".join(f"{x!r} {y!r}\n" for x, y in block))
     return 0
 
 

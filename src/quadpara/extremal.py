@@ -492,11 +492,10 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
             else:
                 break
 
-        def settle_a():
+        while True:
             # Advance a to the vertex opposite edge (c, c+1); on a parallel-
             # edge tie, cross the flat stretch only while p_{a+1} still
             # reaches at least as far as p_c for the current direction u.
-            nonlocal a, steps
             while True:
                 steps += 1
                 if steps > guard:
@@ -512,16 +511,14 @@ def smallest_parallelogram(P: ConvexPolygon) -> ParaResult:
                         a += 1
                         continue
                 break
-
-        settle_a()
-        while True:
+            # Then advance the chord edge c while p_a lies beyond it, and
+            # settle a again for the new edge.
             steps += 1
             if steps > guard:
                 raise SweepOverrun("chord edge c did not settle")
             i, j = a % n, (c + 1) % n
             if ux * (ys[i] - ys[j]) - uy * (xs[i] - xs[j]) > 0.0:
                 c += 1
-                settle_a()
             else:
                 break
         ax, ay = xs[a % n], ys[a % n]

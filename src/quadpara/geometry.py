@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -272,7 +273,10 @@ class ConvexPolygon:
         return Point._make(self._xy[i % self.n].tolist())
 
     def __iter__(self):
-        return map(Point._make, self._xy.tolist())
+        # Point._make without its length check, which zip's pairs pass; two
+        # column lists cost far less than n two-element row lists.
+        x, y = self._xy.T.tolist()
+        return map(tuple.__new__, repeat(Point), zip(x, y))
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({list(self)!r})"

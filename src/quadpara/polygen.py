@@ -13,9 +13,14 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 
+import numpy as np
+
 from .geometry import ConvexPolygon, DegenerateSample
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _KINDS = ("regular", "random-hull", "parallel-edges", "lattice")
 """The generator kinds of `GenSpec` and `quadpara gen --kind`."""
 
@@ -36,11 +41,28 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next `count` outputs of `next_u64` as one uint64 array,
+        leaving the state where `count` calls would leave it.  State i is
+        state + i * gamma; uint64 array arithmetic wraps mod 2**64 as the
+        masks above do, and every operand is a uint64 (on numpy 1.x a
+        Python or signed int would make the result float64)."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi] (modulo reduction; bias is
@@ -186,55 +208,57 @@ def parallel_edge_polygon(m: int, seed: int) -> ConvexPolygon:
     return ConvexPolygon(pts)
 
 
-def _farey_interior(limit: int) -> list[tuple[int, int]]:
-    """Fractions 0 < h/k < 1 with k <= limit, ascending (Stern-Brocot walk)."""
-    out = []
-    a, b, c, d = 0, 1, 1, limit
-    while c <= limit:
-        if (c, d) != (1, 1):
-            out.append((c, d))
-        k = (limit + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return out
-
-
-def _half_circle_directions(count: int) -> list[tuple[int, int]]:
+def _half_circle_directions(count: int) -> np.ndarray:
     """The `count` shortest primitive integer vectors with angles ascending
-    from (1, 0) over less than a half turn."""
+    from (1, 0) over less than a half turn, as a (2, count) int64 array of
+    x and y rows.
+
+    The octant's directions (k, h), 0 < h < k <= limit, are the Farey
+    fractions h/k of order `limit`: the pairs with gcd 1, sorted by the
+    float quotient.  The sort is exact: two distinct fractions with
+    denominators <= limit differ by at least 1/limit**2, far more than the
+    quotient's rounding while limit < 2**26.  The limit doubles until the
+    half turn holds `count` directions."""
     limit = max(2, int(math.sqrt(count / 2.0)) + 2)
     while True:
-        interior = _farey_interior(limit)  # slopes strictly between 0 and 1
-        octant = [(k, h) for h, k in interior]
-        quad1 = [(1, 0)] + octant + [(1, 1)] + [(h, k) for k, h in reversed(octant)] + [(0, 1)]
-        half = quad1[:-1] + [(-y, x) for x, y in quad1[:-1]]
-        if len(half) >= count:
-            return half[:count]
+        r = np.arange(1, limit + 1)
+        h, k = np.nonzero(r[:, None] < r)
+        h += 1
+        k += 1
+        coprime = np.gcd(h, k) == 1
+        # The half turn below holds 4 directions per octant fraction, and 4 more.
+        if 4 * np.count_nonzero(coprime) + 4 >= count:
+            break
         limit *= 2
+    h, k = h[coprime], k[coprime]
+    order = np.argsort(h / k)
+    h, k = h[order], k[order]
+    # The quarter turn from (1, 0) up to, not including, (0, 1): (1, 0), the
+    # octant, (1, 1), the octant mirrored in the diagonal; then its copy
+    # turned by 90 degrees, (x, y) -> (-y, x).
+    one, zero = [1], [0]
+    qx = np.concatenate((one, k, one, h[::-1]))
+    qy = np.concatenate((zero, h, one, k[::-1]))
+    return np.stack((np.concatenate((qx, -qy)), np.concatenate((qy, qx))))[:, :count]
 
 
 def lattice_ngon(n: int, seed: int) -> ConvexPolygon:
     """A strictly convex lattice polygon with exactly n vertices.
 
     Edge vectors are the shortest primitive integer directions over a half
-    turn (scaled by seeded small length factors) followed by their
-    negations, so an exact-integer polygon of any requested size is
-    available for benchmarking.  For odd n the first two edges are merged;
-    the merged direction stays strictly between its neighbors, so strict
-    convexity is preserved.
+    turn (scaled by seeded small length factors, one `randint(1, 3)` draw
+    each) followed by their negations, so an exact-integer polygon of any
+    requested size is available for benchmarking.  For odd n the first two
+    edges are merged; the merged direction stays strictly between its
+    neighbors, so strict convexity is preserved.  Built in integer array
+    passes; vertex 0 is the origin.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    rng = SplitMix64(seed)
     k = (n + 1) // 2
-    dirs = _half_circle_directions(k)
-    first = [(dx * s, dy * s) for (dx, dy), s in zip(dirs, [rng.randint(1, 3) for _ in range(k)])]
-    second = [(-dx, -dy) for dx, dy in first]
-    if n % 2:
-        first = [(first[0][0] + first[1][0], first[0][1] + first[1][1])] + first[2:]
-    pts = []
-    x = y = 0
-    for dx, dy in first + second:
-        pts.append((x, y))
-        x += dx
-        y += dy
-    return ConvexPolygon(pts)
+    scale = (SplitMix64(seed).next_u64s(k) % np.uint64(3)).astype(np.int64) + 1
+    first = _half_circle_directions(k) * scale
+    # ring[:, i] is the sum of edges 0..i; the last sum closes the ring at
+    # the origin.  Odd n skips the vertex between the two merged edges.
+    ring = np.cumsum(np.concatenate((first, -first), axis=1), axis=1)
+    return ConvexPolygon(np.concatenate((ring[:, -1:], ring[:, n % 2 : -1]), axis=1).T)
