@@ -270,7 +270,8 @@ def cmd_verify(args) -> int:
         rows.append((name, "ok" if ok else "FAIL", note))
 
     def rel_eq(x: float, y: float) -> bool:
-        return abs(x - y) <= ORACLE_REL_TOL * max(abs(x), abs(y), 1e-300)
+        # Only finite values agree: |x - inf| <= tol * inf holds for every x.
+        return math.isfinite(x) and math.isfinite(y) and abs(x - y) <= ORACLE_REL_TOL * max(abs(x), abs(y), 1e-300)
 
     check("quad-certificate", rep.quad_certificate.checks.all_ok)
     check("para-certificate", rep.para_certificate.checks.all_ok)

@@ -3,7 +3,8 @@
 These deliberately avoid the rotating sweep: the quadrilateral oracle
 enumerates vertex tuples (a largest contained k-gon can always be chosen
 with its corners at polygon vertices), and the parallelogram oracle scans
-edge directions (a smallest enclosing parallelogram has an edge-flush side).
+the distinct edge lines (a smallest enclosing parallelogram has an
+edge-flush side pair, and e and -e give it the same area).
 Complexity budgets are enforced by callers, not here.
 
 The enumerations are those of plain Python loops over the chords and the
@@ -184,13 +185,23 @@ def brute_smallest_para(P: ConvexPolygon) -> OraclePara:
     """Exhaustive minimum over edge directions of chord length times width.
 
     A smallest enclosing parallelogram can be chosen with one side pair
-    flush against an edge, so scanning the n edge directions suffices.
-    Ties keep the smallest edge index.
+    flush against an edge, so scanning the distinct edge lines suffices:
+    an edge whose vector is exactly minus an earlier edge's lies on a line
+    already measured, and is skipped.  Ties keep the smallest edge index.
 
-    For every edge direction the chord through every vertex is measured,
-    as `longest_chord` measures it: O(n^3) work.  The margins of every
-    vertex against every edge do not depend on the direction, so they are
-    computed once, as an n x n array.  The directions are then taken in
+    The skip changes no result.  Along -u every chord parameter, end and
+    projection is the exact negation of its value along u, so the chord
+    length and the width, and with them the area, are the same floats; on
+    an equal area the earlier edge wins, so the skipped one never could.
+    Edges that are parallel but differ in length may round differently,
+    so both are measured.  A centrally symmetric ring, such as every even
+    `lattice_ngon` and every `parallel_edge_polygon`, is measured along
+    n/2 edges.
+
+    For every measured edge direction the chord through every vertex is
+    measured, as `longest_chord` measures it: O(n^3) work.  The margins of
+    every vertex against every edge do not depend on the direction, so they
+    are computed once, as an n x n array.  The directions are then taken in
     blocks of _CHORD_BLOCK // 8n, whose (direction, n) arrays stay within
     one block, and `_longest_vertex_chords` measures their chords in
     blocks of _CHORD_BLOCK quotients.  Each chord length and width is the
@@ -202,17 +213,26 @@ def brute_smallest_para(P: ConvexPolygon) -> OraclePara:
     vx, vy = xy[:, 0], xy[:, 1]
     ex, ey = P.edges()
     exs, eys = ex.tolist(), ey.tolist()
+    # Float tuples compare and hash by value, so -0.0 matches 0.0.
+    seen = set()
+    keep = []
+    for e, (x, y) in enumerate(zip(exs, eys)):
+        if (-x, -y) not in seen:
+            keep.append(e)
+        seen.add((x, y))
+    keep = np.array(keep)
     neg_c = _neg_margins(vx[:, None], vy[:, None], vx, vy, ex, ey)  # vertex i, edge k
     # About eight (directions, n) arrays are live at once.
     dirs = max(1, _CHORD_BLOCK // (8 * n))
     best_edge = -1
     best_area = math.inf
-    for s in range(0, n, dirs):
-        ux, uy = ex[s : s + dirs, None], ey[s : s + dirs, None]
+    for s in range(0, len(keep), dirs):
+        edges = keep[s : s + dirs]
+        ux, uy = ex[edges, None], ey[edges, None]
         ax, ay, bx, by = _longest_vertex_chords(P, ux, uy, lambda a, b: neg_c[a:b])
         proj = vx * -uy + vy * ux  # width's expression
         spread = proj.max(axis=1) - proj.min(axis=1)
-        for e, lx, ly, w in zip(range(s, n), (bx - ax).tolist(), (by - ay).tolist(), spread.tolist()):
+        for e, lx, ly, w in zip(edges.tolist(), (bx - ax).tolist(), (by - ay).tolist(), spread.tolist()):
             area = math.hypot(lx, ly) * (w / math.hypot(exs[e], eys[e]))
             if area < best_area:
                 best_area = area

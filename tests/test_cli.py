@@ -312,6 +312,17 @@ def test_verify_expect_negative_control(capsys, square_file, tmp_path):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("area", ["1e400", '"inf"', '"-Infinity"', '"nan"'])
+def test_verify_expect_non_finite_area_fails(capsys, square_file, tmp_path, area):
+    # A relative tolerance scaled by an infinite value would pass any area.
+    p = tmp_path / "expect.json"
+    p.write_text(f'{{"max_quad": {{"area": {area}}}, "min_para": {{"area": 1.0}}}}')
+    code, out, _ = run(capsys, "verify", "--input", square_file, "--expect", str(p))
+    assert code == 1
+    assert "FAIL expect-max-quad" in out
+    assert "ok   expect-min-para" in out
+
+
 @pytest.mark.parametrize(
     "report",
     [

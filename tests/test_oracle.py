@@ -97,10 +97,23 @@ def rotated(P, turn, scale=1.0):
     return ConvexPolygon(canonicalize(np.column_stack((c * x - s * y, s * x + c * y))))
 
 
+def point_reflected(m, seed, scale=1000.0):
+    """The float half chain h of m points on an ellipse, at sorted angles
+    within half a turn, followed by its exact negation: np.vstack((h, -h)).
+    Every edge line is on the ring twice, as e and exactly -e, while its
+    coordinates, unlike a lattice polygon's, are rounded."""
+    rng = SplitMix64(seed)
+    phase, squash, *turns = (rng.next_u64() / 2.0**64 for _ in range(m + 2))
+    angles = math.pi * (np.sort(turns) + 2.0 * phase)
+    h = scale * np.column_stack((np.cos(angles), (0.1 + 0.9 * squash) * np.sin(angles)))
+    return ConvexPolygon(np.vstack((h, -h)))
+
+
 def oracle_corpus():
     """Tie-heavy lattice and parallel-edge polygons, triangles (the
-    multiset case), and float regular and rotated hulls, whose rounded
-    coordinates make near-ties."""
+    multiset case), float regular and rotated hulls, whose rounded
+    coordinates make near-ties, and point-reflected float rings, whose
+    antiparallel edges are exact negations."""
     polys = [lattice_ngon(n, n) for n in (3, 4, 5, 6, 9, 16, 27, 40, 64)]
     polys += [parallel_edge_polygon(m, m) for m in (2, 3, 5, 8, 13, 20)]
     polys += [random_convex(3, s, 1000) for s in range(3)]
@@ -108,6 +121,7 @@ def oracle_corpus():
     polys += [regular_ngon(n, 1000.0, r) for n, r in ((5, 0), (7, 1), (12, 3), (24, 1), (40, 0))]
     polys += [rotated(random_convex(60, s, 1000), 0.3 + s) for s in range(4)]
     polys += [rotated(lattice_ngon(20, 2), 1.1, 0.01)]
+    polys += [point_reflected(m, m, scale) for m, scale in ((2, 1.0), (3, 1000.0), (7, 0.01), (20, 1000.0))]
     # Measured in blocks of SPLIT_BLOCK (see the corpus test), the 131^2
     # (vertex, edge) pairs of each direction are split into two blocks of
     # vertices.
@@ -168,6 +182,50 @@ def test_para_oracle_does_not_depend_on_its_blocks(monkeypatch, P):
         monkeypatch.setattr(oracle, "_CHORD_BLOCK", blocking(P.n))
         assert repr(brute_smallest_para(P)) == want, name
         assert repr(longest_chord(P, u)) == chord, name
+
+
+def test_para_oracle_measures_each_edge_line_once(monkeypatch):
+    counts = []
+    measure = oracle._longest_vertex_chords
+
+    def spy(P, ux, uy, margins):
+        counts.append(len(ux))
+        return measure(P, ux, uy, margins)
+
+    def measured_directions(P):
+        counts.clear()
+        brute_smallest_para(P)
+        return sum(counts)
+
+    monkeypatch.setattr(oracle, "_longest_vertex_chords", spy)
+    # A centrally symmetric ring has every edge line twice, as e and -e.
+    for P in [lattice_ngon(n, 3) for n in (4, 10, 64, 140)] + [parallel_edge_polygon(m, 3) for m in (2, 9, 70)]:
+        assert measured_directions(P) == P.n // 2, P
+    # No two edges of a generic hull are antiparallel, and an edge parallel
+    # to another but of a different length may round differently: all
+    # measured.
+    hull = random_convex(40, 7, 1000)
+    trapezoid = ConvexPolygon([(0, 0), (4, 0), (3, 2), (1, 2)])
+    for P in (hull, trapezoid):
+        assert measured_directions(P) == P.n, P
+
+
+@pytest.mark.parametrize(
+    "P",
+    [lattice_ngon(n, 5) for n in (4, 12, 30)] + [parallel_edge_polygon(m, 5) for m in (3, 11)]
+    + [point_reflected(m, 9, scale) for m, scale in ((2, 1.0), (6, 1000.0), (15, 1e-3))],
+    ids=lambda P: f"n{P.n}",
+)
+def test_antiparallel_edges_give_the_same_area(P):
+    # The reference loop along each edge that is exactly minus an earlier
+    # one gives that edge's area to the bit, so skipping it changes nothing.
+    for ring in (P, ConvexPolygon(-P.coords())):  # a half turn: zero coordinates become -0.0
+        vectors = [ring.edge_vector(e) for e in range(ring.n)]
+        pairs = [(k, e) for e in range(ring.n) for k in range(e) if vectors[k] == (-vectors[e][0], -vectors[e][1])]
+        assert len(pairs) == ring.n // 2
+        for k, e in pairs:
+            areas = [longest_chord_loop(ring, vectors[i]).length() * width(ring, vectors[i]) for i in (k, e)]
+            assert areas[0].hex() == areas[1].hex(), (ring, k, e)
 
 
 class RecordingNumpy:
@@ -259,7 +317,7 @@ def test_quad_oracle_does_not_depend_on_its_passes(monkeypatch, P):
 
 @st.composite
 def oracle_polygons(draw):
-    kind = draw(st.sampled_from(["lattice", "parallel", "hull", "regular", "triangle"]))
+    kind = draw(st.sampled_from(["lattice", "parallel", "hull", "regular", "triangle", "reflected"]))
     n = draw(st.integers(3, 30))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "lattice":
@@ -270,10 +328,12 @@ def oracle_polygons(draw):
         P = random_convex(n, seed, draw(st.sampled_from([3, 10, 1000])))
     elif kind == "regular":
         P = regular_ngon(n, draw(st.sampled_from([1.0, 1000.0])), seed % 7)
-    else:
+    elif kind == "triangle":
         P = random_convex(3, seed, 6)
     move = draw(st.sampled_from(["none", "negate", "rotate"]))
     try:
+        if kind == "reflected":
+            P = point_reflected(max(2, n // 2), seed, draw(st.sampled_from([1e-3, 1.0, 1000.0])))
         if move == "negate":  # a half turn: zero coordinates become -0.0
             P = ConvexPolygon(-P.coords())
         elif move == "rotate":
